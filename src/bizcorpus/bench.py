@@ -14,6 +14,7 @@ guide in the README.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -84,6 +85,10 @@ class Judgment:
     timestamp: str
 
     def __post_init__(self) -> None:
+        for name in ("content_faithful", "instruction_followed", "correct"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a JSON boolean, got {value!r}")
         if self.correct != (self.content_faithful and self.instruction_followed):
             raise ValueError(
                 "correct must equal content_faithful AND instruction_followed"
@@ -108,9 +113,9 @@ class Judgment:
             setting=SettingKind(setting),
             model_id=model_id,
             response=response,
-            content_faithful=bool(content_faithful),
-            instruction_followed=bool(instruction_followed),
-            correct=bool(content_faithful) and bool(instruction_followed),
+            content_faithful=content_faithful,
+            instruction_followed=instruction_followed,
+            correct=content_faithful and instruction_followed,
             judge_id=judge_id,
             timestamp=timestamp or _utcnow(),
         )
@@ -135,9 +140,9 @@ class Judgment:
             setting=SettingKind(obj["setting"]),
             model_id=str(obj["model_id"]),
             response=str(obj.get("response", "")),
-            content_faithful=bool(obj["content_faithful"]),
-            instruction_followed=bool(obj["instruction_followed"]),
-            correct=bool(obj["correct"]),
+            content_faithful=obj["content_faithful"],
+            instruction_followed=obj["instruction_followed"],
+            correct=obj["correct"],
             judge_id=str(obj["judge_id"]),
             timestamp=str(obj.get("timestamp", "")),
         )
@@ -187,6 +192,7 @@ class RetrievalError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def load_template(kind: SettingKind, version: str = TEMPLATE_VERSION) -> str:
     name = "no_context_ja" if kind is SettingKind.NO_CONTEXT else "rag_ja"
     path = resources.files("bizcorpus.templates") / f"{name}.{version}.txt"
@@ -444,7 +450,8 @@ def record_judgments(
 
     Verdict records are line-delimited JSON:
     ``{"question_id": ..., "content_faithful": bool, "instruction_followed": bool}``.
-    A verdict for a question without an ok response is an error.
+    Both criteria must be JSON booleans. A verdict for a question without an
+    ok response, or with a non-boolean criterion, is an error naming the line.
     """
     run_dir = Path(run_dir)
     responses_dir = run_dir / "responses"
@@ -468,17 +475,19 @@ def record_judgments(
                     f"{verdicts_path}:{lineno}: question {qid!r} has status "
                     f"{record.get('status')!r}, cannot be judged"
                 )
-            judgments.append(
-                Judgment.record(
+            try:
+                judgment = Judgment.record(
                     question_id=qid,
                     setting=SettingKind(record["setting"]),
                     model_id=str(record["model_id"]),
                     response=str(record.get("response", "")),
-                    content_faithful=bool(obj["content_faithful"]),
-                    instruction_followed=bool(obj["instruction_followed"]),
+                    content_faithful=obj["content_faithful"],
+                    instruction_followed=obj["instruction_followed"],
                     judge_id=judge_id,
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{verdicts_path}:{lineno}: {exc}") from exc
+            judgments.append(judgment)
 
     with (run_dir / "judgments.jsonl").open("a", encoding="utf-8") as fh:
         for judgment in judgments:
@@ -490,9 +499,12 @@ def record_judgments(
 def load_judgments(path: Path | str) -> list[Judgment]:
     judgments = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                judgments.append(Judgment.from_dict(json.loads(line)))
+                try:
+                    judgments.append(Judgment.from_dict(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return judgments
 
 

@@ -1,6 +1,6 @@
 """Exact-match deduplication at document and sentence level.
 
-Documents are grouped by a stable 64-bit FNV-1a fingerprint of their text
+Documents are grouped by a stable 64-bit BLAKE2b fingerprint of their text
 bytes and merged only after byte comparison, so dedup semantics are exact
 regardless of hash quality; the first-seen document of each equal class
 survives. Sentences are counted corpus-wide with a terminator-based split,
@@ -10,30 +10,17 @@ removed — over-threshold sentences are boilerplate, so no copies are kept.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .core import Corpus, Document, PipelineStats
 from .noise import DEFAULT_JP_TERMINATORS, DEFAULT_LATIN_TERMINATORS
-
-SPLITTER_TERMINATOR_V1 = "terminator_v1"
-
-FNV64_OFFSET = 0xCBF29CE484222325
-FNV64_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a_64(data: bytes) -> int:
-    """FNV-1a, 64-bit: fast, non-cryptographic, stable across processes
-    (unlike Python's built-in ``hash``)."""
-    h = FNV64_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * FNV64_PRIME) & _MASK64
-    return h
 
 
 def document_fingerprint(doc: Document, *, bits: int = 64) -> int:
@@ -42,15 +29,14 @@ def document_fingerprint(doc: Document, *, bits: int = 64) -> int:
     colliding fingerprints are resolved by byte comparison downstream."""
     if not 1 <= bits <= 64:
         raise ValueError("bits must be in 1..64")
-    fp = fnv1a_64(doc.text.encode("utf-8"))
+    digest = hashlib.blake2b(doc.text.encode("utf-8"), digest_size=8).digest()
+    fp = int.from_bytes(digest, "big")
     return fp & ((1 << bits) - 1) if bits < 64 else fp
 
 
 @dataclass(frozen=True)
 class DedupConfig:
     sentence_frequency_threshold: int = 15
-    survivor_policy: str = "first_seen"
-    sentence_splitter: str = SPLITTER_TERMINATOR_V1
     terminators: frozenset[str] = field(
         default=DEFAULT_JP_TERMINATORS | DEFAULT_LATIN_TERMINATORS
     )
@@ -58,28 +44,22 @@ class DedupConfig:
     def __post_init__(self) -> None:
         if self.sentence_frequency_threshold < 1:
             raise ValueError("sentence_frequency_threshold must be >= 1")
-        if self.survivor_policy != "first_seen":
-            raise ValueError("only the first_seen survivor policy is supported")
-        if self.sentence_splitter != SPLITTER_TERMINATOR_V1:
-            raise ValueError(f"unknown sentence splitter {self.sentence_splitter!r}")
         if not self.terminators:
             raise ValueError("terminators must be non-empty")
 
+    @cached_property
+    def sentence_pattern(self) -> re.Pattern[str]:
+        """Matches one sentence: text up to and including a terminator, or a
+        trailing fragment without one. Only single-character terminators can
+        end a sentence; with none, the whole line is one sentence."""
+        chars = "".join(re.escape(t) for t in sorted(self.terminators) if len(t) == 1)
+        if not chars:
+            return re.compile(r"(?s:.+)")
+        return re.compile(f"[^{chars}]*[{chars}]|[^{chars}]+")
+
 
 def _split_line(config: DedupConfig, line: str) -> list[str]:
-    sentences: list[str] = []
-    buf: list[str] = []
-    for ch in line:
-        buf.append(ch)
-        if ch in config.terminators:
-            sentence = "".join(buf).strip()
-            if sentence:
-                sentences.append(sentence)
-            buf = []
-    tail = "".join(buf).strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    return [s for m in config.sentence_pattern.findall(line) if (s := m.strip())]
 
 
 def split_sentences(config: DedupConfig, text: str) -> list[str]:

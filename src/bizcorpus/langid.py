@@ -11,12 +11,14 @@ cascade self-contained; no external detector is required.
 
 from __future__ import annotations
 
+import functools
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
 
-from .core import Corpus, Document, PipelineStats
+from .core import Corpus, Document, PipelineStats, code_point_class
 
 JAPANESE = "ja"
 UNDETERMINED = "und"
@@ -71,7 +73,8 @@ class PrimaryClassifierUnavailable(RuntimeError):
 # Hiragana + Katakana blocks; the signal for Japanese even in Kanji-heavy text.
 _KANA_RANGES = ((0x3040, 0x309F), (0x30A0, 0x30FF))
 
-# Script buckets for the most-frequent-script guess, checked per character.
+# Script buckets for the most-frequent-script guess. The buckets are
+# disjoint, so each character counts toward at most one script.
 _SCRIPT_RANGES: dict[str, tuple[tuple[int, int], ...]] = {
     "kana": _KANA_RANGES,
     "han": ((0x3400, 0x4DBF), (0x4E00, 0x9FFF), (0xF900, 0xFAFF)),
@@ -99,23 +102,24 @@ _SCRIPT_LANG = {
 }
 
 
+@functools.cache
+def _script_res() -> dict[str, re.Pattern[str]]:
+    # Compiled on first use, like the tokenizer's pattern: the Han and Hangul
+    # ranges take milliseconds to compile.
+    return {
+        name: re.compile(f"[{code_point_class(ranges)}]") for name, ranges in _SCRIPT_RANGES.items()
+    }
+
+
 def jp_script_ratio(text: str) -> float:
     """Fraction of all characters that fall in the Hiragana/Katakana blocks."""
     if not text:
         return 0.0
-    kana = sum(1 for ch in text if any(lo <= ord(ch) <= hi for lo, hi in _KANA_RANGES))
-    return kana / len(text)
+    return _script_res()["kana"].subn("", text)[1] / len(text)
 
 
 def _script_counts(text: str) -> dict[str, int]:
-    counts = {name: 0 for name in _SCRIPT_RANGES}
-    for ch in text:
-        cp = ord(ch)
-        for name, ranges in _SCRIPT_RANGES.items():
-            if any(lo <= cp <= hi for lo, hi in ranges):
-                counts[name] += 1
-                break
-    return counts
+    return {name: pattern.subn("", text)[1] for name, pattern in _script_res().items()}
 
 
 def classify_primary(config: LangIdConfig, text: str) -> LangVerdict:

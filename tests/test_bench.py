@@ -351,6 +351,37 @@ class TestJudgingWorkflow:
         with pytest.raises(ValueError, match="ghost"):
             record_judgments(tmp_path / "run", verdicts, judge_id="judge-a")
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_non_boolean_verdict_rejected(self, tmp_path, value):
+        # "content_faithful": "false" used to be read with bool() and scored
+        # as correct (accuracy 1.0)
+        questions = _questions(2)
+        run_benchmark(NO_CONTEXT, questions, ScriptedModel(), out_dir=tmp_path / "run")
+        verdicts = tmp_path / "verdicts.jsonl"
+        lines = [
+            {"question_id": questions[0].id, "content_faithful": True, "instruction_followed": True},
+            {"question_id": questions[1].id, "content_faithful": value, "instruction_followed": True},
+        ]
+        verdicts.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"verdicts\.jsonl:2: content_faithful must be a JSON boolean"):
+            record_judgments(tmp_path / "run", verdicts, judge_id="judge-a")
+        assert not (tmp_path / "run" / "judgments.jsonl").exists()
+
+    def test_non_boolean_stored_judgment_rejected(self, tmp_path):
+        path = tmp_path / "judgments.jsonl"
+        judgment = Judgment.record(
+            question_id="q1",
+            setting=SettingKind.NO_CONTEXT,
+            model_id="m",
+            response="r",
+            content_faithful=False,
+            instruction_followed=True,
+            judge_id="judge-a",
+        ).to_dict()
+        path.write_text(json.dumps({**judgment, "correct": "false"}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"judgments\.jsonl:1: correct must be a JSON boolean"):
+            load_judgments(path)
+
 
 class TestQuestionLoading:
     def test_load_and_validate(self, tmp_path):

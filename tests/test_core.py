@@ -147,6 +147,12 @@ class TestTokenizer:
             ("GDP成長率", 4),  # one latin run + three CJK chars
             ("今日は hello 世界", 6),
             ("десять слов", 2),
+            ("今日\u3000hello\u3000world", 4),  # U+3000 is whitespace, not CJK
+            ("a\x85b", 2),  # NEL
+            ("a\u2028b", 2),  # line separator
+            ("a\x1cb", 2),  # file separator
+            ("a\U0001F600b 日", 2),  # astral character joins the latin run
+            ("\uff60\uff61\uff65\uff66", 3),  # U+FF61-U+FF65 is not CJK
         ],
     )
     def test_counts(self, text, expected):

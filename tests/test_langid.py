@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import textwrap
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,20 +23,6 @@ from bizcorpus.langid import (
     identify,
     jp_script_ratio,
 )
-
-KANA_RANGES = ((0x3040, 0x309F), (0x30A0, 0x30FF))
-
-
-def brute_force_kana_ratio(text: str) -> float:
-    """Independent per-character block count."""
-    if not text:
-        return 0.0
-    hits = 0
-    for ch in text:
-        cp = ord(ch)
-        if any(lo <= cp <= hi for lo, hi in KANA_RANGES):
-            hits += 1
-    return hits / len(text)
 
 
 class StubClassifier:
@@ -92,14 +79,14 @@ class TestFallback:
         # 4 hiragana among 100 chars -> ratio 0.04, below the 0.05 default
         text = "あいうえ" + "x" * 96
         assert len(text) == 100
-        assert brute_force_kana_ratio(text) == pytest.approx(0.04)
+        assert oracles.jp_script_ratio(text) == pytest.approx(0.04)
         assert jp_script_ratio(text) == pytest.approx(0.04)
         verdict = classify_fallback(LangIdConfig(), text)
         assert verdict.lang != "ja"
 
     def test_ratio_at_threshold_is_japanese(self):
         text = "あいうえお" + "x" * 95
-        assert brute_force_kana_ratio(text) == pytest.approx(0.05)
+        assert oracles.jp_script_ratio(text) == pytest.approx(0.05)
         verdict = classify_fallback(LangIdConfig(), text)
         assert verdict.lang == "ja"
         assert verdict.confidence == pytest.approx(1.0)
@@ -118,10 +105,14 @@ class TestFallback:
     def test_adding_hiragana_never_decreases_ratio(self, text, k):
         assert jp_script_ratio(text + "あ" * k) >= jp_script_ratio(text)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.text(max_size=80))
+    def test_kana_block_edges(self):
+        # U+3040-U+309F and U+30A0-U+30FF count, their neighbours do not
+        assert jp_script_ratio("\u303f\u3040\u309f\u30a0\u30ff\u3100") == 4 / 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.one_of(st.characters(), st.sampled_from("\u303f\u3040\u309f\u30a0\u30ff\u3100"))))
     def test_ratio_matches_brute_force(self, text):
-        assert jp_script_ratio(text) == pytest.approx(brute_force_kana_ratio(text))
+        assert jp_script_ratio(text) == oracles.jp_script_ratio(text)
 
 
 class TestCascade:
