@@ -64,7 +64,10 @@ def _print_stage_summary(stats: PipelineStats) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    stats = run_pipeline(config)
+    try:
+        stats = run_pipeline(config)
+    finally:
+        config.close()
     _print_stage_summary(stats)
     print(f"total tokens: {stats.total_tokens}")
     print(f"wrote {config.output_dir / 'cleaned.jsonl'} and {config.output_dir / 'manifest.json'}")
@@ -82,15 +85,18 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 
 def cmd_langid(args: argparse.Namespace) -> int:
-    classifier = SubprocessClassifier(args.classifier_cmd) if args.classifier_cmd else None
     config = LangIdConfig(
-        uncertainty_threshold=args.threshold,
-        jp_script_ratio_threshold=args.jp_ratio,
-        classifier=classifier,
+        uncertainty_threshold=args.threshold, jp_script_ratio_threshold=args.jp_ratio
     )
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
-    out = filter_non_japanese(config, corpus, stats=stats, workers=args.workers)
+    if args.classifier_cmd:
+        config.classifier = SubprocessClassifier(args.classifier_cmd)
+    try:
+        out = filter_non_japanese(config, corpus, stats=stats)
+    finally:
+        if config.classifier is not None:
+            config.classifier.close()
     write_corpus_jsonl(out, args.output)
     _print_stage_summary(stats)
     return EXIT_OK
@@ -100,7 +106,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     config = NoiseConfig(min_sentential_ratio=args.ratio)
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
-    out = denoise_corpus(config, corpus, stats=stats, workers=args.workers)
+    out = denoise_corpus(config, corpus, stats=stats)
     write_corpus_jsonl(out, args.output)
     _print_stage_summary(stats)
     return EXIT_OK
@@ -111,7 +117,7 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
     corpus = dedup_documents(config, corpus, stats=stats)
-    table = count_sentences(config, corpus, workers=args.workers)
+    table = count_sentences(config, corpus)
     if args.dump_freq:
         table.dump_jsonl(args.dump_freq)
     out = dedup_sentences(config, corpus, table, stats=stats)
@@ -222,14 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.9)
     p.add_argument("--jp-ratio", type=float, default=0.05)
     p.add_argument("--classifier-cmd", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_langid)
 
     p = sub.add_parser("denoise", help="strip noise lines / drop non-sentential docs")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("dedup", help="document- and sentence-level dedup")
@@ -237,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--threshold", type=int, default=15)
     p.add_argument("--dump-freq", default=None, help="dump sentence frequency table here")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_dedup)
 
     p = sub.add_parser("mix", help="plan an epoch or an update mix")
@@ -291,16 +294,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, MixtureConfigError) as exc:
+    except (ConfigError, MixtureConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StageFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (StageFailure, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
 

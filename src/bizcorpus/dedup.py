@@ -14,7 +14,6 @@ import hashlib
 import json
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -104,27 +103,9 @@ class TableMismatchError(RuntimeError):
 
 
 def count_sentences(
-    config: DedupConfig, corpus: Corpus, *, workers: int = 1
+    config: DedupConfig, corpus: Corpus, *, workers: int = 1  # ignored; kept for existing callers
 ) -> SentenceFrequencyTable:
-    """Count exact sentence strings over the whole corpus. With ``workers``
-    > 1 the documents are sharded and the per-shard counters merged; the
-    merge is associative, so the result equals a sequential count."""
-    if workers > 1 and len(corpus) > 1:
-        shards = [corpus.documents[i::workers] for i in range(workers)]
-
-        def _count(shard: list[Document]) -> Counter[str]:
-            counter: Counter[str] = Counter()
-            for doc in shard:
-                counter.update(split_sentences(config, doc.text))
-            return counter
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_count, shards))
-        merged: Counter[str] = Counter()
-        for partial in partials:
-            merged.update(partial)
-        return SentenceFrequencyTable(merged)
-
+    """Count exact sentence strings over the whole corpus."""
     counter: Counter[str] = Counter()
     for doc in corpus:
         counter.update(split_sentences(config, doc.text))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
@@ -41,13 +40,8 @@ class LangVerdict:
 
 
 class ClassifierBackend(Protocol):
-    """Primary-stage plug point: ``classify(text) -> (language, confidence)``.
-
-    ``shareable`` declares whether one instance may be called from several
-    threads; the pipeline serializes calls to non-shareable backends.
-    """
-
-    shareable: bool
+    """Primary-stage plug point: ``classify(text) -> (language, confidence)``;
+    an optional ``classify_many(texts)`` gives one pair or None per text in one go."""
 
     def classify(self, text: str) -> tuple[str, float]: ...
 
@@ -136,8 +130,11 @@ def classify_primary(config: LangIdConfig, text: str) -> LangVerdict:
         raise PrimaryClassifierUnavailable(
             f"primary classifier failed ({exc}); run identify() in fallback-only mode"
         ) from exc
-    clamped = min(1.0, max(0.0, float(confidence)))
-    return LangVerdict(str(lang), clamped, VerdictStage.PRIMARY)
+    return _primary_verdict(lang, confidence)
+
+
+def _primary_verdict(lang: str, confidence: float) -> LangVerdict:
+    return LangVerdict(str(lang), min(1.0, max(0.0, float(confidence))), VerdictStage.PRIMARY)
 
 
 def classify_fallback(config: LangIdConfig, text: str) -> LangVerdict:
@@ -166,13 +163,16 @@ def identify(config: LangIdConfig, text: str) -> LangVerdict:
     """Cascade: the primary verdict stands when its confidence reaches the
     uncertainty threshold; otherwise (or when the backend is unusable) the
     characteristics fallback decides."""
-    if config.classifier is not None:
-        try:
-            primary = classify_primary(config, text)
-        except PrimaryClassifierUnavailable:
-            primary = None
-        if primary is not None and primary.confidence >= config.uncertainty_threshold:
-            return primary
+    try:
+        primary = classify_primary(config, text) if config.classifier is not None else None
+    except PrimaryClassifierUnavailable:
+        primary = None
+    return _cascade(config, text, primary)
+
+
+def _cascade(config: LangIdConfig, text: str, primary: LangVerdict | None) -> LangVerdict:
+    if primary is not None and primary.confidence >= config.uncertainty_threshold:
+        return primary
     return classify_fallback(config, text)
 
 
@@ -181,23 +181,19 @@ def filter_non_japanese(
     corpus: Corpus,
     *,
     stats: PipelineStats | None = None,
-    workers: int = 1,
+    workers: int = 1,  # ignored: every stage runs in one thread; kept for existing callers
 ) -> Corpus:
     """Keep exactly the documents identified as Japanese, setting ``lang`` on
     survivors. Removal counts are recorded per detected language."""
-    backend = config.classifier
-    if backend is not None and not getattr(backend, "shareable", False):
-        workers = 1
-
-    def _verdict(doc: Document) -> LangVerdict:
-        return identify(config, doc.text)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(_verdict, corpus.documents))
+    classify_many = getattr(config.classifier, "classify_many", None)
+    if classify_many is None:
+        verdicts = [identify(config, doc.text) for doc in corpus.documents]
     else:
-        verdicts = [_verdict(doc) for doc in corpus.documents]
-
+        answers = classify_many([doc.text for doc in corpus.documents])
+        verdicts = [
+            _cascade(config, doc.text, answer and _primary_verdict(*answer))
+            for doc, answer in zip(corpus.documents, answers)
+        ]
     kept: list[Document] = []
     removals: dict[str, int] = {}
     for doc, verdict in zip(corpus.documents, verdicts):

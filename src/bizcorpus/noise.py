@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,20 +138,15 @@ def denoise_corpus(
     corpus: Corpus,
     *,
     stats: PipelineStats | None = None,
-    workers: int = 1,
+    workers: int = 1,  # ignored: every stage runs in one thread; kept for existing callers
 ) -> Corpus:
-    """Apply :func:`filter_document` to every document with ordered merge;
-    line-level strip counts and document-level removal reasons land in stats."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda d: _filter_with_reasons(config, d), corpus.documents))
-    else:
-        results = [_filter_with_reasons(config, doc) for doc in corpus.documents]
-
+    """Apply :func:`filter_document` to every document in order; line-level
+    strip counts and document-level removal reasons land in stats."""
     kept: list[Document] = []
     detail: Counter[str] = Counter()
     removals: Counter[str] = Counter()
-    for (filtered, counts), _doc in zip(results, corpus.documents):
+    for doc in corpus.documents:
+        filtered, counts = _filter_with_reasons(config, doc)
         for key, value in counts.items():
             if key.startswith("docs_"):
                 removals[key.removeprefix("docs_")] += value

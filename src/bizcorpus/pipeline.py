@@ -25,13 +25,11 @@ from .core import (
     PipelineStats,
     SourceTag,
     count_tokens,
-    derive_seed,
     ingest_jsonl,
     write_corpus_jsonl,
 )
 from .curation import CurationRuleSet, curate, load_rules
 from .langid import LangIdConfig, filter_non_japanese
-from .mixture import MixtureSpec, UpdateMixSpec
 from .noise import (
     DEFAULT_JP_TERMINATORS,
     DEFAULT_LATIN_TERMINATORS,
@@ -44,7 +42,19 @@ log = logging.getLogger(__name__)
 MANIFEST_SCHEMA = "bizcorpus-manifest/1"
 
 ENV_OUTPUT_DIR = "BIZCORPUS_OUTPUT_DIR"
-ENV_WORKERS = "BIZCORPUS_WORKERS"
+
+_SECTION_KEYS = {
+    "curation": frozenset({"rules_file"}),
+    "lang_id": frozenset({"uncertainty_threshold", "jp_script_ratio_threshold", "classifier_cmd"}),
+    "noise": frozenset(
+        {"jp_terminators", "latin_terminators", "min_sentential_ratio", "punctuationless_languages"}
+    ),
+    "dedup": frozenset({"sentence_frequency_threshold"}),
+}
+_TOP_LEVEL_KEYS = frozenset(
+    {"seed", "output_dir", "workers", "sources", "dump_sentence_freq", *_SECTION_KEYS}
+)
+_SOURCE_KEYS = frozenset({"path", "source"})
 
 
 class ConfigError(ValueError):
@@ -76,8 +86,7 @@ class PipelineConfig:
     lang_id: LangIdConfig = field(default_factory=LangIdConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     dedup: dedup_mod.DedupConfig = field(default_factory=dedup_mod.DedupConfig)
-    mixture: MixtureSpec | None = None
-    update_mix: UpdateMixSpec | None = None
+    # validated but not used: every stage runs in one thread
     workers: int = 1
     dump_sentence_freq: bool = False
     raw: dict = field(default_factory=dict, repr=False)
@@ -85,20 +94,35 @@ class PipelineConfig:
     @property
     def digest(self) -> str:
         # identifies the data-defining configuration; where outputs land and
-        # how many workers run does not change what gets produced
+        # the workers setting do not change what gets produced
         significant = {k: v for k, v in self.raw.items() if k not in ("output_dir", "workers")}
         canonical = json.dumps(significant, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
+    def close(self) -> None:
+        """Stop the classifier child process that :func:`load_config` started."""
+        if self.lang_id.classifier is not None:
+            self.lang_id.classifier.close()
+
+
+def _check_keys(where: str, mapping: dict, allowed: frozenset[str]) -> None:
+    unknown = sorted(str(key) for key in mapping.keys() - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _section(raw: dict, name: str) -> dict:
+    section = raw.get(name) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be a mapping")
+    _check_keys(name, section, _SECTION_KEYS[name])
+    return section
+
 
 def _parse_noise(raw: dict) -> NoiseConfig:
     return NoiseConfig(
-        jp_terminators=frozenset(raw["jp_terminators"])
-        if raw.get("jp_terminators")
-        else DEFAULT_JP_TERMINATORS,
-        latin_terminators=frozenset(raw["latin_terminators"])
-        if raw.get("latin_terminators")
-        else DEFAULT_LATIN_TERMINATORS,
+        jp_terminators=frozenset(raw.get("jp_terminators") or DEFAULT_JP_TERMINATORS),
+        latin_terminators=frozenset(raw.get("latin_terminators") or DEFAULT_LATIN_TERMINATORS),
         min_sentential_ratio=float(raw.get("min_sentential_ratio", 0.5)),
         punctuationless_languages=frozenset(raw.get("punctuationless_languages", ["th"])),
     )
@@ -106,9 +130,11 @@ def _parse_noise(raw: dict) -> NoiseConfig:
 
 def load_config(path: Path | str) -> PipelineConfig:
     """Load and validate the pipeline config. Referenced files must exist;
-    any problem raises :class:`ConfigError` before work starts.
+    any problem, including an unknown key, raises :class:`ConfigError`
+    before work starts. The caller owns the classifier child process the
+    config may start and stops it with :meth:`PipelineConfig.close`.
 
-    ``BIZCORPUS_OUTPUT_DIR`` and ``BIZCORPUS_WORKERS`` override the config.
+    ``BIZCORPUS_OUTPUT_DIR`` overrides the config's ``output_dir``.
     """
     path = Path(path)
     if not path.exists():
@@ -117,6 +143,8 @@ def load_config(path: Path | str) -> PipelineConfig:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
+    _check_keys("top level", raw, _TOP_LEVEL_KEYS)
+    sections = {name: _section(raw, name) for name in _SECTION_KEYS}
     base = path.parent
 
     def _resolve(p: str) -> Path:
@@ -127,6 +155,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     for i, entry in enumerate(raw.get("sources") or []):
         if not isinstance(entry, dict) or "path" not in entry:
             raise ConfigError(f"sources[{i}]: each source needs a path")
+        _check_keys(f"sources[{i}]", entry, _SOURCE_KEYS)
         src_path = _resolve(str(entry["path"]))
         if not src_path.exists():
             raise ConfigError(f"sources[{i}]: file not found: {src_path}")
@@ -139,7 +168,7 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise ConfigError("config lists no ingestion sources")
 
     rules = None
-    curation_raw = raw.get("curation") or {}
+    curation_raw = sections["curation"]
     if curation_raw.get("rules_file"):
         rules_path = _resolve(str(curation_raw["rules_file"]))
         if not rules_path.exists():
@@ -150,50 +179,31 @@ def load_config(path: Path | str) -> PipelineConfig:
             raise ConfigError(f"bad rules file {rules_path}: {exc}") from exc
 
     try:
-        lang_raw = raw.get("lang_id") or {}
-        classifier = None
-        if lang_raw.get("classifier_cmd"):
-            from .backends import SubprocessClassifier
-
-            classifier = SubprocessClassifier(lang_raw["classifier_cmd"])
+        lang_raw = sections["lang_id"]
         lang_id = LangIdConfig(
             uncertainty_threshold=float(lang_raw.get("uncertainty_threshold", 0.9)),
             jp_script_ratio_threshold=float(lang_raw.get("jp_script_ratio_threshold", 0.05)),
-            classifier=classifier,
         )
-        noise = _parse_noise(raw.get("noise") or {})
-        dedup_raw = raw.get("dedup") or {}
+        noise = _parse_noise(sections["noise"])
         dedup_cfg = dedup_mod.DedupConfig(
             sentence_frequency_threshold=int(
-                dedup_raw.get("sentence_frequency_threshold", 15)
+                sections["dedup"].get("sentence_frequency_threshold", 15)
             ),
             terminators=noise.terminators,
         )
         seed = int(raw.get("seed", 0))
-        mixture = None
-        if raw.get("mixture") is not None:
-            weights = {
-                SourceTag(k): float(v)
-                for k, v in (raw["mixture"].get("weights") or {}).items()
-            }
-            mixture = MixtureSpec(
-                weights=weights, seed=derive_seed(seed, "mixture")
-            )
-        update_mix = None
-        if raw.get("update_mix") is not None:
-            update_mix = UpdateMixSpec(
-                r=float(raw["update_mix"]["r"]),
-                total=int(raw["update_mix"]["total"]),
-                seed=derive_seed(seed, "update_mix"),
-            )
+        workers = int(raw.get("workers", 1))
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        # spawned last, so a config that fails validation leaves no child behind
+        if lang_raw.get("classifier_cmd"):
+            from .backends import SubprocessClassifier
+
+            lang_id.classifier = SubprocessClassifier(lang_raw["classifier_cmd"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     output_dir = Path(os.environ.get(ENV_OUTPUT_DIR) or _resolve(str(raw.get("output_dir", "out"))))
-    workers = int(os.environ.get(ENV_WORKERS) or raw.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-
     return PipelineConfig(
         sources=sources,
         output_dir=output_dir,
@@ -202,8 +212,6 @@ def load_config(path: Path | str) -> PipelineConfig:
         lang_id=lang_id,
         noise=noise,
         dedup=dedup_cfg,
-        mixture=mixture,
-        update_mix=update_mix,
         workers=workers,
         dump_sentence_freq=bool(raw.get("dump_sentence_freq", False)),
         raw=raw,
@@ -238,18 +246,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineStats:
             corpus = curate(config.rules, corpus, stats=stats)
 
         stage = "lang_id"
-        corpus = filter_non_japanese(
-            config.lang_id, corpus, stats=stats, workers=config.workers
-        )
+        corpus = filter_non_japanese(config.lang_id, corpus, stats=stats)
 
         stage = "noise_filter"
-        corpus = denoise_corpus(config.noise, corpus, stats=stats, workers=config.workers)
+        corpus = denoise_corpus(config.noise, corpus, stats=stats)
 
         stage = "dedup_documents"
         corpus = dedup_mod.dedup_documents(config.dedup, corpus, stats=stats)
 
         stage = "dedup_sentences"
-        table = dedup_mod.count_sentences(config.dedup, corpus, workers=config.workers)
+        table = dedup_mod.count_sentences(config.dedup, corpus)
         corpus = dedup_mod.dedup_sentences(config.dedup, corpus, table, stats=stats)
         if config.dump_sentence_freq:
             table.dump_jsonl(config.output_dir / "sentence_freq.jsonl")

@@ -157,8 +157,6 @@ def test_4_epoch_doubling():
 def test_5_language_cascade():
     with criterion(5, "cascade: 0.5 -> fallback decides, 0.95 -> primary, Hiragana -> ja"):
         class Stub:
-            shareable = True
-
             def __init__(self, confidence):
                 self.confidence = confidence
 

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import shlex
+import sys
 from pathlib import Path
 
+import pytest
 import synth
 
 from bizcorpus.cli import main
@@ -39,6 +43,40 @@ class TestRun:
         raw["curation"]["rules_file"] = "ghost.yaml"
         config.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["run", "--config", str(config)]) == 1
+
+
+# Classifier child that records its pid, so a test can check it was reaped.
+PID_RECORDING_CLASSIFIER = """
+import json, os, sys
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(os.getpid()))
+for line in sys.stdin:
+    print(json.dumps({"lang": "ja", "confidence": 0.99}), flush=True)
+"""
+
+
+class TestClassifierChild:
+    @pytest.mark.parametrize("command", ["run", "langid"])
+    def test_child_exited_when_main_returns(self, tmp_path, command):
+        script = tmp_path / "classifier.py"
+        script.write_text(PID_RECORDING_CLASSIFIER, encoding="utf-8")
+        pid_file = tmp_path / "classifier.pid"
+        classifier_cmd = shlex.join([sys.executable, str(script), str(pid_file)])
+        records, _ = synth.make_records(n_core=3)
+        if command == "run":
+            config = synth.write_pipeline_config(
+                tmp_path, records, extra={"lang_id": {"classifier_cmd": classifier_cmd}}
+            )
+            argv = ["run", "--config", str(config)]
+        else:
+            raw = synth.write_jsonl(tmp_path / "raw.jsonl", records)
+            argv = ["langid", "--in", str(raw), "--out", str(tmp_path / "ja.jsonl"),
+                    "--classifier-cmd", classifier_cmd]
+        assert main(argv) == 0
+        pid = int(pid_file.read_text(encoding="utf-8"))
+        # ChildProcessError: no such child left to wait for, i.e. main already reaped it
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 class TestStandaloneStages:

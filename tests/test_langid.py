@@ -26,8 +26,6 @@ from bizcorpus.langid import (
 
 
 class StubClassifier:
-    shareable = True
-
     def __init__(self, lang: str, confidence: float, fail: bool = False):
         self.lang = lang
         self.confidence = confidence
@@ -205,7 +203,6 @@ class TestWireAdapter:
         try:
             assert backend.classify("これはにほんご。") == ("ja", 0.97)
             assert backend.classify("plain english") == ("en", 0.97)
-            assert backend.shareable is False
         finally:
             backend.close()
 
@@ -221,3 +218,77 @@ class TestWireAdapter:
             assert identify(config, "にほんごのれんしゅう。").lang == "ja"
         finally:
             backend.close()
+
+
+FLAKY = textwrap.dedent(
+    """
+    import json, sys
+    for line in sys.stdin:
+        text = json.loads(line)["text"]
+        if text == "die":
+            sys.exit(0)
+        if text == "garbled":
+            print("not json", flush=True)
+        elif text == "no confidence":
+            print(json.dumps({"lang": "ja"}), flush=True)
+        else:
+            lang = "ja" if any(0x3040 <= ord(c) <= 0x30FF for c in text) else "en"
+            confidence = 0.5 if text.startswith("low") else 0.97
+            print(json.dumps({"lang": lang, "confidence": confidence}), flush=True)
+    """
+)
+
+
+class TestPipelinedCalls:
+    @pytest.fixture
+    def spawn(self, tmp_path):
+        script = tmp_path / "flaky.py"
+        script.write_text(FLAKY, encoding="utf-8")
+        backends = []
+
+        def _spawn() -> SubprocessClassifier:
+            backends.append(SubprocessClassifier([sys.executable, str(script)]))
+            return backends[-1]
+
+        yield _spawn
+        for backend in backends:
+            backend.close()
+
+    def test_many_matches_one_call_per_text(self, spawn):
+        # several windows of requests; every seventh text outgrows a pipe buffer
+        texts = [
+            f"にほんごのぶん{i}。" * (9000 if i % 7 == 0 else 1) if i % 2 else f"english {i}"
+            for i in range(150)
+        ]
+        backend = spawn()
+        assert backend.classify_many(texts) == [backend.classify(text) for text in texts]
+
+    def test_bad_replies_and_exit_give_no_answer(self, spawn):
+        texts = ["にほんご。", "garbled", "no confidence", "english", "die", "にほんご。", "english"]
+        backend = spawn()
+        assert backend.classify_many(texts) == [("ja", 0.97), None, None, ("en", 0.97), None, None, None]
+        assert backend.classify_many(["english"]) == [None]
+        with pytest.raises(RuntimeError):
+            backend.classify("english")
+
+    def test_filter_matches_one_call_per_document(self, spawn):
+        # the stub says ja for any kana; the fallback needs a kana ratio of 0.05
+        texts = ["にほんご。", "low english", "garbled", "english", "low にほんご。", "no confidence"]
+        texts += ["low english text with just one か", "plain english text with just one か"]
+        docs = [doc(f"d{i}", text) for i, text in enumerate(texts + ["die"] + texts)]
+        pipelined = spawn()
+
+        class OneByOne:  # no classify_many: the filter makes one call per document
+            inner = spawn()
+
+            def classify(self, text: str) -> tuple[str, float]:
+                return self.inner.classify(text)
+
+        runs = []
+        for backend in (pipelined, OneByOne()):
+            stats = PipelineStats()
+            out = filter_non_japanese(LangIdConfig(classifier=backend), Corpus(docs), stats=stats)
+            runs.append((out.documents, stats.stages[-1].doc_removals))
+        assert runs[0] == runs[1]
+        # after "die" every document falls back, so d16 goes where d7 stayed
+        assert [d.id for d in runs[0][0]] == ["d0", "d4", "d7", "d9", "d13"]

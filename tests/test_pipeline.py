@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 import synth
@@ -190,10 +191,33 @@ class TestRunPipeline:
         config_path = synth.write_pipeline_config(tmp_path, records)
         override = tmp_path / "elsewhere"
         monkeypatch.setenv("BIZCORPUS_OUTPUT_DIR", str(override))
-        monkeypatch.setenv("BIZCORPUS_WORKERS", "3")
         config = load_config(config_path)
         assert config.output_dir == override
-        assert config.workers == 3
+
+    @pytest.mark.parametrize(
+        ("extra", "message"),
+        [
+            ({"dedupe": {"sentence_frequency_threshold": 3}}, "top level: unknown key(s) 'dedupe'"),
+            (
+                {"mixture": {"weights": {"wikipedia": 2.0}}, "update_mix": {"r": 0.1, "total": 10}},
+                "top level: unknown key(s) 'mixture', 'update_mix'",
+            ),
+            ({"lang_id": {"uncertainty_treshold": 0.5}}, "lang_id: unknown key(s) 'uncertainty_treshold'"),
+            ({"sources": [{"path": "input.jsonl", "sorce": "patent"}]}, "sources[0]: unknown key(s) 'sorce'"),
+        ],
+        ids=["dedupe_typo", "mixture_blocks", "lang_id_typo", "source_typo"],
+    )
+    def test_unknown_key_fails_validation(self, tmp_path, extra, message):
+        records, _ = synth.make_records(n_core=2)
+        config_path = synth.write_pipeline_config(tmp_path, records, extra=extra)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(config_path)
+
+    def test_workers_below_one_fails_validation(self, tmp_path):
+        records, _ = synth.make_records(n_core=2)
+        config_path = synth.write_pipeline_config(tmp_path, records, extra={"workers": 0})
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            load_config(config_path)
 
     def test_sentence_freq_dump(self, tmp_path):
         records, _ = synth.make_records(
