@@ -91,12 +91,6 @@ class JsonLineProcess:
             proc.wait()
         proc.stdout.close()
 
-    def __enter__(self) -> JsonLineProcess:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 class SubprocessClassifier:
     """Language classifier backend over the wire protocol."""

@@ -20,12 +20,14 @@ import json
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Protocol, Sequence
+
+from .core import read_jsonl
 
 TEMPLATE_VERSION = "v1"
 
@@ -193,9 +195,9 @@ class RetrievalError(RuntimeError):
 
 
 @functools.cache
-def load_template(kind: SettingKind, version: str = TEMPLATE_VERSION) -> str:
+def load_template(kind: SettingKind) -> str:
     name = "no_context_ja" if kind is SettingKind.NO_CONTEXT else "rag_ja"
-    path = resources.files("bizcorpus.templates") / f"{name}.{version}.txt"
+    path = resources.files("bizcorpus.templates") / f"{name}.{TEMPLATE_VERSION}.txt"
     return path.read_text(encoding="utf-8").rstrip("\n")
 
 
@@ -252,32 +254,23 @@ def retrieve_auto_context(backend: SearchBackend, q: BenchmarkQuestion) -> str:
 def load_questions(path: Path | str) -> list[BenchmarkQuestion]:
     """Load benchmark questions from line-delimited JSON. Any invalid record
     is a configuration error and aborts the run."""
-    questions: list[BenchmarkQuestion] = []
     seen: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON") from exc
-            try:
-                question = BenchmarkQuestion(
-                    id=str(obj["id"]),
-                    question=str(obj["question"]),
-                    category=str(obj["category"]),
-                    manual_context=obj.get("manual_context"),
-                    auto_context=obj.get("auto_context"),
-                    question_set=str(obj.get("question_set", "non_latest")),
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if question.id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate question id {question.id!r}")
-            seen.add(question.id)
-            questions.append(question)
-    return questions
+
+    def parse(obj: dict) -> BenchmarkQuestion:
+        question = BenchmarkQuestion(
+            id=str(obj["id"]),
+            question=str(obj["question"]),
+            category=str(obj["category"]),
+            manual_context=obj.get("manual_context"),
+            auto_context=obj.get("auto_context"),
+            question_set=str(obj.get("question_set", "non_latest")),
+        )
+        if question.id in seen:
+            raise ValueError(f"duplicate question id {question.id!r}")
+        seen.add(question.id)
+        return question
+
+    return read_jsonl(path, parse)
 
 
 def _safe_name(question_id: str) -> str:
@@ -339,14 +332,7 @@ def _run_one(
                 body = retrieve_auto_context(search, q)
             except RetrievalError as exc:
                 return RunRecord(q.id, "skipped", error=str(exc))
-            q = BenchmarkQuestion(
-                id=q.id,
-                question=q.question,
-                category=q.category,
-                manual_context=q.manual_context,
-                auto_context=body,
-                question_set=q.question_set,
-            )
+            q = replace(q, auto_context=body)
         prompt = build_prompt(setting, q)
     except MissingContextError as exc:
         return RunRecord(q.id, "error", error=str(exc))
@@ -366,7 +352,6 @@ def run_benchmark(
     search: SearchBackend | None = None,
     out_dir: Path | str | None = None,
     max_in_flight: int = 1,
-    resume: bool = True,
 ) -> list[tuple[str, str]]:
     """Run one setting over the questions and return (question id, response)
     pairs for every runnable question.
@@ -386,7 +371,7 @@ def run_benchmark(
     t0 = time.monotonic()
 
     def _process(q: BenchmarkQuestion) -> RunRecord:
-        if responses_dir is not None and resume:
+        if responses_dir is not None:
             existing = responses_dir / f"{_safe_name(q.id)}.json"
             if existing.exists():
                 obj = json.loads(existing.read_text(encoding="utf-8"))
@@ -460,34 +445,26 @@ def record_judgments(
         obj = json.loads(path.read_text(encoding="utf-8"))
         records[str(obj["question_id"])] = obj
 
-    judgments: list[Judgment] = []
-    with Path(verdicts_path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            qid = str(obj["question_id"])
-            record = records.get(qid)
-            if record is None:
-                raise ValueError(f"{verdicts_path}:{lineno}: no response record for {qid!r}")
-            if record.get("status") != "ok":
-                raise ValueError(
-                    f"{verdicts_path}:{lineno}: question {qid!r} has status "
-                    f"{record.get('status')!r}, cannot be judged"
-                )
-            try:
-                judgment = Judgment.record(
-                    question_id=qid,
-                    setting=SettingKind(record["setting"]),
-                    model_id=str(record["model_id"]),
-                    response=str(record.get("response", "")),
-                    content_faithful=obj["content_faithful"],
-                    instruction_followed=obj["instruction_followed"],
-                    judge_id=judge_id,
-                )
-            except ValueError as exc:
-                raise ValueError(f"{verdicts_path}:{lineno}: {exc}") from exc
-            judgments.append(judgment)
+    def parse(obj: dict) -> Judgment:
+        qid = str(obj["question_id"])
+        record = records.get(qid)
+        if record is None:
+            raise ValueError(f"no response record for {qid!r}")
+        if record.get("status") != "ok":
+            raise ValueError(
+                f"question {qid!r} has status {record.get('status')!r}, cannot be judged"
+            )
+        return Judgment.record(
+            question_id=qid,
+            setting=SettingKind(record["setting"]),
+            model_id=str(record["model_id"]),
+            response=str(record.get("response", "")),
+            content_faithful=obj["content_faithful"],
+            instruction_followed=obj["instruction_followed"],
+            judge_id=judge_id,
+        )
+
+    judgments = read_jsonl(verdicts_path, parse)
 
     with (run_dir / "judgments.jsonl").open("a", encoding="utf-8") as fh:
         for judgment in judgments:
@@ -497,15 +474,7 @@ def record_judgments(
 
 
 def load_judgments(path: Path | str) -> list[Judgment]:
-    judgments = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    judgments.append(Judgment.from_dict(json.loads(line)))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return judgments
+    return read_jsonl(path, Judgment.from_dict)
 
 
 def compute_accuracy(judgments: Sequence[Judgment]) -> dict[tuple[str, str], float]:

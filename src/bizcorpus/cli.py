@@ -225,21 +225,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("langid", help="drop non-Japanese documents")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--threshold", type=float, default=0.9)
-    p.add_argument("--jp-ratio", type=float, default=0.05)
+    p.add_argument("--threshold", type=float, default=LangIdConfig.uncertainty_threshold)
+    p.add_argument("--jp-ratio", type=float, default=LangIdConfig.jp_script_ratio_threshold)
     p.add_argument("--classifier-cmd", default=None)
     p.set_defaults(func=cmd_langid)
 
     p = sub.add_parser("denoise", help="strip noise lines / drop non-sentential docs")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--ratio", type=float, default=0.5)
+    p.add_argument("--ratio", type=float, default=NoiseConfig.min_sentential_ratio)
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("dedup", help="document- and sentence-level dedup")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--threshold", type=int, default=15)
+    p.add_argument("--threshold", type=int, default=DedupConfig.sentence_frequency_threshold)
     p.add_argument("--dump-freq", default=None, help="dump sentence frequency table here")
     p.set_defaults(func=cmd_dedup)
 
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-id", default=None)
     p.add_argument("--echo-model", action="store_true")
     p.add_argument("--search-cmd", default=None)
-    p.add_argument("--truncation", type=int, default=1000)
+    p.add_argument("--truncation", type=int, default=TaskSetting.truncation_chars)
     p.add_argument("--max-in-flight", type=int, default=1)
     p.set_defaults(func=cmd_bench_run)
 

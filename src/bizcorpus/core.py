@@ -26,9 +26,11 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import Callable, Iterator, Protocol, TypeVar
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 class SourceTag(str, Enum):
@@ -174,15 +176,6 @@ class PipelineStats:
         self.stages.append(entry)
         return entry
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "stages": [s.to_dict() for s in self.stages],
-            "tokens_by_source": dict(sorted(self.tokens_by_source.items())),
-            "total_tokens": self.total_tokens,
-        }
-
 
 def derive_seed(seed: int, label: str) -> int:
     """Derive a named child seed from the run seed.
@@ -287,6 +280,34 @@ def count_tokens(
 # ---------------------------------------------------------------------------
 
 
+def read_jsonl(path: Path | str, parse: Callable[[dict], T]) -> list[T]:
+    """Strict line-delimited JSON reader: blank lines are skipped, every
+    other line must be a JSON object, and ``parse(obj)`` is returned for each.
+
+    The first bad line stops the read with ``ValueError("<path>:<line>:
+    <reason>")``: invalid UTF-8 or JSON, a non-object, or a ``KeyError``,
+    ``TypeError`` or ``ValueError`` from ``parse`` (a missing key reads as
+    ``missing field 'x'``).
+    """
+    out: list[T] = []
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw.decode("utf-8"))
+                if not isinstance(obj, dict):
+                    raise TypeError("record is not a JSON object")
+                out.append(parse(obj))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
 def ingest_jsonl(
     path: Path | str,
     source: SourceTag,
@@ -388,35 +409,24 @@ def write_corpus_jsonl(corpus: Corpus, path: Path | str) -> Path:
     return path
 
 
+def _record_to_document(obj: dict) -> Document:
+    doc_id, source, text, lang = obj["id"], obj["source"], obj["text"], obj.get("lang")
+    if not isinstance(text, str):
+        raise ValueError(f"field 'text' must be a string, got {text!r}")
+    if lang is not None and not isinstance(lang, str):
+        raise ValueError(f"field 'lang' must be a string, got {lang!r}")
+    return Document(
+        id=str(doc_id),
+        source=SourceTag(source),
+        text=text,
+        url=str(obj.get("url") or ""),
+        published_date=date.fromisoformat(obj["date"]) if obj.get("date") else None,
+        lang=lang,
+    )
+
+
 def read_corpus_jsonl(path: Path | str, provenance: str | None = None) -> Corpus:
     """Strict reader for pipeline-produced corpora: every record must carry
-    ``id``, ``source`` and ``text``. Raises ``ValueError`` on any bad record."""
-    path = Path(path)
-    docs: list[Document] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON record") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: record is not an object")
-            for key in ("id", "source", "text"):
-                if key not in obj:
-                    raise ValueError(f"{path}:{lineno}: missing field {key!r}")
-            pub = None
-            if obj.get("date"):
-                pub = date.fromisoformat(obj["date"])
-            docs.append(
-                Document(
-                    id=str(obj["id"]),
-                    source=SourceTag(obj["source"]),
-                    text=obj["text"],
-                    url=str(obj.get("url") or ""),
-                    published_date=pub,
-                    lang=obj.get("lang"),
-                )
-            )
-    return Corpus(docs, provenance=provenance or str(path))
+    ``id``, ``source`` and a string ``text``. Raises ``ValueError`` naming
+    the first bad line."""
+    return Corpus(read_jsonl(path, _record_to_document), provenance=provenance or str(path))

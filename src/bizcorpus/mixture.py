@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .core import Corpus, SourceTag, derive_seed
+from .core import Corpus, SourceTag, derive_seed, read_jsonl
 
 
 class MixtureConfigError(ValueError):
@@ -101,14 +101,10 @@ class SamplePlan:
 
     @classmethod
     def from_jsonl(cls, path: Path | str) -> SamplePlan:
-        entries = []
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                entries.append(PlanEntry(SourceTag(obj["source"]), str(obj["id"])))
-        return cls(entries)
+        def parse(obj: dict) -> PlanEntry:
+            return PlanEntry(SourceTag(obj["source"]), str(obj["id"]))
+
+        return cls(read_jsonl(path, parse))
 
 
 def round_half_up(x: Fraction) -> int:

@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -30,12 +31,7 @@ from .core import (
 )
 from .curation import CurationRuleSet, curate, load_rules
 from .langid import LangIdConfig, filter_non_japanese
-from .noise import (
-    DEFAULT_JP_TERMINATORS,
-    DEFAULT_LATIN_TERMINATORS,
-    NoiseConfig,
-    denoise_corpus,
-)
+from .noise import NoiseConfig, denoise_corpus
 
 log = logging.getLogger(__name__)
 
@@ -119,13 +115,10 @@ def _section(raw: dict, name: str) -> dict:
     return section
 
 
-def _parse_noise(raw: dict) -> NoiseConfig:
-    return NoiseConfig(
-        jp_terminators=frozenset(raw.get("jp_terminators") or DEFAULT_JP_TERMINATORS),
-        latin_terminators=frozenset(raw.get("latin_terminators") or DEFAULT_LATIN_TERMINATORS),
-        min_sentential_ratio=float(raw.get("min_sentential_ratio", 0.5)),
-        punctuationless_languages=frozenset(raw.get("punctuationless_languages", ["th"])),
-    )
+def _settings(section: dict, **convert: Callable) -> dict:
+    """The keys of ``section`` named in ``convert``, each converted. Absent
+    keys are left out, so the config dataclass's own defaults apply."""
+    return {key: convert[key](value) for key, value in section.items() if key in convert}
 
 
 def load_config(path: Path | str) -> PipelineConfig:
@@ -181,14 +174,19 @@ def load_config(path: Path | str) -> PipelineConfig:
     try:
         lang_raw = sections["lang_id"]
         lang_id = LangIdConfig(
-            uncertainty_threshold=float(lang_raw.get("uncertainty_threshold", 0.9)),
-            jp_script_ratio_threshold=float(lang_raw.get("jp_script_ratio_threshold", 0.05)),
+            **_settings(lang_raw, uncertainty_threshold=float, jp_script_ratio_threshold=float)
         )
-        noise = _parse_noise(sections["noise"])
+        noise = NoiseConfig(
+            **_settings(
+                sections["noise"],
+                jp_terminators=frozenset,
+                latin_terminators=frozenset,
+                min_sentential_ratio=float,
+                punctuationless_languages=frozenset,
+            )
+        )
         dedup_cfg = dedup_mod.DedupConfig(
-            sentence_frequency_threshold=int(
-                sections["dedup"].get("sentence_frequency_threshold", 15)
-            ),
+            **_settings(sections["dedup"], sentence_frequency_threshold=int),
             terminators=noise.terminators,
         )
         seed = int(raw.get("seed", 0))

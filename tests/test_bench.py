@@ -367,6 +367,26 @@ class TestJudgingWorkflow:
             record_judgments(tmp_path / "run", verdicts, judge_id="judge-a")
         assert not (tmp_path / "run" / "judgments.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ('{"question_id": "q001", "content_faithful": true}', "missing field 'instruction_followed'"),
+            ('["q001", true, true]', "record is not a JSON object"),
+            ('{"question_id": "q001", "content_faithful": true,', "invalid JSON"),
+        ],
+        ids=["missing_criterion", "array", "broken_json"],
+    )
+    def test_bad_verdict_line_names_file_and_line(self, tmp_path, line, message):
+        questions = _questions(2)
+        run_benchmark(NO_CONTEXT, questions, ScriptedModel(), out_dir=tmp_path / "run")
+        verdicts = tmp_path / "verdicts.jsonl"
+        first = {"question_id": questions[0].id, "content_faithful": True, "instruction_followed": True}
+        verdicts.write_text(json.dumps(first) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"verdicts\.jsonl:2: ") as excinfo:
+            record_judgments(tmp_path / "run", verdicts, judge_id="judge-a")
+        assert message in str(excinfo.value)
+        assert not (tmp_path / "run" / "judgments.jsonl").exists()
+
     def test_non_boolean_stored_judgment_rejected(self, tmp_path):
         path = tmp_path / "judgments.jsonl"
         judgment = Judgment.record(
@@ -380,6 +400,12 @@ class TestJudgingWorkflow:
         ).to_dict()
         path.write_text(json.dumps({**judgment, "correct": "false"}) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"judgments\.jsonl:1: correct must be a JSON boolean"):
+            load_judgments(path)
+
+    def test_stored_judgment_missing_field_names_line(self, tmp_path):
+        path = tmp_path / "judgments.jsonl"
+        path.write_text('\n{"question_id": "q1", "setting": "no_context"}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"judgments\.jsonl:2: missing field 'model_id'"):
             load_judgments(path)
 
 
@@ -418,6 +444,23 @@ class TestQuestionLoading:
         path.write_text(record + "\n" + record + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="duplicate"):
             load_questions(path)
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ('["q2", "x", "trends"]', "record is not a JSON object"),
+            ('{"id": "q2", "category": "trends"}', "missing field 'question'"),
+            ('{"id": "q2", "question": "x"', "invalid JSON"),
+        ],
+        ids=["array", "missing_question", "broken_json"],
+    )
+    def test_bad_question_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "q.jsonl"
+        first = json.dumps({"id": "q1", "question": "x", "category": "trends"})
+        path.write_text(first + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"q\.jsonl:2: ") as excinfo:
+            load_questions(path)
+        assert message in str(excinfo.value)
 
 
 MODEL_CHILD = textwrap.dedent(

@@ -11,11 +11,16 @@ from pathlib import Path
 import pytest
 import synth
 
-from bizcorpus.cli import main
+from bizcorpus.bench import SettingKind, TaskSetting
+from bizcorpus.cli import build_parser, main
 from bizcorpus.core import read_corpus_jsonl
+from bizcorpus.dedup import DedupConfig
+from bizcorpus.langid import LangIdConfig
 from bizcorpus.mixture import SamplePlan
+from bizcorpus.noise import NoiseConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+STAGE_IO = ["--in", "in.jsonl", "--out", "out.jsonl"]
 
 
 def _corpus_file(tmp_path, name="corpus.jsonl", **kwargs):
@@ -123,6 +128,43 @@ class TestStandaloneStages:
         out = tmp_path / "out.jsonl"
         assert main(["denoise", "--in", str(bad), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": "x", "source": "mc4", "text": 5},
+            {"id": "x", "source": "blog", "text": "本文。"},
+            {"id": "x", "source": "mc4", "text": "本文。", "date": "2023-02-30"},
+        ],
+        ids=["int_text", "bad_source", "bad_date"],
+    )
+    def test_bad_record_exit_two_names_file_and_line(self, tmp_path, capsys, record):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n" + json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert main(["stats", "--in", str(bad), "--out", str(tmp_path / "manifest.json")]) == 2
+        assert f"error: {bad}:2: " in capsys.readouterr().err
+
+
+class TestFlagDefaults:
+    @pytest.mark.parametrize(
+        ("argv", "dest", "expected"),
+        [
+            (["langid", *STAGE_IO], "threshold", LangIdConfig().uncertainty_threshold),
+            (["langid", *STAGE_IO], "jp_ratio", LangIdConfig().jp_script_ratio_threshold),
+            (["denoise", *STAGE_IO], "ratio", NoiseConfig().min_sentential_ratio),
+            (["dedup", *STAGE_IO], "threshold", DedupConfig().sentence_frequency_threshold),
+            (
+                ["bench-run", "--questions", "q.jsonl", "--setting", "no_context", "--out", "run"],
+                "truncation",
+                TaskSetting(SettingKind.NO_CONTEXT).truncation_chars,
+            ),
+        ],
+        ids=["langid_threshold", "langid_jp_ratio", "denoise_ratio", "dedup_threshold",
+             "bench_run_truncation"],
+    )
+    def test_flag_default_equals_dataclass_default(self, argv, dest, expected):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, dest) == expected
+
 
 class TestMix:
     def test_epoch_plan(self, tmp_path):
@@ -209,6 +251,26 @@ class TestBenchWorkflow:
         assert "setting=manual_rag" in out
         assert "n=3" in out
         assert "accuracy=0.6667" in out
+
+    def test_bench_judge_missing_criterion_exit_two(self, tmp_path, capsys):
+        questions = tmp_path / "questions.jsonl"
+        synth.write_jsonl(questions, QUESTIONS)
+        run_dir = tmp_path / "run"
+        assert main(
+            ["bench-run", "--questions", str(questions), "--setting", "manual_rag",
+             "--out", str(run_dir), "--echo-model"]
+        ) == 0
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text(
+            json.dumps({"question_id": "q1", "content_faithful": True}) + "\n", encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert main(
+            ["bench-judge", "--run", str(run_dir), "--verdicts", str(verdicts), "--judge", "t"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"error: {verdicts}:1: missing field 'instruction_followed'" in err
+        assert not (run_dir / "judgments.jsonl").exists()
 
     def test_bench_run_without_model_exit_one(self, tmp_path):
         questions = tmp_path / "questions.jsonl"

@@ -17,6 +17,7 @@ from bizcorpus.core import (
     derive_seed,
     ingest_jsonl,
     read_corpus_jsonl,
+    read_jsonl,
     write_corpus_jsonl,
 )
 
@@ -124,6 +125,42 @@ class TestIngest:
         write_corpus_jsonl(corpus, tmp_path / "c.jsonl")
         back = read_corpus_jsonl(tmp_path / "c.jsonl")
         assert back.documents == corpus.documents
+
+
+GOOD_RECORD = {"id": "d0", "source": "mc4", "text": "本文です。"}
+
+
+class TestStrictReaders:
+    def test_read_jsonl_skips_blank_lines_and_parses_objects(self, tmp_path):
+        path = _write(tmp_path / "r.jsonl", ['{"n": 1}', "", "   ", '{"n": 2}'])
+        assert read_jsonl(path, lambda obj: obj["n"]) == [1, 2]
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"n": 1}\n{"n": "\xff"}\n')
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: 'utf-8' codec can't decode"):
+            read_jsonl(path, lambda obj: obj["n"])
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ('{"id": "d1", "source": "mc4"', "invalid JSON"),
+            ('["d1", "mc4", "本文。"]', "record is not a JSON object"),
+            ('{"id": "d1", "source": "mc4"}', "missing field 'text'"),
+            ('{"id": "d1", "source": "mc4", "text": 5}', "field 'text' must be a string"),
+            ('{"id": "d1", "source": "mc4", "text": "x", "lang": 1}', "field 'lang' must be a string"),
+            ('{"id": "d1", "source": "blog", "text": "x"}', "'blog' is not a valid SourceTag"),
+            ('{"id": "d1", "source": "mc4", "text": "x", "date": "2023-13-01"}', "month must be in 1..12"),
+            ('{"id": "d1", "source": "mc4", "text": "x", "date": 20230101}', "must be str"),
+        ],
+        ids=["broken_json", "array", "missing_text", "int_text", "int_lang", "bad_source",
+             "bad_date", "int_date"],
+    )
+    def test_bad_corpus_record_names_file_and_line(self, tmp_path, line, message):
+        path = _write(tmp_path / "c.jsonl", [json.dumps(GOOD_RECORD, ensure_ascii=False), line])
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: ") as excinfo:
+            read_corpus_jsonl(path)
+        assert message in str(excinfo.value)
 
 
 class TestCorpus:

@@ -232,6 +232,22 @@ class TestSamplePlanIO:
         back = SamplePlan.from_jsonl(path)
         assert back.entries == plan.entries
 
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ('{"source": "blog", "id": "b"}', "'blog' is not a valid SourceTag"),
+            ('{"source": "mc4"}', "missing field 'id'"),
+            ('"mc4"', "record is not a JSON object"),
+        ],
+        ids=["bad_source", "missing_id", "string"],
+    )
+    def test_bad_plan_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "plan.jsonl"
+        path.write_text('{"source": "mc4", "id": "a"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"plan\.jsonl:2: ") as excinfo:
+            SamplePlan.from_jsonl(path)
+        assert message in str(excinfo.value)
+
     def test_counts_sum_to_length(self):
         plan = SamplePlan(
             [PlanEntry(SourceTag.MC4, "a"), PlanEntry(SourceTag.MC4, "b"), PlanEntry(SourceTag.OTHER, "c")]

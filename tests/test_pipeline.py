@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 import pytest
 import synth
 
+from bizcorpus.backends import SubprocessClassifier
 from bizcorpus.core import SourceTag, ingest_jsonl, read_corpus_jsonl
 from bizcorpus.curation import curate, load_rules
 from bizcorpus.dedup import DedupConfig, count_sentences, dedup_documents, dedup_sentences
@@ -211,6 +213,55 @@ class TestRunPipeline:
         records, _ = synth.make_records(n_core=2)
         config_path = synth.write_pipeline_config(tmp_path, records, extra=extra)
         with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(config_path)
+
+    def test_every_stage_key_reaches_config(self, tmp_path):
+        sections = {
+            "lang_id": {
+                "uncertainty_threshold": 0.7,
+                "jp_script_ratio_threshold": 0.2,
+                "classifier_cmd": [sys.executable, "-c", "import sys; sys.stdin.read()"],
+            },
+            "noise": {
+                "jp_terminators": ["。"],
+                "latin_terminators": ["!"],
+                "min_sentential_ratio": 0.25,
+                "punctuationless_languages": ["th", "lo"],
+            },
+            "dedup": {"sentence_frequency_threshold": 4},
+        }
+        records, _ = synth.make_records(n_core=2)
+        config = load_config(synth.write_pipeline_config(tmp_path, records, extra=sections))
+        try:
+            assert isinstance(config.lang_id.classifier, SubprocessClassifier)
+        finally:
+            config.close()
+        for name, section in sections.items():
+            target = getattr(config, name)
+            for key, raw in section.items():
+                if key != "classifier_cmd":
+                    value = getattr(target, key)
+                    assert value == (frozenset(raw) if isinstance(raw, list) else raw), key
+                    assert value != getattr(type(target)(), key), key
+        # sentence splitting uses the noise stage's terminators
+        assert config.dedup.terminators == frozenset("。!")
+
+    def test_omitted_stage_keys_keep_dataclass_defaults(self, tmp_path):
+        records, _ = synth.make_records(n_core=2)
+        config = load_config(
+            synth.write_pipeline_config(tmp_path, records, extra={"dedup": None})
+        )
+        assert config.lang_id == LangIdConfig()
+        assert config.noise == NoiseConfig()
+        assert config.dedup == DedupConfig()
+
+    @pytest.mark.parametrize("value", [[], None], ids=["empty", "null"])
+    def test_empty_terminator_list_fails_validation(self, tmp_path, value):
+        records, _ = synth.make_records(n_core=2)
+        config_path = synth.write_pipeline_config(
+            tmp_path, records, extra={"noise": {"latin_terminators": value}}
+        )
+        with pytest.raises(ConfigError):
             load_config(config_path)
 
     def test_workers_below_one_fails_validation(self, tmp_path):
