@@ -3,6 +3,8 @@
 Classifier, model and search backends plug in over a child process speaking
 one JSON object per line: the adapter writes a single request object to the
 child's stdin and reads a single response object from its stdout, per call.
+A backend called from several threads at once runs one copy of its command
+per concurrent caller, so the command must tolerate that many instances.
 
 Request/response schemas:
 
@@ -39,10 +41,14 @@ def _parse_reply(line: str) -> dict:
 
 
 class JsonLineProcess:
-    """Client for a child process exchanging one JSON object per line.
+    """Client for identical child processes exchanging one JSON object per line.
 
-    Calls are serialized with a lock: there is one pipe, so concurrent
-    callers must not interleave request/response pairs.
+    One child is spawned at construction. A call takes an idle child for its
+    whole exchange and spawns another only when every child is busy, so there
+    are as many children as the peak number of concurrent callers. The lock
+    covers only taking and returning a child. Once any child has closed its
+    stdout or broken its stdin pipe, every later call gets no reply and no
+    child is spawned again.
     """
 
     WINDOW = 32  # unread replies wait in the pipe: 32 verdicts of ~40 bytes fit any buffer
@@ -51,8 +57,13 @@ class JsonLineProcess:
         argv = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
         self.cmd = argv
         self._lock = threading.Lock()
-        self._proc = subprocess.Popen(
-            argv,
+        self._procs = [self._spawn()]
+        self._idle = list(self._procs)
+        self._broken = False
+
+    def _spawn(self) -> subprocess.Popen:
+        return subprocess.Popen(
+            self.cmd,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
@@ -65,11 +76,18 @@ class JsonLineProcess:
     def call_many(self, requests: list[dict]) -> list[str]:
         """Send the requests in order, up to ``WINDOW`` ahead of the replies
         read, and return the reply lines ("" where none came)."""
-        lines: list[str] = []
         with self._lock:
-            stdin, stdout = self._proc.stdin, self._proc.stdout
-            assert stdin is not None and stdout is not None
-            sent = 0
+            if self._broken:
+                return [""] * len(requests)
+            if not self._idle:
+                self._procs.append(self._spawn())
+                self._idle.append(self._procs[-1])
+            proc = self._idle.pop()
+        stdin, stdout = proc.stdin, proc.stdout
+        assert stdin is not None and stdout is not None
+        lines: list[str] = []
+        sent = 0
+        try:
             with contextlib.suppress(BrokenPipeError):  # the child is gone: the rest go unanswered
                 for request in requests:
                     stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
@@ -78,18 +96,26 @@ class JsonLineProcess:
                     if sent - len(lines) == self.WINDOW:
                         lines.append(stdout.readline())
             lines += [stdout.readline() for _ in range(sent - len(lines))]
+        finally:
+            # a child that did not answer every request is dead or out of step
+            with self._lock:
+                if len(lines) == len(requests) and "" not in lines:
+                    self._idle.append(proc)
+                else:
+                    self._broken = True
         return lines + [""] * (len(requests) - sent)
 
     def close(self) -> None:
-        proc = self._proc
-        with contextlib.suppress(BrokenPipeError):  # requests left unsent by a dead child
-            proc.stdin.close()
-        try:
-            proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
+        for proc in self._procs:
+            with contextlib.suppress(BrokenPipeError):  # requests left unsent by a dead child
+                proc.stdin.close()
+        for proc in self._procs:
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 class SubprocessClassifier:

@@ -17,17 +17,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .core import read_jsonl
+from .core import ConfigError, read_jsonl
 
 TEMPLATE_VERSION = "v1"
 
@@ -280,10 +281,13 @@ def _safe_name(question_id: str) -> str:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(
+    # write-then-rename: an interrupted run never leaves a truncated file
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(
         json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
+    os.replace(tmp, path)
 
 
 def _questions_digest(questions: Sequence[BenchmarkQuestion]) -> str:
@@ -302,19 +306,74 @@ class RunRecord:
     error: str = ""
     elapsed_ms: int = 0
 
-    def to_dict(self, *, setting: TaskSetting, model_id: str) -> dict:
+    def to_dict(self, run_fields: dict) -> dict:
         return {
             "question_id": self.question_id,
-            "setting": setting.kind.value,
-            "truncation_chars": setting.truncation_chars,
-            "model_id": model_id,
-            "template_version": TEMPLATE_VERSION,
+            **run_fields,
             "status": self.status,
             "prompt": self.prompt,
             "response": self.response,
             "error": self.error,
             "elapsed_ms": self.elapsed_ms,
         }
+
+
+_RECORD_FIELDS = {
+    "question_id": str,
+    "setting": str,
+    "truncation_chars": int,
+    "model_id": str,
+    "template_version": str,
+    "status": str,
+    "prompt": str,
+    "response": str,
+    "error": str,
+    "elapsed_ms": int,
+}
+
+
+def _run_fields(setting: TaskSetting, model_id: str) -> dict:
+    """What every record of one run, and its manifest, has in common."""
+    return {
+        "setting": setting.kind.value,
+        "truncation_chars": setting.truncation_chars,
+        "model_id": model_id,
+        "template_version": TEMPLATE_VERSION,
+    }
+
+
+def _read_record(path: Path) -> dict:
+    """One ``responses/*.json`` record as :meth:`RunRecord.to_dict` wrote it.
+
+    A file that is not a JSON object holding every field with its type, or
+    names an unknown setting, raises ``ValueError("<path>: <reason>")``.
+    """
+    try:
+        obj = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: record is not a JSON object")
+    for name, kind in _RECORD_FIELDS.items():
+        if name not in obj:
+            raise ValueError(f"{path}: missing field {name!r}")
+        if not isinstance(obj[name], kind):
+            raise ValueError(f"{path}: field {name!r} must be a {kind.__name__}")
+    if obj["setting"] not in {s.value for s in SettingKind}:
+        raise ValueError(f"{path}: unknown setting {obj['setting']!r}")
+    return obj
+
+
+def _resume(path: Path, expected: dict) -> RunRecord:
+    """The stored record of a question, refused when it belongs to another run."""
+    obj = _read_record(path)
+    for name, value in expected.items():
+        if obj[name] != value:
+            raise ConfigError(
+                f"{path}: {name} is {obj[name]!r}, this run has {value!r}; "
+                "resume with the options of the stored run or use another --out"
+            )
+    return RunRecord(**{f.name: obj[f.name] for f in fields(RunRecord)})
 
 
 def _run_one(
@@ -362,40 +421,37 @@ def run_benchmark(
     manifest, and an interrupted run resumes by skipping existing records.
     """
     model_id = getattr(model, "model_id", model.__class__.__name__)
-    responses_dir: Path | None = None
-    if out_dir is not None:
-        responses_dir = Path(out_dir) / "responses"
-        responses_dir.mkdir(parents=True, exist_ok=True)
-
+    run_fields = _run_fields(setting, model_id)
     started_at = _utcnow()
     t0 = time.monotonic()
 
-    def _process(q: BenchmarkQuestion) -> RunRecord:
-        if responses_dir is not None:
-            existing = responses_dir / f"{_safe_name(q.id)}.json"
-            if existing.exists():
-                obj = json.loads(existing.read_text(encoding="utf-8"))
-                return RunRecord(
-                    question_id=q.id,
-                    status=obj.get("status", "ok"),
-                    prompt=obj.get("prompt", ""),
-                    response=obj.get("response", ""),
-                    error=obj.get("error", ""),
-                    elapsed_ms=obj.get("elapsed_ms", 0),
-                )
-        record = _run_one(setting, q, model, search)
-        if responses_dir is not None:
-            _write_json(
-                responses_dir / f"{_safe_name(q.id)}.json",
-                record.to_dict(setting=setting, model_id=model_id),
-            )
+    paths: list[Path | None] = [None] * len(questions)
+    records: list[RunRecord | None] = [None] * len(questions)
+    if out_dir is not None:
+        responses_dir = Path(out_dir) / "responses"
+        responses_dir.mkdir(parents=True, exist_ok=True)
+        paths = [responses_dir / f"{_safe_name(q.id)}.json" for q in questions]
+        # every stored record is checked before the first model call
+        records = [
+            _resume(path, {"question_id": q.id, **run_fields}) if path.exists() else None
+            for q, path in zip(questions, paths)
+        ]
+
+    def _process(i: int) -> RunRecord:
+        record = _run_one(setting, questions[i], model, search)
+        path = paths[i]
+        if path is not None:
+            _write_json(path, record.to_dict(run_fields))
         return record
 
+    todo = [i for i, record in enumerate(records) if record is None]
     if max_in_flight > 1:
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            records = list(pool.map(_process, questions))
+            fresh = list(pool.map(_process, todo))
     else:
-        records = [_process(q) for q in questions]
+        fresh = [_process(i) for i in todo]
+    for i, record in zip(todo, fresh):
+        records[i] = record
 
     if out_dir is not None:
         by_status: dict[str, int] = {}
@@ -405,10 +461,7 @@ def run_benchmark(
             Path(out_dir) / "manifest.json",
             {
                 "schema": "bizcorpus-bench-run/1",
-                "model_id": model_id,
-                "setting": setting.kind.value,
-                "truncation_chars": setting.truncation_chars,
-                "template_version": TEMPLATE_VERSION,
+                **run_fields,
                 "questions_digest": _questions_digest(questions),
                 "num_questions": len(questions),
                 "status_counts": dict(sorted(by_status.items())),
@@ -442,8 +495,8 @@ def record_judgments(
     responses_dir = run_dir / "responses"
     records: dict[str, dict] = {}
     for path in sorted(responses_dir.glob("*.json")):
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        records[str(obj["question_id"])] = obj
+        obj = _read_record(path)
+        records[obj["question_id"]] = obj
 
     def parse(obj: dict) -> Judgment:
         qid = str(obj["question_id"])
@@ -457,8 +510,8 @@ def record_judgments(
         return Judgment.record(
             question_id=qid,
             setting=SettingKind(record["setting"]),
-            model_id=str(record["model_id"]),
-            response=str(record.get("response", "")),
+            model_id=record["model_id"],
+            response=record["response"],
             content_faithful=obj["content_faithful"],
             instruction_followed=obj["instruction_followed"],
             judge_id=judge_id,

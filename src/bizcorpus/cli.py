@@ -174,15 +174,21 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         model = EchoModel()
     else:
         raise ConfigError("bench-run needs --model-cmd or --echo-model")
-    search = CommandSearch(args.search_cmd) if args.search_cmd else None
-    responses = run_benchmark(
-        setting,
-        questions,
-        model,
-        search=search,
-        out_dir=args.out,
-        max_in_flight=args.max_in_flight,
-    )
+    search = None
+    try:
+        search = CommandSearch(args.search_cmd) if args.search_cmd else None
+        responses = run_benchmark(
+            setting,
+            questions,
+            model,
+            search=search,
+            out_dir=args.out,
+            max_in_flight=args.max_in_flight,
+        )
+    finally:
+        for backend in (model, search):
+            if hasattr(backend, "close"):
+                backend.close()
     print(f"{len(responses)}/{len(questions)} responses -> {args.out}")
     return EXIT_OK
 

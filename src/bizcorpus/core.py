@@ -33,6 +33,10 @@ log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 
+class ConfigError(ValueError):
+    """Configuration problem detected before any work starts (exit code 1)."""
+
+
 class SourceTag(str, Enum):
     """Provenance label carried by every document."""
 

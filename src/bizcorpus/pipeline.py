@@ -22,6 +22,7 @@ import yaml
 
 from . import dedup as dedup_mod
 from .core import (
+    ConfigError,
     Corpus,
     PipelineStats,
     SourceTag,
@@ -51,10 +52,6 @@ _TOP_LEVEL_KEYS = frozenset(
     {"seed", "output_dir", "workers", "sources", "dump_sentence_freq", *_SECTION_KEYS}
 )
 _SOURCE_KEYS = frozenset({"path", "source"})
-
-
-class ConfigError(ValueError):
-    """Configuration problem detected before any work starts (exit code 1)."""
 
 
 class StageFailure(RuntimeError):

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bizcorpus.backends import CommandModel, EchoModel
+from bizcorpus.backends import CommandModel, EchoModel, WireProtocolError
 from bizcorpus.bench import (
     OUTPUT_MARKER,
     BenchmarkQuestion,
@@ -499,3 +501,95 @@ class TestWireModel:
             assert len(threaded) == 12
         finally:
             model.close()
+
+
+# Model child that appends its pid to argv[1] on start, then answers each
+# prompt with its pid after 50 ms; a prompt containing "die" makes it exit.
+SLOW_MODEL_CHILD = textwrap.dedent(
+    """
+    import json, os, sys, time
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    for line in sys.stdin:
+        if "die" in json.loads(line)["prompt"]:
+            sys.exit(0)
+        time.sleep(0.05)
+        print(json.dumps({"response": str(os.getpid())}), flush=True)
+    """
+)
+
+
+def _spawned(pid_file) -> list[int]:
+    return [int(pid) for pid in pid_file.read_text(encoding="utf-8").split()]
+
+
+def _assert_reaped(pids) -> None:
+    for pid in pids:
+        # ChildProcessError: no such child left to wait for, i.e. already reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestModelPool:
+    @pytest.fixture
+    def slow_model(self, tmp_path):
+        script = tmp_path / "slow_model.py"
+        script.write_text(SLOW_MODEL_CHILD, encoding="utf-8")
+        pid_file = tmp_path / "model.pids"
+        return CommandModel([sys.executable, str(script), str(pid_file)], model_id="slow"), pid_file
+
+    def test_concurrent_callers_each_get_a_child(self, slow_model):
+        model, pid_file = slow_model
+        questions = [q(f"q{i}", question=f"質問{i}です。") for i in range(8)]
+        try:
+            run_benchmark(NO_CONTEXT, questions, model, max_in_flight=4)  # grows the pool
+            start = time.monotonic()
+            answers = run_benchmark(NO_CONTEXT, questions, model, max_in_flight=4)
+            elapsed = time.monotonic() - start
+        finally:
+            model.close()
+        assert [qid for qid, _ in answers] == [x.id for x in questions]
+        assert elapsed < 0.3  # one child at a time needs 8 x 50 ms = 0.4 s
+        spawned = _spawned(pid_file)
+        assert 2 <= len(spawned) <= 4
+        assert {int(response) for _, response in answers} <= set(spawned)
+        _assert_reaped(spawned)
+
+    def test_records_equal_at_one_and_four_in_flight(self, tmp_path):
+        script = tmp_path / "model.py"
+        script.write_text(MODEL_CHILD, encoding="utf-8")
+        model = CommandModel([sys.executable, str(script)], model_id="wire")
+        questions = [q(f"q{i}", question=f"質問{i}です。") for i in range(12)]
+        try:
+            for n in (1, 4):
+                run_benchmark(NO_CONTEXT, questions, model, out_dir=tmp_path / str(n), max_in_flight=n)
+        finally:
+            model.close()
+        assert _normalized_run_dir(tmp_path / "1") == _normalized_run_dir(tmp_path / "4")
+
+    @pytest.mark.parametrize("max_in_flight", [1, 3])
+    def test_dead_child_fails_later_questions_without_respawn(self, slow_model, tmp_path, max_in_flight):
+        model, pid_file = slow_model
+        questions = [q(f"q{i}", question="die" if i == 1 else f"質問{i}です。") for i in range(9)]
+        try:
+            # start every child first: q1's then dies at once, long before the
+            # others' 50 ms answers, instead of after an interpreter start-up
+            run_benchmark(NO_CONTEXT, questions[2:5], model, max_in_flight=max_in_flight)
+            run_benchmark(
+                NO_CONTEXT, questions, model, out_dir=tmp_path / "run", max_in_flight=max_in_flight
+            )
+            spawned = _spawned(pid_file)
+            with pytest.raises(WireProtocolError):
+                model.generate("質問")
+            assert _spawned(pid_file) == spawned
+        finally:
+            model.close()
+        assert len(spawned) <= max_in_flight
+        paths = (tmp_path / "run" / "responses").glob("*.json")
+        records = sorted((json.loads(p.read_text(encoding="utf-8")) for p in paths), key=lambda r: r["question_id"])
+        status = [r["status"] for r in records]
+        if max_in_flight == 1:
+            assert status == ["ok"] + ["error"] * 8
+        # q0 and q2 may be answered by live children while q1 kills its own
+        assert status[1] == "error" and status[6:] == ["error"] * 3
+        _assert_reaped(spawned)

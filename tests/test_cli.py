@@ -59,6 +59,16 @@ for line in sys.stdin:
     print(json.dumps({"lang": "ja", "confidence": 0.99}), flush=True)
 """
 
+# Model child that appends its pid to argv[1] on start and answers after 50 ms.
+PID_RECORDING_MODEL = """
+import json, os, sys, time
+with open(sys.argv[1], "a") as fh:
+    fh.write(f"{os.getpid()}\\n")
+for line in sys.stdin:
+    time.sleep(0.05)
+    print(json.dumps({"response": "答え"}, ensure_ascii=False), flush=True)
+"""
+
 
 class TestClassifierChild:
     @pytest.mark.parametrize("command", ["run", "langid"])
@@ -271,6 +281,89 @@ class TestBenchWorkflow:
         err = capsys.readouterr().err
         assert f"error: {verdicts}:1: missing field 'instruction_followed'" in err
         assert not (run_dir / "judgments.jsonl").exists()
+
+    @staticmethod
+    def _bench_run(tmp_path, *extra: str) -> list[str]:
+        questions = tmp_path / "questions.jsonl"
+        synth.write_jsonl(questions, QUESTIONS)
+        return ["bench-run", "--questions", str(questions), "--out", str(tmp_path / "run"), *extra]
+
+    @pytest.mark.parametrize(
+        ("damage", "reason"),
+        [
+            (lambda raw: raw[:40], "invalid JSON"),
+            (lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != "setting"})
+             .encode(), "missing field 'setting'"),
+        ],
+        ids=["cut_to_40_bytes", "no_setting"],
+    )
+    def test_broken_record_stops_judge_and_resume(self, tmp_path, capsys, damage, reason):
+        bench_run = self._bench_run(tmp_path, "--setting", "manual_rag", "--echo-model")
+        assert main(bench_run) == 0
+        run_dir = tmp_path / "run"
+        record = sorted((run_dir / "responses").glob("*.json"))[0]
+        record.write_bytes(damage(record.read_bytes()))
+        verdicts = tmp_path / "verdicts.jsonl"
+        synth.write_jsonl(verdicts, [
+            {"question_id": q["id"], "content_faithful": True, "instruction_followed": True}
+            for q in QUESTIONS
+        ])
+        capsys.readouterr()
+        assert main(
+            ["bench-judge", "--run", str(run_dir), "--verdicts", str(verdicts), "--judge", "t"]
+        ) == 2
+        assert f"error: {record}: {reason}" in capsys.readouterr().err
+        assert not (run_dir / "judgments.jsonl").exists()
+        assert main(bench_run) == 2
+        assert f"error: {record}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("options", "message"),
+        [
+            (["--setting", "manual_rag"], "setting is 'no_context', this run has 'manual_rag'"),
+            (["--setting", "no_context", "--truncation", "500"],
+             "truncation_chars is 1000, this run has 500"),
+        ],
+        ids=["setting", "truncation"],
+    )
+    def test_resume_of_another_run_exit_one(self, tmp_path, capsys, options, message):
+        assert main(self._bench_run(tmp_path, "--setting", "no_context", "--echo-model")) == 0
+        run_dir = tmp_path / "run"
+        before = {p: p.read_bytes() for p in sorted(run_dir.rglob("*.json"))}
+        capsys.readouterr()
+        assert main(self._bench_run(tmp_path, *options, "--echo-model")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {run_dir / 'responses'}{os.sep}" in err
+        assert message in err
+        assert {p: p.read_bytes() for p in sorted(run_dir.rglob("*.json"))} == before
+
+    def test_bench_run_reaps_every_model_child(self, tmp_path):
+        script = tmp_path / "model.py"
+        script.write_text(PID_RECORDING_MODEL, encoding="utf-8")
+        pid_file = tmp_path / "model.pids"
+        model_cmd = shlex.join([sys.executable, str(script), str(pid_file)])
+        assert main(
+            self._bench_run(tmp_path, "--setting", "manual_rag", "--model-cmd", model_cmd,
+                            "--max-in-flight", "3")
+        ) == 0
+        pids = [int(pid) for pid in pid_file.read_text(encoding="utf-8").split()]
+        assert 1 <= len(pids) <= 3
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_search_spawn_failure_reaps_model_child(self, tmp_path):
+        script = tmp_path / "model.py"
+        script.write_text(PID_RECORDING_MODEL, encoding="utf-8")
+        pid_file = tmp_path / "model.pids"
+        model_cmd = shlex.join([sys.executable, str(script), str(pid_file)])
+        assert main(
+            self._bench_run(tmp_path, "--setting", "auto_rag", "--model-cmd", model_cmd,
+                            "--search-cmd", str(tmp_path / "no-such-search"))
+        ) == 1
+        (pid,) = [int(pid) for pid in pid_file.read_text(encoding="utf-8").split()]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
     def test_bench_run_without_model_exit_one(self, tmp_path):
         questions = tmp_path / "questions.jsonl"

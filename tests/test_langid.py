@@ -219,6 +219,31 @@ class TestWireAdapter:
         finally:
             backend.close()
 
+    def test_one_caller_runs_one_child(self, tmp_path):
+        script = tmp_path / "pid_child.py"
+        script.write_text(PID_RECORDING_CHILD, encoding="utf-8")
+        pid_file = tmp_path / "classifier.pids"
+        backend = SubprocessClassifier([sys.executable, str(script), str(pid_file)])
+        docs = [doc(f"d{i}", "にほんごのぶん。") for i in range(100)]
+        try:
+            filter_non_japanese(LangIdConfig(classifier=backend), Corpus(docs))
+            assert [backend.classify("english") for _ in range(3)] == [("ja", 0.99)] * 3
+        finally:
+            backend.close()
+        assert len(pid_file.read_text(encoding="utf-8").split()) == 1
+
+
+# Classifier child that appends its pid to argv[1] on start.
+PID_RECORDING_CHILD = textwrap.dedent(
+    """
+    import json, os, sys
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    for line in sys.stdin:
+        print(json.dumps({"lang": "ja", "confidence": 0.99}), flush=True)
+    """
+)
+
 
 FLAKY = textwrap.dedent(
     """
