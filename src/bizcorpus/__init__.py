@@ -1,70 +1,4 @@
 """bizcorpus: corpus curation, cleaning, deduplication and mixture planning
 for a Japanese business-domain LLM, plus a QA benchmark harness."""
 
-from .core import (
-    Corpus,
-    Document,
-    PipelineStats,
-    SourceTag,
-    count_tokens,
-    ingest_jsonl,
-    read_corpus_jsonl,
-    write_corpus_jsonl,
-)
-from .curation import CurationRuleSet, contains_cue_word, curate, matches_url
-from .dedup import (
-    DedupConfig,
-    SentenceFrequencyTable,
-    count_sentences,
-    dedup_documents,
-    dedup_sentences,
-    document_fingerprint,
-)
-from .langid import LangIdConfig, LangVerdict, classify_fallback, classify_primary, identify
-from .mixture import (
-    MixtureSpec,
-    SamplePlan,
-    UpdateMixSpec,
-    plan_epoch,
-    sample_update_mix,
-    verify_plan,
-)
-from .noise import LineClass, NoiseConfig, classify_line, filter_document
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Corpus",
-    "CurationRuleSet",
-    "DedupConfig",
-    "Document",
-    "LangIdConfig",
-    "LangVerdict",
-    "LineClass",
-    "MixtureSpec",
-    "NoiseConfig",
-    "PipelineStats",
-    "SamplePlan",
-    "SentenceFrequencyTable",
-    "SourceTag",
-    "UpdateMixSpec",
-    "classify_fallback",
-    "classify_line",
-    "classify_primary",
-    "contains_cue_word",
-    "count_sentences",
-    "count_tokens",
-    "curate",
-    "dedup_documents",
-    "dedup_sentences",
-    "document_fingerprint",
-    "filter_document",
-    "identify",
-    "ingest_jsonl",
-    "matches_url",
-    "plan_epoch",
-    "read_corpus_jsonl",
-    "sample_update_mix",
-    "verify_plan",
-    "write_corpus_jsonl",
-]

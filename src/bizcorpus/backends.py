@@ -125,11 +125,13 @@ class SubprocessClassifier:
         self._proc = JsonLineProcess(cmd)
 
     def classify(self, text: str) -> tuple[str, float]:
-        response = self._proc.call({"text": text})
-        return str(response["lang"]), float(response["confidence"])
+        answer = self.classify_many([text])[0]
+        if answer is None:
+            raise WireProtocolError("classifier gave no usable answer")
+        return answer
 
     def classify_many(self, texts: list[str]) -> list[tuple[str, float] | None]:
-        """:meth:`classify` for each text; None where no usable answer came."""
+        """``(lang, confidence)`` for each text; None where no usable answer came."""
         answers: list[tuple[str, float] | None] = []
         for line in self._proc.call_many([{"text": text} for text in texts]):
             try:

@@ -419,7 +419,10 @@ def run_benchmark(
     configuration errors abort the whole run. With ``out_dir`` set, each
     question gets its own record file under ``responses/`` plus a run
     manifest, and an interrupted run resumes by skipping existing records.
+    At most ``max_in_flight`` (at least 1) questions wait on the model at once.
     """
+    if max_in_flight < 1:
+        raise ConfigError(f"max_in_flight must be at least 1, got {max_in_flight}")
     model_id = getattr(model, "model_id", model.__class__.__name__)
     run_fields = _run_fields(setting, model_id)
     started_at = _utcnow()

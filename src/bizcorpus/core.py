@@ -429,8 +429,8 @@ def _record_to_document(obj: dict) -> Document:
     )
 
 
-def read_corpus_jsonl(path: Path | str, provenance: str | None = None) -> Corpus:
+def read_corpus_jsonl(path: Path | str) -> Corpus:
     """Strict reader for pipeline-produced corpora: every record must carry
     ``id``, ``source`` and a string ``text``. Raises ``ValueError`` naming
     the first bad line."""
-    return Corpus(read_jsonl(path, _record_to_document), provenance=provenance or str(path))
+    return Corpus(read_jsonl(path, _record_to_document), provenance=str(path))

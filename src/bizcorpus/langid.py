@@ -12,12 +12,15 @@ cascade self-contained; no external detector is required.
 from __future__ import annotations
 
 import functools
+import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
 
 from .core import Corpus, Document, PipelineStats, code_point_class
+
+log = logging.getLogger(__name__)
 
 JAPANESE = "ja"
 UNDETERMINED = "und"
@@ -57,11 +60,6 @@ class LangIdConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-class PrimaryClassifierUnavailable(RuntimeError):
-    """Raised when the primary stage cannot produce a verdict; callers should
-    run the cascade in fallback-only mode."""
 
 
 # Hiragana + Katakana blocks; the signal for Japanese even in Kanji-heavy text.
@@ -116,21 +114,24 @@ def _script_counts(text: str) -> dict[str, int]:
     return {name: pattern.subn("", text)[1] for name, pattern in _script_res().items()}
 
 
-def classify_primary(config: LangIdConfig, text: str) -> LangVerdict:
-    """Run the configured classifier backend. Any backend failure (missing
-    backend, crash, timeout) surfaces as :class:`PrimaryClassifierUnavailable`
-    so callers can drop to fallback-only mode."""
-    if config.classifier is None:
-        raise PrimaryClassifierUnavailable(
-            "no primary classifier configured; run identify() in fallback-only mode"
-        )
+def primary_verdicts(config: LangIdConfig, texts: list[str]) -> list[LangVerdict | None]:
+    """The configured backend's verdict for each text, or None where it gave
+    none: in one ``classify_many`` call when the backend has it, otherwise one
+    ``classify`` call per text, where a raise gives None."""
+    backend = config.classifier
+    if backend is None:
+        return [None] * len(texts)
+    classify_many = getattr(backend, "classify_many", None)
+    answers = classify_many(texts) if classify_many else [_classify_one(backend, t) for t in texts]
+    return [None if answer is None else _primary_verdict(*answer) for answer in answers]
+
+
+def _classify_one(backend: ClassifierBackend, text: str) -> tuple[str, float] | None:
     try:
-        lang, confidence = config.classifier.classify(text)
-    except Exception as exc:
-        raise PrimaryClassifierUnavailable(
-            f"primary classifier failed ({exc}); run identify() in fallback-only mode"
-        ) from exc
-    return _primary_verdict(lang, confidence)
+        lang, confidence = backend.classify(text)
+    except Exception:  # a failing backend leaves this text to the fallback
+        return None
+    return lang, confidence
 
 
 def _primary_verdict(lang: str, confidence: float) -> LangVerdict:
@@ -163,11 +164,7 @@ def identify(config: LangIdConfig, text: str) -> LangVerdict:
     """Cascade: the primary verdict stands when its confidence reaches the
     uncertainty threshold; otherwise (or when the backend is unusable) the
     characteristics fallback decides."""
-    try:
-        primary = classify_primary(config, text) if config.classifier is not None else None
-    except PrimaryClassifierUnavailable:
-        primary = None
-    return _cascade(config, text, primary)
+    return _cascade(config, text, primary_verdicts(config, [text])[0])
 
 
 def _cascade(config: LangIdConfig, text: str, primary: LangVerdict | None) -> LangVerdict:
@@ -184,19 +181,23 @@ def filter_non_japanese(
     workers: int = 1,  # ignored: every stage runs in one thread; kept for existing callers
 ) -> Corpus:
     """Keep exactly the documents identified as Japanese, setting ``lang`` on
-    survivors. Removal counts are recorded per detected language."""
-    classify_many = getattr(config.classifier, "classify_many", None)
-    if classify_many is None:
-        verdicts = [identify(config, doc.text) for doc in corpus.documents]
-    else:
-        answers = classify_many([doc.text for doc in corpus.documents])
-        verdicts = [
-            _cascade(config, doc.text, answer and _primary_verdict(*answer))
-            for doc, answer in zip(corpus.documents, answers)
-        ]
+    survivors. Removal counts are recorded per detected language. When a
+    configured classifier gives no verdict for some documents, one warning
+    says how many the fallback decided instead."""
+    texts = [doc.text for doc in corpus.documents]
+    primaries = primary_verdicts(config, texts)
+    missing = primaries.count(None)
+    if config.classifier is not None and missing:
+        log.warning(
+            "lang_id: the classifier gave no verdict for %d of %d documents; "
+            "the script fallback decided them",
+            missing,
+            len(texts),
+        )
     kept: list[Document] = []
     removals: dict[str, int] = {}
-    for doc, verdict in zip(corpus.documents, verdicts):
+    for doc, primary in zip(corpus.documents, primaries):
+        verdict = _cascade(config, doc.text, primary)
         if verdict.lang == JAPANESE:
             kept.append(doc.with_lang(JAPANESE))
         else:

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bizcorpus
 from bizcorpus.backends import CommandModel, EchoModel, WireProtocolError
 from bizcorpus.bench import (
     OUTPUT_MARKER,
@@ -593,3 +596,18 @@ class TestModelPool:
         # q0 and q2 may be answered by live children while q1 kills its own
         assert status[1] == "error" and status[6:] == ["error"] * 3
         _assert_reaped(spawned)
+
+
+def test_bench_side_loads_no_corpus_module():
+    src = Path(bizcorpus.__file__).resolve().parents[1]
+    code = "import sys, bizcorpus.bench, bizcorpus.backends; print(*sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    corpus_side = {"yaml", *(f"bizcorpus.{m}" for m in ("curation", "mixture", "dedup", "langid", "noise"))}
+    assert "bizcorpus.backends" in loaded
+    assert corpus_side.isdisjoint(loaded)

@@ -365,6 +365,14 @@ class TestBenchWorkflow:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
 
+    @pytest.mark.parametrize("max_in_flight", ["0", "-3"])
+    def test_max_in_flight_below_one_exit_one(self, tmp_path, capsys, max_in_flight):
+        bench_run = self._bench_run(tmp_path, "--setting", "manual_rag", "--echo-model",
+                                    "--max-in-flight", max_in_flight)
+        assert main(bench_run) == 1
+        assert f"max_in_flight must be at least 1, got {max_in_flight}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bench_run_without_model_exit_one(self, tmp_path):
         questions = tmp_path / "questions.jsonl"
         synth.write_jsonl(questions, QUESTIONS)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import sys
 import textwrap
 
@@ -15,13 +16,12 @@ from bizcorpus.backends import SubprocessClassifier
 from bizcorpus.core import Corpus, PipelineStats
 from bizcorpus.langid import (
     LangIdConfig,
-    PrimaryClassifierUnavailable,
     VerdictStage,
     classify_fallback,
-    classify_primary,
     filter_non_japanese,
     identify,
     jp_script_ratio,
+    primary_verdicts,
 )
 
 
@@ -40,7 +40,7 @@ class StubClassifier:
 class TestPrimary:
     def test_passthrough_ja(self):
         config = LangIdConfig(classifier=StubClassifier("ja", 0.99))
-        verdict = classify_primary(config, "なんでも")
+        (verdict,) = primary_verdicts(config, ["なんでも"])
         assert (verdict.lang, verdict.confidence, verdict.stage) == (
             "ja",
             0.99,
@@ -49,17 +49,15 @@ class TestPrimary:
 
     def test_passthrough_en(self):
         config = LangIdConfig(classifier=StubClassifier("en", 0.99))
-        verdict = classify_primary(config, "anything")
+        (verdict,) = primary_verdicts(config, ["anything"])
         assert verdict.lang == "en"
 
     def test_backend_timeout_surfaces_fallback_mode_error(self):
         config = LangIdConfig(classifier=StubClassifier("ja", 0.9, fail=True))
-        with pytest.raises(PrimaryClassifierUnavailable, match="fallback-only"):
-            classify_primary(config, "text")
+        assert primary_verdicts(config, ["text"]) == [None]
 
     def test_no_backend_configured(self):
-        with pytest.raises(PrimaryClassifierUnavailable):
-            classify_primary(LangIdConfig(), "text")
+        assert primary_verdicts(LangIdConfig(), ["text"]) == [None]
 
 
 class TestFallback:
@@ -212,8 +210,7 @@ class TestWireAdapter:
         backend = SubprocessClassifier([sys.executable, str(script)])
         config = LangIdConfig(classifier=backend)
         try:
-            with pytest.raises(PrimaryClassifierUnavailable):
-                classify_primary(config, "text")
+            assert primary_verdicts(config, ["text"]) == [None]
             # the cascade still classifies via the heuristic
             assert identify(config, "にほんごのれんしゅう。").lang == "ja"
         finally:
@@ -317,3 +314,19 @@ class TestPipelinedCalls:
         assert runs[0] == runs[1]
         # after "die" every document falls back, so d16 goes where d7 stayed
         assert [d.id for d in runs[0][0]] == ["d0", "d4", "d7", "d9", "d13"]
+
+    def test_lost_verdicts_warn_once_per_call(self, spawn, caplog):
+        texts = ["にほんご。", "english", "die", "にほんご。", "english"]
+        docs = [doc(f"d{i}", text) for i, text in enumerate(texts)]
+
+        def warnings(backend, docs) -> list[str]:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="bizcorpus.langid"):
+                filter_non_japanese(LangIdConfig(classifier=backend), Corpus(docs))
+            return [record.getMessage() for record in caplog.records]
+
+        assert warnings(spawn(), docs[:2] + docs[3:]) == []
+        assert warnings(None, docs) == []
+        # the child exits at "die": that document and the two after it get no verdict
+        (message,) = warnings(spawn(), docs)
+        assert "3 of 5 documents" in message
