@@ -118,6 +118,23 @@ class JsonLineProcess:
             proc.stdout.close()
 
 
+class ClassifierAnswers(list):
+    """``(lang, confidence)`` per text, None where no usable answer came;
+    ``failure`` is the error behind the first None, if any."""
+
+    failure: WireProtocolError | None = None
+
+
+def _parse_verdict(line: str) -> tuple[str, float]:
+    response = _parse_reply(line)
+    try:
+        return str(response["lang"]), float(response["confidence"])
+    except KeyError as exc:
+        raise WireProtocolError(f"classifier reply has no {exc}: {line.strip()!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise WireProtocolError(f"classifier reply has a bad confidence: {line.strip()!r}") from exc
+
+
 class SubprocessClassifier:
     """Language classifier backend over the wire protocol."""
 
@@ -125,20 +142,20 @@ class SubprocessClassifier:
         self._proc = JsonLineProcess(cmd)
 
     def classify(self, text: str) -> tuple[str, float]:
-        answer = self.classify_many([text])[0]
-        if answer is None:
-            raise WireProtocolError("classifier gave no usable answer")
-        return answer
+        answers = self.classify_many([text])
+        if answers.failure is not None:
+            raise answers.failure
+        return answers[0]
 
-    def classify_many(self, texts: list[str]) -> list[tuple[str, float] | None]:
+    def classify_many(self, texts: list[str]) -> ClassifierAnswers:
         """``(lang, confidence)`` for each text; None where no usable answer came."""
-        answers: list[tuple[str, float] | None] = []
+        answers = ClassifierAnswers()
         for line in self._proc.call_many([{"text": text} for text in texts]):
             try:
-                response = _parse_reply(line)
-                answers.append((str(response["lang"]), float(response["confidence"])))
-            except (WireProtocolError, KeyError, TypeError, ValueError):
+                answers.append(_parse_verdict(line))
+            except WireProtocolError as exc:
                 answers.append(None)
+                answers.failure = answers.failure or exc
         return answers
 
     def close(self) -> None:

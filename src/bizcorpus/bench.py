@@ -376,6 +376,20 @@ def _resume(path: Path, expected: dict) -> RunRecord:
     return RunRecord(**{f.name: obj[f.name] for f in fields(RunRecord)})
 
 
+def _check_stored_questions(path: Path, digest: str) -> None:
+    """Refuse to resume a finished run whose manifest records another question set."""
+    try:
+        manifest = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    stored = manifest.get("questions_digest") if isinstance(manifest, dict) else None
+    if stored != digest:
+        raise ConfigError(
+            f"{path}: questions_digest is {stored!r}, this run has {digest!r}; "
+            "resume with the stored question set or use another --out"
+        )
+
+
 def _run_one(
     setting: TaskSetting,
     q: BenchmarkQuestion,
@@ -403,6 +417,12 @@ def _run_one(
     return RunRecord(q.id, "ok", prompt=prompt, response=response, elapsed_ms=elapsed_ms)
 
 
+def check_max_in_flight(max_in_flight: int) -> None:
+    """Raise ``ConfigError`` unless at least one question may wait on the model."""
+    if max_in_flight < 1:
+        raise ConfigError(f"max_in_flight must be at least 1, got {max_in_flight}")
+
+
 def run_benchmark(
     setting: TaskSetting,
     questions: Sequence[BenchmarkQuestion],
@@ -419,10 +439,10 @@ def run_benchmark(
     configuration errors abort the whole run. With ``out_dir`` set, each
     question gets its own record file under ``responses/`` plus a run
     manifest, and an interrupted run resumes by skipping existing records.
+    A run directory whose manifest records another question set is refused.
     At most ``max_in_flight`` (at least 1) questions wait on the model at once.
     """
-    if max_in_flight < 1:
-        raise ConfigError(f"max_in_flight must be at least 1, got {max_in_flight}")
+    check_max_in_flight(max_in_flight)
     model_id = getattr(model, "model_id", model.__class__.__name__)
     run_fields = _run_fields(setting, model_id)
     started_at = _utcnow()
@@ -431,6 +451,10 @@ def run_benchmark(
     paths: list[Path | None] = [None] * len(questions)
     records: list[RunRecord | None] = [None] * len(questions)
     if out_dir is not None:
+        digest = _questions_digest(questions)
+        manifest_path = Path(out_dir) / "manifest.json"
+        if manifest_path.exists():
+            _check_stored_questions(manifest_path, digest)
         responses_dir = Path(out_dir) / "responses"
         responses_dir.mkdir(parents=True, exist_ok=True)
         paths = [responses_dir / f"{_safe_name(q.id)}.json" for q in questions]
@@ -461,11 +485,11 @@ def run_benchmark(
         for record in records:
             by_status[record.status] = by_status.get(record.status, 0) + 1
         _write_json(
-            Path(out_dir) / "manifest.json",
+            manifest_path,
             {
                 "schema": "bizcorpus-bench-run/1",
                 **run_fields,
-                "questions_digest": _questions_digest(questions),
+                "questions_digest": digest,
                 "num_questions": len(questions),
                 "status_counts": dict(sorted(by_status.items())),
                 "started_at": started_at,

@@ -19,6 +19,7 @@ from .backends import CommandModel, CommandSearch, EchoModel, SubprocessClassifi
 from .bench import (
     SettingKind,
     TaskSetting,
+    check_max_in_flight,
     compute_accuracy,
     load_judgments,
     load_questions,
@@ -168,6 +169,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_bench_run(args: argparse.Namespace) -> int:
     questions = load_questions(args.questions)
     setting = TaskSetting(SettingKind(args.setting), truncation_chars=args.truncation)
+    check_max_in_flight(args.max_in_flight)  # before any backend child is spawned
     if args.model_cmd:
         model = CommandModel(args.model_cmd, model_id=args.model_id)
     elif args.echo_model:

@@ -218,14 +218,13 @@ def code_point_class(ranges: tuple[tuple[int, int], ...]) -> str:
 
 
 @functools.cache
-def _token_re() -> re.Pattern[str]:
-    # One token per maximal run of non-space, non-CJK characters, and one per
-    # remaining non-space (hence CJK) character. Whitespace is tested first:
-    # U+3000 is both whitespace and in the CJK range, and separates tokens.
-    # ``\s`` and ``\S`` split characters exactly as ``str.isspace`` does.
-    # Compiled on first use: wide ranges take milliseconds to compile, which
-    # importers that never count tokens should not pay.
-    return re.compile(rf"[^\s{code_point_class(_CJK_RANGES)}]+|\S")
+def _cjk_run_re() -> re.Pattern[str]:
+    # Maximal runs of the CJK characters that are not whitespace: U+3000
+    # IDEOGRAPHIC SPACE is the one ``str.isspace`` character in the CJK
+    # ranges, and it separates tokens instead of being one. Compiled on first
+    # use: wide ranges take milliseconds to compile, which importers that
+    # never count tokens should not pay.
+    return re.compile(f"[{code_point_class(((0x3001, 0x303F),) + _CJK_RANGES[1:])}]+")
 
 
 class TokenizerBackend(Protocol):
@@ -246,8 +245,13 @@ class WhitespaceCjkTokenizer:
     name = "whitespace_cjk_v1"
 
     def count(self, text: str) -> int:
-        # subn counts the matches without building a list of them
-        return _token_re().subn("", text)[1]
+        # Counted by runs, a few regex matches per document where one per
+        # character cost several times more: each CJK character is a token,
+        # and so is each whitespace-delimited run of the rest once the CJK
+        # runs are cut out. ``str.split()`` splits on exactly the
+        # ``str.isspace`` characters.
+        cjk = _cjk_run_re()
+        return len(text) - len(cjk.sub("", text)) + len(cjk.sub(" ", text).split())
 
 
 class TokenizeError(RuntimeError):

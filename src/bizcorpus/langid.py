@@ -44,7 +44,8 @@ class LangVerdict:
 
 class ClassifierBackend(Protocol):
     """Primary-stage plug point: ``classify(text) -> (language, confidence)``;
-    an optional ``classify_many(texts)`` gives one pair or None per text in one go."""
+    an optional ``classify_many(texts)`` gives one pair or None per text in one
+    go, in a list that may carry the error behind its first None as ``failure``."""
 
     def classify(self, text: str) -> tuple[str, float]: ...
 
@@ -96,18 +97,28 @@ _SCRIPT_LANG = {
 
 @functools.cache
 def _script_res() -> dict[str, re.Pattern[str]]:
-    # Compiled on first use, like the tokenizer's pattern: the Han and Hangul
-    # ranges take milliseconds to compile.
+    # One match per character: Latin text breaks into many short runs, so
+    # counting by runs is slower here than in ``jp_script_ratio``. Compiled
+    # on first use, like the tokenizer's pattern: the Han and Hangul ranges
+    # take milliseconds to compile.
     return {
         name: re.compile(f"[{code_point_class(ranges)}]") for name, ranges in _SCRIPT_RANGES.items()
     }
+
+
+@functools.cache
+def _kana_run_re() -> re.Pattern[str]:
+    # Apart from ``_script_res``, so the kana ratio alone compiles no other
+    # script's class.
+    return re.compile(f"[{code_point_class(_KANA_RANGES)}]+")
 
 
 def jp_script_ratio(text: str) -> float:
     """Fraction of all characters that fall in the Hiragana/Katakana blocks."""
     if not text:
         return 0.0
-    return _script_res()["kana"].subn("", text)[1] / len(text)
+    # summed over maximal kana runs: one match per run, not per character
+    return sum(map(len, _kana_run_re().findall(text))) / len(text)
 
 
 def _script_counts(text: str) -> dict[str, int]:
@@ -118,20 +129,32 @@ def primary_verdicts(config: LangIdConfig, texts: list[str]) -> list[LangVerdict
     """The configured backend's verdict for each text, or None where it gave
     none: in one ``classify_many`` call when the backend has it, otherwise one
     ``classify`` call per text, where a raise gives None."""
+    return _primary_verdicts(config, texts)[0]
+
+
+def _primary_verdicts(
+    config: LangIdConfig, texts: list[str]
+) -> tuple[list[LangVerdict | None], Exception | None]:
+    """``primary_verdicts`` and the error behind the first missing verdict:
+    the exception ``classify`` raised, or the ``failure`` that a
+    ``classify_many`` answer list carries."""
     backend = config.classifier
     if backend is None:
-        return [None] * len(texts)
+        return [None] * len(texts), None
+    failure: Exception | None = None
     classify_many = getattr(backend, "classify_many", None)
-    answers = classify_many(texts) if classify_many else [_classify_one(backend, t) for t in texts]
-    return [None if answer is None else _primary_verdict(*answer) for answer in answers]
-
-
-def _classify_one(backend: ClassifierBackend, text: str) -> tuple[str, float] | None:
-    try:
-        lang, confidence = backend.classify(text)
-    except Exception:  # a failing backend leaves this text to the fallback
-        return None
-    return lang, confidence
+    if classify_many:
+        answers = classify_many(texts)
+        failure = getattr(answers, "failure", None)
+    else:
+        answers = []
+        for text in texts:
+            try:
+                answers.append(backend.classify(text))
+            except Exception as exc:  # a failing backend leaves this text to the fallback
+                answers.append(None)
+                failure = failure or exc
+    return [None if answer is None else _primary_verdict(*answer) for answer in answers], failure
 
 
 def _primary_verdict(lang: str, confidence: float) -> LangVerdict:
@@ -183,16 +206,17 @@ def filter_non_japanese(
     """Keep exactly the documents identified as Japanese, setting ``lang`` on
     survivors. Removal counts are recorded per detected language. When a
     configured classifier gives no verdict for some documents, one warning
-    says how many the fallback decided instead."""
+    says how many the fallback decided instead, and why the first got none."""
     texts = [doc.text for doc in corpus.documents]
-    primaries = primary_verdicts(config, texts)
+    primaries, failure = _primary_verdicts(config, texts)
     missing = primaries.count(None)
     if config.classifier is not None and missing:
         log.warning(
             "lang_id: the classifier gave no verdict for %d of %d documents; "
-            "the script fallback decided them",
+            "the script fallback decided them; first cause: %s",
             missing,
             len(texts),
+            "not given" if failure is None else f"{type(failure).__name__}: {failure}",
         )
     kept: list[Document] = []
     removals: dict[str, int] = {}

@@ -34,6 +34,7 @@ from bizcorpus.bench import (
     run_benchmark,
     truncate_context,
 )
+from bizcorpus.core import ConfigError
 
 NO_CONTEXT = TaskSetting(SettingKind.NO_CONTEXT)
 MANUAL = TaskSetting(SettingKind.MANUAL_RAG)
@@ -211,9 +212,26 @@ class TestRunBenchmark:
 
         run_benchmark(NO_CONTEXT, questions[:3], CountingModel(), out_dir=tmp_path / "run")
         assert CountingModel.calls == 3
+        # a run interrupted before its manifest was written
+        (tmp_path / "run" / "manifest.json").unlink()
         responses = run_benchmark(NO_CONTEXT, questions, CountingModel(), out_dir=tmp_path / "run")
         assert CountingModel.calls == 6  # only the 3 new questions hit the model
         assert len(responses) == 6
+
+    def test_resume_with_another_question_set_refused(self, tmp_path):
+        questions = _questions(4)
+        run_dir = tmp_path / "run"
+        run_benchmark(NO_CONTEXT, questions, ScriptedModel(), out_dir=run_dir)
+        before = {p: p.read_bytes() for p in sorted(run_dir.rglob("*.json"))}
+        edited = [*questions[:3], q(questions[3].id, question="別の質問ですか？")]
+
+        class NoModel:
+            def generate(self, prompt):
+                raise AssertionError("the model was called")
+
+        with pytest.raises(ConfigError, match="manifest.json: questions_digest is '[0-9a-f]{16}'"):
+            run_benchmark(NO_CONTEXT, edited, NoModel(), out_dir=run_dir)
+        assert {p: p.read_bytes() for p in sorted(run_dir.rglob("*.json"))} == before
 
     def test_concurrent_dispatch_preserves_order_and_results(self, tmp_path):
         questions = _questions(20)

@@ -373,6 +373,19 @@ class TestBenchWorkflow:
         assert f"max_in_flight must be at least 1, got {max_in_flight}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_max_in_flight_checked_before_any_spawn(self, tmp_path, capsys):
+        script = tmp_path / "model.py"
+        script.write_text(PID_RECORDING_MODEL, encoding="utf-8")
+        pid_file = tmp_path / "model.pids"
+        model_cmd = shlex.join([sys.executable, str(script), str(pid_file)])
+        assert main(
+            self._bench_run(tmp_path, "--setting", "auto_rag", "--model-cmd", model_cmd,
+                            "--search-cmd", model_cmd, "--max-in-flight", "0")
+        ) == 1
+        assert "max_in_flight must be at least 1, got 0" in capsys.readouterr().err
+        assert not pid_file.exists()
+        assert not (tmp_path / "run").exists()
+
     def test_bench_run_without_model_exit_one(self, tmp_path):
         questions = tmp_path / "questions.jsonl"
         synth.write_jsonl(questions, QUESTIONS)

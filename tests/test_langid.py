@@ -330,3 +330,19 @@ class TestPipelinedCalls:
         # the child exits at "die": that document and the two after it get no verdict
         (message,) = warnings(spawn(), docs)
         assert "3 of 5 documents" in message
+        assert "first cause: WireProtocolError: backend process closed its stdout" in message
+        no_confidence = [doc("d5", "no confidence"), doc("d6", "garbled"), docs[0]]
+        (message,) = warnings(spawn(), no_confidence)
+        assert "2 of 3 documents" in message
+        assert (
+            "first cause: WireProtocolError: classifier reply has no 'confidence': "
+            """'{"lang": "ja"}'"""
+        ) in message
+
+        class Failing:  # no classify_many: the exception from classify is the cause
+            def classify(self, text: str) -> tuple[str, float]:
+                raise TimeoutError(f"no answer for {text!r}")
+
+        (message,) = warnings(Failing(), docs[:2])
+        assert "2 of 2 documents" in message
+        assert "first cause: TimeoutError: no answer for 'にほんご。'" in message

@@ -1,6 +1,5 @@
-"""The regex-based tokenizer, script counts and sentence split against the
-per-character loops in ``oracles``. The kana ratio is checked the same way in
-``test_langid.TestFallback.test_ratio_matches_brute_force``."""
+"""The run-counting tokenizer and kana ratio, the regex script counts and
+sentence split against the per-character loops in ``oracles``."""
 
 from __future__ import annotations
 
@@ -9,12 +8,13 @@ import sys
 from itertools import combinations
 
 import oracles
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bizcorpus.core import _CJK_RANGES, WhitespaceCjkTokenizer
 from bizcorpus.dedup import DedupConfig, _split_line
-from bizcorpus.langid import _SCRIPT_RANGES, _script_counts
+from bizcorpus.langid import _KANA_RANGES, _SCRIPT_RANGES, _script_counts, jp_script_ratio
 
 
 def _edges(ranges) -> list[str]:
@@ -31,12 +31,23 @@ cjk_text = st.one_of(
     st.text(st.one_of(st.characters(), st.sampled_from(_edges(_CJK_RANGES) + _WHITESPACE))),
 )
 script_text = st.one_of(st.text(), st.text(st.sampled_from(_SCRIPT_EDGES)))
+# Kana block edges, and long runs of kana between other characters.
+kana_text = st.lists(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(_edges(_KANA_RANGES)),
+        st.text(st.characters(min_codepoint=0x3040, max_codepoint=0x30FF), min_size=8, max_size=64),
+    )
+).map("".join)
 
 
 def test_backslash_s_is_str_isspace():
-    # the tokenizer regex relies on this for every code point
+    # The tokenizer counts by ``str.split()``, which must cut at exactly the
+    # ``str.isspace`` code points: ``\s`` is checked against ``isspace``,
+    # then ``split()`` against ``\s``.
     chars = "".join(chr(cp) for cp in range(sys.maxunicode + 1) if not 0xD800 <= cp <= 0xDFFF)
     assert re.findall(r"\s", chars) == [ch for ch in chars if ch.isspace()]
+    assert chars.split() == [word for word in re.split(r"\s+", chars) if word]
 
 
 def test_script_ranges_are_disjoint():
@@ -51,6 +62,26 @@ def test_script_ranges_are_disjoint():
 @given(cjk_text)
 def test_tokenizer_matches_oracle(text):
     assert WhitespaceCjkTokenizer().count(text) == oracles.tokenizer_count(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        ("漢\u3000字", 2),  # U+3000 separates CJK characters and is no token
+        ("\u3000\u3000", 0),
+        ("ab漢字cd", 4),
+        ("\uff21\uff22\u3000\uff43", 3),  # full-width forms are CJK
+        ("漢字\U00020000かな", 5),  # an astral character is a non-CJK run
+    ],
+)
+def test_tokenizer_pinned_cases(text, expected):
+    assert WhitespaceCjkTokenizer().count(text) == expected == oracles.tokenizer_count(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kana_text)
+def test_jp_script_ratio_matches_oracle(text):
+    assert jp_script_ratio(text) == oracles.jp_script_ratio(text)
 
 
 @settings(max_examples=200, deadline=None)
