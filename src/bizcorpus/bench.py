@@ -17,18 +17,17 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import re
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
-from datetime import datetime, timezone
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Protocol, Sequence, get_type_hints
 
-from .core import ConfigError, read_jsonl
+from .core import ConfigError, read_json, read_jsonl, utcnow, write_json
 
 TEMPLATE_VERSION = "v1"
 
@@ -45,6 +44,20 @@ class SettingKind(str, Enum):
 
 
 _RAG_KINDS = (SettingKind.AUTO_RAG, SettingKind.MANUAL_RAG)
+
+_JSON_TYPE_NAMES = {str: "string", int: "integer", bool: "boolean"}
+
+# resolves the string annotations that ``from __future__ import annotations`` leaves
+_field_types = functools.cache(get_type_hints)
+
+
+def _check_field_types(record: object) -> None:
+    """Raise ``ValueError`` unless each field holds the type its annotation names."""
+    for name, kind in _field_types(type(record)).items():
+        value = getattr(record, name)
+        if not isinstance(value, kind):
+            expected = _JSON_TYPE_NAMES.get(kind, kind.__name__)
+            raise ValueError(f"{name} must be a JSON {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,8 @@ class BenchmarkQuestion:
 
 @dataclass(frozen=True)
 class Judgment:
+    """One line of ``judgments.jsonl``, field for field."""
+
     question_id: str
     setting: SettingKind
     model_id: str
@@ -88,71 +103,32 @@ class Judgment:
     timestamp: str
 
     def __post_init__(self) -> None:
-        for name in ("content_faithful", "instruction_followed", "correct"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be a JSON boolean, got {value!r}")
+        object.__setattr__(self, "setting", SettingKind(self.setting))
+        _check_field_types(self)
         if self.correct != (self.content_faithful and self.instruction_followed):
-            raise ValueError(
-                "correct must equal content_faithful AND instruction_followed"
-            )
+            raise ValueError("correct must equal content_faithful AND instruction_followed")
 
     @classmethod
     def record(
-        cls,
-        *,
-        question_id: str,
-        setting: SettingKind,
-        model_id: str,
-        response: str,
-        content_faithful: bool,
-        instruction_followed: bool,
-        judge_id: str,
-        timestamp: str | None = None,
+        cls, *, content_faithful: bool, instruction_followed: bool, **other: str
     ) -> Judgment:
-        """Build a judgment with ``correct`` derived from the two criteria."""
+        """Build a judgment with ``correct`` derived from the two criteria. The
+        other fields are keywords; ``timestamp`` defaults to now."""
+        other["timestamp"] = other.get("timestamp") or utcnow()
         return cls(
-            question_id=question_id,
-            setting=SettingKind(setting),
-            model_id=model_id,
-            response=response,
             content_faithful=content_faithful,
             instruction_followed=instruction_followed,
             correct=content_faithful and instruction_followed,
-            judge_id=judge_id,
-            timestamp=timestamp or _utcnow(),
+            **other,
         )
 
     def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "setting": self.setting.value,
-            "model_id": self.model_id,
-            "response": self.response,
-            "content_faithful": self.content_faithful,
-            "instruction_followed": self.instruction_followed,
-            "correct": self.correct,
-            "judge_id": self.judge_id,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> Judgment:
-        return cls(
-            question_id=str(obj["question_id"]),
-            setting=SettingKind(obj["setting"]),
-            model_id=str(obj["model_id"]),
-            response=str(obj.get("response", "")),
-            content_faithful=obj["content_faithful"],
-            instruction_followed=obj["instruction_followed"],
-            correct=obj["correct"],
-            judge_id=str(obj["judge_id"]),
-            timestamp=str(obj.get("timestamp", "")),
-        )
-
-
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        """Every field is required; a missing one raises ``KeyError``."""
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +256,6 @@ def _safe_name(question_id: str) -> str:
     return f"{slug}-{digest}"
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    # write-then-rename: an interrupted run never leaves a truncated file
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
-
-
 def _questions_digest(questions: Sequence[BenchmarkQuestion]) -> str:
     h = hashlib.sha256()
     for q in questions:
@@ -297,92 +263,65 @@ def _questions_digest(questions: Sequence[BenchmarkQuestion]) -> str:
     return h.hexdigest()[:16]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
+    """One ``responses/*.json`` file, field for field."""
+
     question_id: str
+    setting: str
+    truncation_chars: int
+    model_id: str
+    template_version: str
     status: str  # ok | error | skipped
     prompt: str = ""
     response: str = ""
     error: str = ""
     elapsed_ms: int = 0
 
-    def to_dict(self, run_fields: dict) -> dict:
+    def __post_init__(self) -> None:
+        _check_field_types(self)
+        if self.setting not in {s.value for s in SettingKind}:
+            raise ValueError(f"unknown setting {self.setting!r}")
+
+    def run_fields(self) -> dict:
+        """What every record of one run, and its manifest, has in common."""
         return {
-            "question_id": self.question_id,
-            **run_fields,
-            "status": self.status,
-            "prompt": self.prompt,
-            "response": self.response,
-            "error": self.error,
-            "elapsed_ms": self.elapsed_ms,
+            name: getattr(self, name)
+            for name in ("setting", "truncation_chars", "model_id", "template_version")
         }
 
 
-_RECORD_FIELDS = {
-    "question_id": str,
-    "setting": str,
-    "truncation_chars": int,
-    "model_id": str,
-    "template_version": str,
-    "status": str,
-    "prompt": str,
-    "response": str,
-    "error": str,
-    "elapsed_ms": int,
-}
-
-
-def _run_fields(setting: TaskSetting, model_id: str) -> dict:
-    """What every record of one run, and its manifest, has in common."""
-    return {
-        "setting": setting.kind.value,
-        "truncation_chars": setting.truncation_chars,
-        "model_id": model_id,
-        "template_version": TEMPLATE_VERSION,
-    }
-
-
-def _read_record(path: Path) -> dict:
-    """One ``responses/*.json`` record as :meth:`RunRecord.to_dict` wrote it.
+def _read_record(path: Path) -> RunRecord:
+    """One ``responses/*.json`` record, built from the fields of :class:`RunRecord`.
 
     A file that is not a JSON object holding every field with its type, or
     names an unknown setting, raises ``ValueError("<path>: <reason>")``.
     """
+    obj = read_json(path)
     try:
-        obj = json.loads(path.read_bytes().decode("utf-8"))
+        return RunRecord(**{f.name: obj[f.name] for f in fields(RunRecord)})
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
     except ValueError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: record is not a JSON object")
-    for name, kind in _RECORD_FIELDS.items():
-        if name not in obj:
-            raise ValueError(f"{path}: missing field {name!r}")
-        if not isinstance(obj[name], kind):
-            raise ValueError(f"{path}: field {name!r} must be a {kind.__name__}")
-    if obj["setting"] not in {s.value for s in SettingKind}:
-        raise ValueError(f"{path}: unknown setting {obj['setting']!r}")
-    return obj
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _resume(path: Path, expected: dict) -> RunRecord:
     """The stored record of a question, refused when it belongs to another run."""
-    obj = _read_record(path)
+    record = _read_record(path)
     for name, value in expected.items():
-        if obj[name] != value:
+        stored = getattr(record, name)
+        if stored != value:
             raise ConfigError(
-                f"{path}: {name} is {obj[name]!r}, this run has {value!r}; "
+                f"{path}: {name} is {stored!r}, this run has {value!r}; "
                 "resume with the options of the stored run or use another --out"
             )
-    return RunRecord(**{f.name: obj[f.name] for f in fields(RunRecord)})
+    return record
 
 
 def _check_stored_questions(path: Path, digest: str) -> None:
     """Refuse to resume a finished run whose manifest records another question set."""
-    try:
-        manifest = json.loads(path.read_bytes().decode("utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    stored = manifest.get("questions_digest") if isinstance(manifest, dict) else None
+    stored = read_json(path).get("questions_digest")
     if stored != digest:
         raise ConfigError(
             f"{path}: questions_digest is {stored!r}, this run has {digest!r}; "
@@ -391,30 +330,34 @@ def _check_stored_questions(path: Path, digest: str) -> None:
 
 
 def _run_one(
+    blank: RunRecord,
     setting: TaskSetting,
     q: BenchmarkQuestion,
     model: ModelBackend,
     search: SearchBackend | None,
 ) -> RunRecord:
+    """Answer ``q``; return ``blank``, which holds the run's fields, with ``q``'s
+    id and the outcome."""
     start = time.monotonic()
+    outcome = functools.partial(replace, blank, question_id=q.id)
     try:
         if setting.kind is SettingKind.AUTO_RAG and not q.auto_context:
             if search is None:
-                return RunRecord(q.id, "skipped", error="no retrieved page for auto_rag")
+                return outcome(status="skipped", error="no retrieved page for auto_rag")
             try:
                 body = retrieve_auto_context(search, q)
             except RetrievalError as exc:
-                return RunRecord(q.id, "skipped", error=str(exc))
+                return outcome(status="skipped", error=str(exc))
             q = replace(q, auto_context=body)
         prompt = build_prompt(setting, q)
     except MissingContextError as exc:
-        return RunRecord(q.id, "error", error=str(exc))
+        return outcome(status="error", error=str(exc))
     try:
         response = model.generate(prompt)
     except Exception as exc:
-        return RunRecord(q.id, "error", prompt=prompt, error=f"model backend failed: {exc}")
+        return outcome(status="error", prompt=prompt, error=f"model backend failed: {exc}")
     elapsed_ms = int((time.monotonic() - start) * 1000)
-    return RunRecord(q.id, "ok", prompt=prompt, response=response, elapsed_ms=elapsed_ms)
+    return outcome(status="ok", prompt=prompt, response=response, elapsed_ms=elapsed_ms)
 
 
 def check_max_in_flight(max_in_flight: int) -> None:
@@ -443,9 +386,15 @@ def run_benchmark(
     At most ``max_in_flight`` (at least 1) questions wait on the model at once.
     """
     check_max_in_flight(max_in_flight)
-    model_id = getattr(model, "model_id", model.__class__.__name__)
-    run_fields = _run_fields(setting, model_id)
-    started_at = _utcnow()
+    blank = RunRecord(
+        question_id="",
+        setting=setting.kind.value,
+        truncation_chars=setting.truncation_chars,
+        model_id=getattr(model, "model_id", model.__class__.__name__),
+        template_version=TEMPLATE_VERSION,
+        status="",
+    )
+    started_at = utcnow()
     t0 = time.monotonic()
 
     paths: list[Path | None] = [None] * len(questions)
@@ -460,38 +409,32 @@ def run_benchmark(
         paths = [responses_dir / f"{_safe_name(q.id)}.json" for q in questions]
         # every stored record is checked before the first model call
         records = [
-            _resume(path, {"question_id": q.id, **run_fields}) if path.exists() else None
+            _resume(path, {"question_id": q.id, **blank.run_fields()}) if path.exists() else None
             for q, path in zip(questions, paths)
         ]
 
     def _process(i: int) -> RunRecord:
-        record = _run_one(setting, questions[i], model, search)
+        record = _run_one(blank, setting, questions[i], model, search)
         path = paths[i]
         if path is not None:
-            _write_json(path, record.to_dict(run_fields))
+            write_json(path, asdict(record))
         return record
 
     todo = [i for i, record in enumerate(records) if record is None]
-    if max_in_flight > 1:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            fresh = list(pool.map(_process, todo))
-    else:
-        fresh = [_process(i) for i in todo]
-    for i, record in zip(todo, fresh):
-        records[i] = record
+    # map cancels the queued questions when the caller stops (Ctrl-C, a failed write)
+    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        for i, record in zip(todo, pool.map(_process, todo)):
+            records[i] = record
 
     if out_dir is not None:
-        by_status: dict[str, int] = {}
-        for record in records:
-            by_status[record.status] = by_status.get(record.status, 0) + 1
-        _write_json(
+        write_json(
             manifest_path,
             {
                 "schema": "bizcorpus-bench-run/1",
-                **run_fields,
+                **blank.run_fields(),
                 "questions_digest": digest,
                 "num_questions": len(questions),
-                "status_counts": dict(sorted(by_status.items())),
+                "status_counts": Counter(record.status for record in records),
                 "started_at": started_at,
                 "duration_s": round(time.monotonic() - t0, 3),
             },
@@ -520,25 +463,23 @@ def record_judgments(
     """
     run_dir = Path(run_dir)
     responses_dir = run_dir / "responses"
-    records: dict[str, dict] = {}
+    records: dict[str, RunRecord] = {}
     for path in sorted(responses_dir.glob("*.json")):
-        obj = _read_record(path)
-        records[obj["question_id"]] = obj
+        record = _read_record(path)
+        records[record.question_id] = record
 
     def parse(obj: dict) -> Judgment:
         qid = str(obj["question_id"])
         record = records.get(qid)
         if record is None:
             raise ValueError(f"no response record for {qid!r}")
-        if record.get("status") != "ok":
-            raise ValueError(
-                f"question {qid!r} has status {record.get('status')!r}, cannot be judged"
-            )
+        if record.status != "ok":
+            raise ValueError(f"question {qid!r} has status {record.status!r}, cannot be judged")
         return Judgment.record(
             question_id=qid,
-            setting=SettingKind(record["setting"]),
-            model_id=record["model_id"],
-            response=record["response"],
+            setting=record.setting,
+            model_id=record.model_id,
+            response=record.response,
             content_faithful=obj["content_faithful"],
             instruction_followed=obj["instruction_followed"],
             judge_id=judge_id,
@@ -560,10 +501,6 @@ def load_judgments(path: Path | str) -> list[Judgment]:
 def compute_accuracy(judgments: Sequence[Judgment]) -> dict[tuple[str, str], float]:
     """Correct-count over total, per (model, setting) group. Empty groups are
     simply absent — never reported as zero."""
-    totals: dict[tuple[str, str], int] = {}
-    correct: dict[tuple[str, str], int] = {}
-    for judgment in judgments:
-        key = (judgment.model_id, judgment.setting.value)
-        totals[key] = totals.get(key, 0) + 1
-        correct[key] = correct.get(key, 0) + (1 if judgment.correct else 0)
-    return {key: correct[key] / totals[key] for key in totals}
+    totals = Counter((j.model_id, j.setting.value) for j in judgments)
+    correct = Counter((j.model_id, j.setting.value) for j in judgments if j.correct)
+    return {key: correct[key] / total for key, total in totals.items()}

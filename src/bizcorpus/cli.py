@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -208,8 +209,9 @@ def cmd_bench_score(args: argparse.Namespace) -> int:
     if not judgments:
         print("no judgments found")
         return EXIT_OK
+    counts = Counter((j.model_id, j.setting.value) for j in judgments)
     for (model_id, setting), accuracy in sorted(compute_accuracy(judgments).items()):
-        n = sum(1 for j in judgments if (j.model_id, j.setting.value) == (model_id, setting))
+        n = counts[model_id, setting]
         print(f"model={model_id} setting={setting} n={n} accuracy={accuracy:.4f}")
     return EXIT_OK
 

@@ -20,10 +20,11 @@ import functools
 import hashlib
 import json
 import logging
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from datetime import date
+from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Protocol, TypeVar
@@ -122,15 +123,6 @@ class StageStats:
     @property
     def total_out(self) -> int:
         return sum(self.docs_out.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "docs_in": dict(sorted(self.docs_in.items())),
-            "docs_out": dict(sorted(self.docs_out.items())),
-            "doc_removals": dict(sorted(self.doc_removals.items())),
-            "detail": dict(sorted(self.detail.items())),
-        }
 
 
 @dataclass
@@ -284,8 +276,38 @@ def count_tokens(
 
 
 # ---------------------------------------------------------------------------
-# Line-delimited JSON in/out
+# JSON in/out
 # ---------------------------------------------------------------------------
+
+
+def utcnow() -> str:
+    """The current UTC time to the second, as ``YYYY-MM-DDTHH:MM:SSZ``."""
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def write_json(path: Path | str, obj: dict) -> None:
+    """Write ``obj`` as JSON with sorted keys, indent 2 and a trailing
+    newline. It goes to ``<name>.tmp`` first and is renamed over ``path``,
+    so an interrupted write never leaves a truncated file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(
+        json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
+    )
+    os.replace(tmp, path)
+
+
+def read_json(path: Path | str) -> dict:
+    """Strict whole-file JSON reader: the file must hold one JSON object.
+    Anything else raises ``ValueError("<path>: <reason>")``."""
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: record is not a JSON object")
+    return obj
 
 
 def read_jsonl(path: Path | str, parse: Callable[[dict], T]) -> list[T]:

@@ -13,10 +13,9 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Collection
 
 import yaml
 
@@ -28,7 +27,9 @@ from .core import (
     SourceTag,
     count_tokens,
     ingest_jsonl,
+    utcnow,
     write_corpus_jsonl,
+    write_json,
 )
 from .curation import CurationRuleSet, curate, load_rules
 from .langid import LangIdConfig, filter_non_japanese
@@ -40,16 +41,26 @@ MANIFEST_SCHEMA = "bizcorpus-manifest/1"
 
 ENV_OUTPUT_DIR = "BIZCORPUS_OUTPUT_DIR"
 
-_SECTION_KEYS = {
-    "curation": frozenset({"rules_file"}),
-    "lang_id": frozenset({"uncertainty_threshold", "jp_script_ratio_threshold", "classifier_cmd"}),
-    "noise": frozenset(
-        {"jp_terminators", "latin_terminators", "min_sentential_ratio", "punctuationless_languages"}
-    ),
-    "dedup": frozenset({"sentence_frequency_threshold"}),
+# Every key of each stage section, with the converter of its value. A key
+# converted here sets the field of that name on the stage's config
+# dataclass; a key mapped to None is read by load_config itself.
+_SECTIONS: dict[str, dict[str, Callable | None]] = {
+    "curation": {"rules_file": None},
+    "lang_id": {
+        "uncertainty_threshold": float,
+        "jp_script_ratio_threshold": float,
+        "classifier_cmd": None,
+    },
+    "noise": {
+        "jp_terminators": frozenset,
+        "latin_terminators": frozenset,
+        "min_sentential_ratio": float,
+        "punctuationless_languages": frozenset,
+    },
+    "dedup": {"sentence_frequency_threshold": int},
 }
 _TOP_LEVEL_KEYS = frozenset(
-    {"seed", "output_dir", "workers", "sources", "dump_sentence_freq", *_SECTION_KEYS}
+    {"seed", "output_dir", "workers", "sources", "dump_sentence_freq", *_SECTIONS}
 )
 _SOURCE_KEYS = frozenset({"path", "source"})
 
@@ -98,7 +109,7 @@ class PipelineConfig:
             self.lang_id.classifier.close()
 
 
-def _check_keys(where: str, mapping: dict, allowed: frozenset[str]) -> None:
+def _check_keys(where: str, mapping: dict, allowed: Collection[str]) -> None:
     unknown = sorted(str(key) for key in mapping.keys() - allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
@@ -108,14 +119,15 @@ def _section(raw: dict, name: str) -> dict:
     section = raw.get(name) or {}
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: must be a mapping")
-    _check_keys(name, section, _SECTION_KEYS[name])
+    _check_keys(name, section, _SECTIONS[name].keys())
     return section
 
 
-def _settings(section: dict, **convert: Callable) -> dict:
-    """The keys of ``section`` named in ``convert``, each converted. Absent
-    keys are left out, so the config dataclass's own defaults apply."""
-    return {key: convert[key](value) for key, value in section.items() if key in convert}
+def _settings(sections: dict[str, dict], name: str) -> dict:
+    """The config dataclass fields that section ``name`` sets, each converted.
+    Absent keys are left out, so the dataclass's own defaults apply."""
+    convert = _SECTIONS[name]
+    return {key: convert[key](v) for key, v in sections[name].items() if convert[key]}
 
 
 def load_config(path: Path | str) -> PipelineConfig:
@@ -134,7 +146,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     _check_keys("top level", raw, _TOP_LEVEL_KEYS)
-    sections = {name: _section(raw, name) for name in _SECTION_KEYS}
+    sections = {name: _section(raw, name) for name in _SECTIONS}
     base = path.parent
 
     def _resolve(p: str) -> Path:
@@ -169,32 +181,21 @@ def load_config(path: Path | str) -> PipelineConfig:
             raise ConfigError(f"bad rules file {rules_path}: {exc}") from exc
 
     try:
-        lang_raw = sections["lang_id"]
-        lang_id = LangIdConfig(
-            **_settings(lang_raw, uncertainty_threshold=float, jp_script_ratio_threshold=float)
-        )
-        noise = NoiseConfig(
-            **_settings(
-                sections["noise"],
-                jp_terminators=frozenset,
-                latin_terminators=frozenset,
-                min_sentential_ratio=float,
-                punctuationless_languages=frozenset,
-            )
-        )
+        lang_id = LangIdConfig(**_settings(sections, "lang_id"))
+        noise = NoiseConfig(**_settings(sections, "noise"))
         dedup_cfg = dedup_mod.DedupConfig(
-            **_settings(sections["dedup"], sentence_frequency_threshold=int),
-            terminators=noise.terminators,
+            **_settings(sections, "dedup"), terminators=noise.terminators
         )
         seed = int(raw.get("seed", 0))
         workers = int(raw.get("workers", 1))
         if workers < 1:
             raise ValueError("workers must be >= 1")
         # spawned last, so a config that fails validation leaves no child behind
-        if lang_raw.get("classifier_cmd"):
+        classifier_cmd = sections["lang_id"].get("classifier_cmd")
+        if classifier_cmd:
             from .backends import SubprocessClassifier
 
-            lang_id.classifier = SubprocessClassifier(lang_raw["classifier_cmd"])
+            lang_id.classifier = SubprocessClassifier(classifier_cmd)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -274,7 +275,8 @@ def emit_manifest(
 ) -> Path:
     """Write the structured run report: one row per source label (zero-count
     rows included) with document and token counts, the per-stage removal
-    accounting, the config digest and the seed."""
+    accounting, the config digest and the seed. Written with
+    :func:`~bizcorpus.core.write_json`, so a kill never leaves it truncated."""
     final_docs: dict[str, int] = stats.stages[-1].docs_out if stats.stages else {}
     sources = {
         tag.value: {
@@ -285,17 +287,13 @@ def emit_manifest(
     }
     manifest = {
         "schema": MANIFEST_SCHEMA,
-        "created_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "created_at": utcnow(),
         "status": status,
         "seed": stats.seed,
         "config_digest": stats.config_digest,
         "sources": sources,
         "total_tokens": stats.total_tokens,
-        "stages": [s.to_dict() for s in stats.stages],
+        "stages": [asdict(s) for s in stats.stages],
     }
-    path = Path(path)
-    path.write_text(
-        json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    return path
+    write_json(path, manifest)
+    return Path(path)

@@ -425,6 +425,21 @@ class TestJudgingWorkflow:
         with pytest.raises(ValueError, match=r"judgments\.jsonl:1: correct must be a JSON boolean"):
             load_judgments(path)
 
+    def test_non_string_stored_judgment_rejected(self, tmp_path):
+        path = tmp_path / "judgments.jsonl"
+        judgment = Judgment.record(
+            question_id="q1",
+            setting=SettingKind.NO_CONTEXT,
+            model_id="m",
+            response="r",
+            content_faithful=True,
+            instruction_followed=True,
+            judge_id="judge-a",
+        ).to_dict()
+        path.write_text("\n" + json.dumps({**judgment, "model_id": 5}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"judgments\.jsonl:2: model_id must be a JSON string"):
+            load_judgments(path)
+
     def test_stored_judgment_missing_field_names_line(self, tmp_path):
         path = tmp_path / "judgments.jsonl"
         path.write_text('\n{"question_id": "q1", "setting": "no_context"}\n', encoding="utf-8")

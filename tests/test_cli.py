@@ -294,8 +294,14 @@ class TestBenchWorkflow:
             (lambda raw: raw[:40], "invalid JSON"),
             (lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != "setting"})
              .encode(), "missing field 'setting'"),
+            (lambda raw: json.dumps({**json.loads(raw), "elapsed_ms": "5"}).encode(),
+             "elapsed_ms must be a JSON integer, got '5'"),
+            (lambda raw: json.dumps({**json.loads(raw), "setting": "few_shot"}).encode(),
+             "unknown setting 'few_shot'"),
+            (lambda raw: json.dumps(list(json.loads(raw).values())).encode(),
+             "record is not a JSON object"),
         ],
-        ids=["cut_to_40_bytes", "no_setting"],
+        ids=["cut_to_40_bytes", "no_setting", "string_elapsed_ms", "unknown_setting", "array"],
     )
     def test_broken_record_stops_judge_and_resume(self, tmp_path, capsys, damage, reason):
         bench_run = self._bench_run(tmp_path, "--setting", "manual_rag", "--echo-model")
@@ -336,6 +342,26 @@ class TestBenchWorkflow:
         assert f"error: {run_dir / 'responses'}{os.sep}" in err
         assert message in err
         assert {p: p.read_bytes() for p in sorted(run_dir.rglob("*.json"))} == before
+
+    @pytest.mark.parametrize(
+        ("damage", "reason"),
+        [(lambda raw: raw[:40], "invalid JSON"), (lambda raw: b"[]", "record is not a JSON object")],
+        ids=["cut_to_40_bytes", "array"],
+    )
+    def test_damaged_run_manifest_stops_resume(self, tmp_path, capsys, damage, reason):
+        bench_run = self._bench_run(tmp_path, "--setting", "no_context", "--echo-model")
+        assert main(bench_run) == 0
+        run_dir = tmp_path / "run"
+        manifest = run_dir / "manifest.json"
+        manifest.write_bytes(damage(manifest.read_bytes()))
+        def files() -> dict:
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run_dir.rglob("*") if p.is_file()}
+
+        before = files()
+        capsys.readouterr()
+        assert main(bench_run) == 2
+        assert f"error: {manifest}: {reason}" in capsys.readouterr().err
+        assert files() == before
 
     def test_bench_run_reaps_every_model_child(self, tmp_path):
         script = tmp_path / "model.py"
