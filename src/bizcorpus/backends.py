@@ -67,7 +67,6 @@ class JsonLineProcess:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
-            bufsize=1,
         )
 
     def call(self, request: dict) -> dict:
@@ -75,7 +74,9 @@ class JsonLineProcess:
 
     def call_many(self, requests: list[dict]) -> list[str]:
         """Send the requests in order, up to ``WINDOW`` ahead of the replies
-        read, and return the reply lines ("" where none came)."""
+        read, and return the reply lines ("" where none came). Requests are
+        flushed in batches of half a window, and always before a read, so a
+        child must answer each line as it arrives, not wait for EOF."""
         with self._lock:
             if self._broken:
                 return [""] * len(requests)
@@ -87,14 +88,17 @@ class JsonLineProcess:
         assert stdin is not None and stdout is not None
         lines: list[str] = []
         sent = 0
+        batch = self.WINDOW // 2
         try:
             with contextlib.suppress(BrokenPipeError):  # the child is gone: the rest go unanswered
                 for request in requests:
                     stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
-                    stdin.flush()
                     sent += 1
-                    if sent - len(lines) == self.WINDOW:
-                        lines.append(stdout.readline())
+                    if sent % batch == 0:
+                        stdin.flush()
+                        if sent - len(lines) == self.WINDOW:
+                            lines += [stdout.readline() for _ in range(batch)]
+                stdin.flush()
             lines += [stdout.readline() for _ in range(sent - len(lines))]
         finally:
             # a child that did not answer every request is dead or out of step

@@ -459,7 +459,10 @@ def record_judgments(
     Verdict records are line-delimited JSON:
     ``{"question_id": ..., "content_faithful": bool, "instruction_followed": bool}``.
     Both criteria must be JSON booleans. A verdict for a question without an
-    ok response, or with a non-boolean criterion, is an error naming the line.
+    ok response, or with a non-boolean criterion, is an error naming the line,
+    and so is a second judgment of one (question, setting, model, judge),
+    whether already in ``judgments.jsonl`` or earlier in the same file. On
+    any error nothing is appended.
     """
     run_dir = Path(run_dir)
     responses_dir = run_dir / "responses"
@@ -467,6 +470,8 @@ def record_judgments(
     for path in sorted(responses_dir.glob("*.json")):
         record = _read_record(path)
         records[record.question_id] = record
+    stored = run_dir / "judgments.jsonl"
+    judged = {_judgment_key(j) for j in load_judgments(stored)} if stored.exists() else set()
 
     def parse(obj: dict) -> Judgment:
         qid = str(obj["question_id"])
@@ -475,7 +480,7 @@ def record_judgments(
             raise ValueError(f"no response record for {qid!r}")
         if record.status != "ok":
             raise ValueError(f"question {qid!r} has status {record.status!r}, cannot be judged")
-        return Judgment.record(
+        judgment = Judgment.record(
             question_id=qid,
             setting=record.setting,
             model_id=record.model_id,
@@ -484,10 +489,18 @@ def record_judgments(
             instruction_followed=obj["instruction_followed"],
             judge_id=judge_id,
         )
+        key = _judgment_key(judgment)
+        if key in judged:
+            raise ValueError(
+                f"question {qid!r} ({judgment.setting.value}, model {judgment.model_id!r}) "
+                f"is already judged by {judge_id!r}"
+            )
+        judged.add(key)
+        return judgment
 
     judgments = read_jsonl(verdicts_path, parse)
 
-    with (run_dir / "judgments.jsonl").open("a", encoding="utf-8") as fh:
+    with stored.open("a", encoding="utf-8") as fh:
         for judgment in judgments:
             fh.write(json.dumps(judgment.to_dict(), ensure_ascii=False, sort_keys=True))
             fh.write("\n")
@@ -496,6 +509,10 @@ def record_judgments(
 
 def load_judgments(path: Path | str) -> list[Judgment]:
     return read_jsonl(path, Judgment.from_dict)
+
+
+def _judgment_key(judgment: Judgment) -> tuple[str, SettingKind, str, str]:
+    return judgment.question_id, judgment.setting, judgment.model_id, judgment.judge_id
 
 
 def compute_accuracy(judgments: Sequence[Judgment]) -> dict[tuple[str, str], float]:

@@ -41,7 +41,10 @@ def load_rules(path: Path | str) -> CurationRuleSet:
     ``url_patterns``, ``cue_words`` and ``version``."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: rule file must contain a mapping")
     return CurationRuleSet(

@@ -204,29 +204,38 @@ def filter_non_japanese(
     workers: int = 1,  # ignored: every stage runs in one thread; kept for existing callers
 ) -> Corpus:
     """Keep exactly the documents identified as Japanese, setting ``lang`` on
-    survivors. Removal counts are recorded per detected language. When a
-    configured classifier gives no verdict for some documents, one warning
-    says how many the fallback decided instead, and why the first got none."""
-    texts = [doc.text for doc in corpus.documents]
-    primaries, failure = _primary_verdicts(config, texts)
-    missing = primaries.count(None)
-    if config.classifier is not None and missing:
-        log.warning(
-            "lang_id: the classifier gave no verdict for %d of %d documents; "
-            "the script fallback decided them; first cause: %s",
-            missing,
-            len(texts),
-            "not given" if failure is None else f"{type(failure).__name__}: {failure}",
-        )
+    survivors. Removal counts are recorded per detected language. Each
+    distinct text is classified and decided once, and its verdict holds for
+    every document carrying it, so a classifier must answer as a function of
+    the text. When a configured classifier gives no verdict for some
+    documents, one warning says how many the fallback decided instead, and
+    why the first got none."""
+    # exact duplicates are common in web crawls: classify each text once
+    distinct = list(dict.fromkeys(doc.text for doc in corpus.documents))
+    primaries, failure = _primary_verdicts(config, distinct)
+    verdicts = {
+        text: (_cascade(config, text, primary), primary is None)
+        for text, primary in zip(distinct, primaries)
+    }
     kept: list[Document] = []
     removals: dict[str, int] = {}
-    for doc, primary in zip(corpus.documents, primaries):
-        verdict = _cascade(config, doc.text, primary)
+    missing = 0
+    for doc in corpus.documents:
+        verdict, unanswered = verdicts[doc.text]
+        missing += unanswered
         if verdict.lang == JAPANESE:
             kept.append(doc.with_lang(JAPANESE))
         else:
             key = f"lang:{verdict.lang}"
             removals[key] = removals.get(key, 0) + 1
+    if config.classifier is not None and missing:
+        log.warning(
+            "lang_id: the classifier gave no verdict for %d of %d documents; "
+            "the script fallback decided them; first cause: %s",
+            missing,
+            len(corpus.documents),
+            "not given" if failure is None else f"{type(failure).__name__}: {failure}",
+        )
     out = Corpus(kept, provenance=corpus.provenance)
     if stats is not None:
         stats.record_stage("lang_id", corpus, out, doc_removals=removals)

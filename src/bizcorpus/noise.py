@@ -93,11 +93,13 @@ _STRIP_CLASSES = (LineClass.DATE_ONLY, LineClass.URL_ONLY, LineClass.MARKUP_FRAG
 
 
 def _filter_with_reasons(
-    config: NoiseConfig, doc: Document
-) -> tuple[Document | None, Counter[str]]:
+    config: NoiseConfig, text: str, lang: str | None
+) -> tuple[str | None, Counter[str]]:
+    """The denoised text (None when the document goes) and what was counted;
+    a function of its arguments alone."""
     counts: Counter[str] = Counter()
     kept: list[tuple[str, LineClass]] = []
-    for line in doc.text.splitlines():
+    for line in text.splitlines():
         if not line.strip():
             counts["lines_blank"] += 1
             continue
@@ -111,15 +113,20 @@ def _filter_with_reasons(
         counts["docs_empty_after_strip"] += 1
         return None, counts
 
-    exempt = doc.lang is not None and doc.lang in config.punctuationless_languages
+    exempt = lang is not None and lang in config.punctuationless_languages
     if not exempt:
         sentential = sum(1 for _, cls in kept if cls is LineClass.SENTENTIAL)
         if sentential / len(kept) < config.min_sentential_ratio:
             counts["docs_non_sentential"] += 1
             return None, counts
 
-    text = "\n".join(line for line, _ in kept)
-    return (doc if text == doc.text else doc.with_text(text)), counts
+    return "\n".join(line for line, _ in kept), counts
+
+
+def _with_text(doc: Document, text: str | None) -> Document | None:
+    if text is None:
+        return None
+    return doc if text == doc.text else doc.with_text(text)
 
 
 def filter_document(config: NoiseConfig, doc: Document) -> Document | None:
@@ -129,8 +136,7 @@ def filter_document(config: NoiseConfig, doc: Document) -> Document | None:
     Expects ``doc.lang`` to be set (runs after language identification); an
     unset lang is treated as not exempt from the terminator rule.
     """
-    filtered, _ = _filter_with_reasons(config, doc)
-    return filtered
+    return _with_text(doc, _filter_with_reasons(config, doc.text, doc.lang)[0])
 
 
 def denoise_corpus(
@@ -141,17 +147,25 @@ def denoise_corpus(
     workers: int = 1,  # ignored: every stage runs in one thread; kept for existing callers
 ) -> Corpus:
     """Apply :func:`filter_document` to every document in order; line-level
-    strip counts and document-level removal reasons land in stats."""
+    strip counts and document-level removal reasons land in stats, counted
+    per document. Documents with the same text and lang share one filter
+    call."""
     kept: list[Document] = []
     detail: Counter[str] = Counter()
     removals: Counter[str] = Counter()
+    # exact duplicates are common in web crawls: filter each (text, lang) once
+    results: dict[tuple[str, str | None], tuple[str | None, Counter[str]]] = {}
     for doc in corpus.documents:
-        filtered, counts = _filter_with_reasons(config, doc)
-        for key, value in counts.items():
-            if key.startswith("docs_"):
-                removals[key.removeprefix("docs_")] += value
+        key = (doc.text, doc.lang)
+        if key not in results:
+            results[key] = _filter_with_reasons(config, doc.text, doc.lang)
+        text, counts = results[key]
+        for reason, value in counts.items():
+            if reason.startswith("docs_"):
+                removals[reason.removeprefix("docs_")] += value
             else:
-                detail[key] += value
+                detail[reason] += value
+        filtered = _with_text(doc, text)
         if filtered is not None:
             kept.append(filtered)
     out = Corpus(kept, provenance=corpus.provenance)

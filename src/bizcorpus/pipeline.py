@@ -142,7 +142,10 @@ def load_config(path: Path | str) -> PipelineConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     with path.open("r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     _check_keys("top level", raw, _TOP_LEVEL_KEYS)

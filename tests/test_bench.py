@@ -364,6 +364,28 @@ class TestJudgingWorkflow:
         acc = compute_accuracy(reloaded)
         assert acc[("scripted", "no_context")] == 0.75
 
+    def test_second_judgment_by_one_judge_is_refused(self, tmp_path):
+        questions = _questions(2)
+        run_benchmark(NO_CONTEXT, questions, ScriptedModel(), out_dir=tmp_path / "run")
+        verdicts = tmp_path / "verdicts.jsonl"
+        lines = [
+            {"question_id": q.id, "content_faithful": True, "instruction_followed": True}
+            for q in questions + questions[:1]
+        ]
+        verdicts.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        with pytest.raises(
+            ValueError,
+            match=r"verdicts\.jsonl:3: question 'q000' \(no_context, model 'scripted'\) "
+            r"is already judged by 'judge-a'",
+        ):
+            record_judgments(tmp_path / "run", verdicts, judge_id="judge-a")
+        assert not (tmp_path / "run" / "judgments.jsonl").exists()
+        # without the repeat line: one judgment per question and judge
+        verdicts.write_text("".join(json.dumps(obj) + "\n" for obj in lines[:2]), encoding="utf-8")
+        assert len(record_judgments(tmp_path / "run", verdicts, judge_id="judge-a")) == 2
+        assert len(record_judgments(tmp_path / "run", verdicts, judge_id="judge-b")) == 2
+        assert len(load_judgments(tmp_path / "run" / "judgments.jsonl")) == 4
+
     def test_verdict_for_unknown_question_is_error(self, tmp_path):
         run_benchmark(NO_CONTEXT, _questions(1), ScriptedModel(), out_dir=tmp_path / "run")
         verdicts = tmp_path / "verdicts.jsonl"

@@ -49,6 +49,31 @@ class TestRun:
         config.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["run", "--config", str(config)]) == 1
 
+    def test_broken_yaml_config_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "pipeline.yaml"
+        config.write_text(BROKEN_YAML, encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: invalid YAML: ")
+
+    def test_broken_yaml_rules(self, tmp_path, capsys):
+        rules = tmp_path / "broken_rules.yaml"
+        rules.write_text(BROKEN_YAML, encoding="utf-8")
+        records, _ = synth.make_records(n_core=2)
+        config = synth.write_pipeline_config(tmp_path, records)
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["curation"]["rules_file"] = str(rules)
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        assert f"error: bad rules file {rules}: {rules}: invalid YAML: " in capsys.readouterr().err
+        corpus, _ = _corpus_file(tmp_path)
+        curate = ["curate", "--rules", str(rules), "--in", str(corpus), "--out", str(tmp_path / "c.jsonl")]
+        assert main(curate) == 2
+        assert capsys.readouterr().err.startswith(f"error: {rules}: invalid YAML: ")
+
+
+# The reproduction: a flow sequence opened and never closed.
+BROKEN_YAML = "sources: [\n  - path: x\n"
+
 
 # Classifier child that records its pid, so a test can check it was reaped.
 PID_RECORDING_CLASSIFIER = """
@@ -446,3 +471,23 @@ class TestShippedExamples:
         capsys.readouterr()
         assert main(["bench-score", str(run_dir / "judgments.jsonl")]) == 0
         assert "accuracy=0.5000" in capsys.readouterr().out
+
+    def test_judging_a_run_twice_is_refused(self, tmp_path, capsys):
+        # the second bench-judge used to append every judgment again (n=8)
+        run_dir = tmp_path / "run"
+        assert main(
+            ["bench-run", "--questions", str(CONFIGS / "questions.example.jsonl"),
+             "--setting", "manual_rag", "--out", str(run_dir), "--echo-model"]
+        ) == 0
+        judge = ["bench-judge", "--run", str(run_dir),
+                 "--verdicts", str(CONFIGS / "verdicts.example.jsonl"), "--judge", "demo"]
+        assert main(judge) == 0
+        judgments = (run_dir / "judgments.jsonl").read_bytes()
+        capsys.readouterr()
+        assert main(judge) == 2
+        err = capsys.readouterr().err
+        assert f"error: {CONFIGS / 'verdicts.example.jsonl'}:1: question 'bq-001'" in err
+        assert "is already judged by 'demo'" in err
+        assert (run_dir / "judgments.jsonl").read_bytes() == judgments
+        assert main(["bench-score", str(run_dir / "judgments.jsonl")]) == 0
+        assert "n=4" in capsys.readouterr().out

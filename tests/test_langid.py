@@ -5,6 +5,8 @@ from __future__ import annotations
 import logging
 import sys
 import textwrap
+import threading
+from collections import Counter
 
 import oracles
 import pytest
@@ -175,6 +177,31 @@ class TestFilter:
         parallel = filter_non_japanese(LangIdConfig(), Corpus(docs), workers=4)
         assert sequential.documents == parallel.documents
 
+    def test_one_classify_call_per_distinct_text(self):
+        class Recording:  # no classify_many: one classify call per text asked about
+            def __init__(self):
+                self.asked: list[str] = []
+
+            def classify(self, text: str) -> tuple[str, float]:
+                self.asked.append(text)
+                lang = "ja" if any(0x3040 <= ord(c) <= 0x30FF for c in text) else "en"
+                return lang, 0.5 if text.startswith("low") else 0.97
+
+        texts = ["にほんご。", "english", "low english with one か", "にほんご。"]
+        texts += ["low にほんご。", "english", "low english with one か", "にほんご。", "low привет"]
+        docs = [doc(f"d{i}", text) for i, text in enumerate(texts)]
+        backend = Recording()
+        config = LangIdConfig(classifier=backend)
+        stats = PipelineStats()
+        out = filter_non_japanese(config, Corpus(docs), stats=stats)
+        assert backend.asked == [
+            "にほんご。", "english", "low english with one か", "low にほんご。", "low привет"
+        ]
+        reference = [identify(config, d.text) for d in docs]
+        assert out.documents == [d.with_lang("ja") for d, v in zip(docs, reference) if v.lang == "ja"]
+        removed = Counter(f"lang:{v.lang}" for v in reference if v.lang != "ja")
+        assert stats.stages[-1].doc_removals == removed == {"lang:en": 4, "lang:ru": 1}
+
 
 CHILD = textwrap.dedent(
     """
@@ -280,6 +307,28 @@ class TestPipelinedCalls:
         backend = spawn()
         assert backend.classify_many(texts) == [backend.classify(text) for text in texts]
 
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 32, 33, 97])
+    def test_many_matches_one_call_per_text_at_batch_edges(self, spawn, n):
+        # around each flush batch (16) and window (32); every fifth text
+        # outgrows a pipe buffer
+        texts = [
+            f"にほんごのぶん{i}。" * (9000 if i % 5 == 0 else 1) if i % 2 else f"english {i}"
+            for i in range(n)
+        ]
+        backend = spawn()
+        answers: dict[str, list] = {}
+
+        def exchange() -> None:
+            answers["many"] = backend.classify_many(texts)
+            answers["one"] = [backend.classify(text) for text in texts]
+
+        thread = threading.Thread(target=exchange, daemon=True)
+        thread.start()
+        thread.join(timeout=20)
+        assert not thread.is_alive(), f"the exchange of {n} requests did not finish"
+        assert answers["many"] == answers["one"]
+        assert None not in answers["many"]
+
     def test_bad_replies_and_exit_give_no_answer(self, spawn):
         texts = ["にほんご。", "garbled", "no confidence", "english", "die", "にほんご。", "english"]
         backend = spawn()
@@ -292,10 +341,12 @@ class TestPipelinedCalls:
         # the stub says ja for any kana; the fallback needs a kana ratio of 0.05
         texts = ["にほんご。", "low english", "garbled", "english", "low にほんご。", "no confidence"]
         texts += ["low english text with just one か", "plain english text with just one か"]
-        docs = [doc(f"d{i}", text) for i, text in enumerate(texts + ["die"] + texts)]
+        # after "die" come new texts, then one repeat of a text answered before it
+        after = [f"post {text}" for text in texts] + [texts[7]]
+        docs = [doc(f"d{i}", text) for i, text in enumerate(texts + ["die"] + after)]
         pipelined = spawn()
 
-        class OneByOne:  # no classify_many: the filter makes one call per document
+        class OneByOne:  # no classify_many: the filter makes one call per distinct text
             inner = spawn()
 
             def classify(self, text: str) -> tuple[str, float]:
@@ -307,11 +358,13 @@ class TestPipelinedCalls:
             out = filter_non_japanese(LangIdConfig(classifier=backend), Corpus(docs), stats=stats)
             runs.append((out.documents, stats.stages[-1].doc_removals))
         assert runs[0] == runs[1]
-        # after "die" every document falls back, so d16 goes where d7 stayed
-        assert [d.id for d in runs[0][0]] == ["d0", "d4", "d7", "d9", "d13"]
+        # after "die" every new text falls back, so d16 goes where d7 stayed;
+        # d17 repeats d7's text and keeps d7's verdict
+        assert [d.id for d in runs[0][0]] == ["d0", "d4", "d7", "d9", "d13", "d17"]
 
     def test_lost_verdicts_warn_once_per_call(self, spawn, caplog):
-        texts = ["にほんご。", "english", "die", "にほんご。", "english"]
+        # after "die": two new texts, then a repeat of a text answered before it
+        texts = ["にほんご。", "english", "die", "にほんご、もういちど。", "english again", "english"]
         docs = [doc(f"d{i}", text) for i, text in enumerate(texts)]
 
         def warnings(backend, docs) -> list[str]:
@@ -322,9 +375,10 @@ class TestPipelinedCalls:
 
         assert warnings(spawn(), docs[:2] + docs[3:]) == []
         assert warnings(None, docs) == []
-        # the child exits at "die": that document and the two after it get no verdict
+        # the child exits at "die": that document and the two new texts after it
+        # get no verdict; the repeated "english" keeps the verdict it had
         (message,) = warnings(spawn(), docs)
-        assert "3 of 5 documents" in message
+        assert "3 of 6 documents" in message
         assert "first cause: WireProtocolError: backend process closed its stdout" in message
         no_confidence = [doc("d5", "no confidence"), doc("d6", "garbled"), docs[0]]
         (message,) = warnings(spawn(), no_confidence)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,3 +170,26 @@ class TestDenoiseCorpus:
         sequential = denoise_corpus(CFG, Corpus(docs), workers=1)
         parallel = denoise_corpus(CFG, Corpus(docs), workers=4)
         assert sequential.documents == parallel.documents
+
+    def test_duplicates_match_one_document_at_a_time(self):
+        noisy = "2023/10/05\nいちぶんめです。\nにぶんめです。"
+        unpunctuated = "おわりのないぎょう\nもうひとつ"
+        texts = [noisy, unpunctuated, noisy, "<div>\nhttps://x.example.com", unpunctuated]
+        texts += ["ただのぶんです。", noisy, "<div>\nhttps://x.example.com", unpunctuated]
+        docs = [doc(f"d{i}", text, url=f"u{i}", lang="ja") for i, text in enumerate(texts)]
+        # the same text under a punctuationless language is kept where "ja" goes
+        docs.insert(2, doc("th", unpunctuated, lang="th"))
+        stats = PipelineStats()
+        out = denoise_corpus(CFG, Corpus(docs), stats=stats)
+        one_by_one = [filter_document(CFG, d) for d in docs]
+        assert out.documents == [d for d in one_by_one if d is not None]
+        assert "th" in [d.id for d in out]
+        detail: Counter[str] = Counter()
+        removals: Counter[str] = Counter()
+        for d in docs:  # one document per call: nothing to share
+            alone = PipelineStats()
+            denoise_corpus(CFG, Corpus([d]), stats=alone)
+            detail.update(alone.stages[-1].detail)
+            removals.update(alone.stages[-1].doc_removals)
+        assert stats.stages[-1].detail == detail
+        assert stats.stages[-1].doc_removals == removals == {"non_sentential": 3, "empty_after_strip": 2}
