@@ -20,12 +20,12 @@ import json
 import re
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Protocol, Sequence, get_type_hints
+from typing import Protocol, Sequence, get_args, get_type_hints
 
 from .core import ConfigError, read_json, read_jsonl, utcnow, write_json
 
@@ -56,7 +56,8 @@ def _check_field_types(record: object) -> None:
     for name, kind in _field_types(type(record)).items():
         value = getattr(record, name)
         if not isinstance(value, kind):
-            expected = _JSON_TYPE_NAMES.get(kind, kind.__name__)
+            base = next(iter(get_args(kind)), kind)  # an optional field names its non-null type
+            expected = _JSON_TYPE_NAMES.get(base, base.__name__)
             raise ValueError(f"{name} must be a JSON {expected}, got {value!r}")
 
 
@@ -67,7 +68,7 @@ class TaskSetting:
 
     def __post_init__(self) -> None:
         if self.truncation_chars < 1:
-            raise ValueError("truncation_chars must be positive")
+            raise ConfigError(f"truncation_chars must be at least 1, got {self.truncation_chars}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,7 @@ class BenchmarkQuestion:
     question_set: str = "non_latest"
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if not self.question:
             raise ValueError("question must be non-empty")
         if self.category not in CATEGORIES:
@@ -329,26 +331,35 @@ def _check_stored_questions(path: Path, digest: str) -> None:
         )
 
 
+def _retrieve(search: SearchBackend, q: BenchmarkQuestion) -> tuple[str, float]:
+    """The page retrieved for ``q`` and the seconds its search took."""
+    start = time.monotonic()
+    body = retrieve_auto_context(search, q)
+    return body, time.monotonic() - start
+
+
 def _run_one(
     blank: RunRecord,
     setting: TaskSetting,
     q: BenchmarkQuestion,
     model: ModelBackend,
-    search: SearchBackend | None,
+    page: Future[tuple[str, float]] | None,
 ) -> RunRecord:
-    """Answer ``q``; return ``blank``, which holds the run's fields, with ``q``'s
+    """Answer ``q``, waiting first for its retrieved ``page`` if one was
+    searched for; return ``blank``, which holds the run's fields, with ``q``'s
     id and the outcome."""
-    start = time.monotonic()
     outcome = functools.partial(replace, blank, question_id=q.id)
+    searched_s = 0.0
+    if page is not None:
+        try:
+            body, searched_s = page.result()
+        except RetrievalError as exc:
+            return outcome(status="skipped", error=str(exc))
+        q = replace(q, auto_context=body)
+    elif setting.kind is SettingKind.AUTO_RAG and not q.auto_context:
+        return outcome(status="skipped", error="no retrieved page for auto_rag")
+    start = time.monotonic()
     try:
-        if setting.kind is SettingKind.AUTO_RAG and not q.auto_context:
-            if search is None:
-                return outcome(status="skipped", error="no retrieved page for auto_rag")
-            try:
-                body = retrieve_auto_context(search, q)
-            except RetrievalError as exc:
-                return outcome(status="skipped", error=str(exc))
-            q = replace(q, auto_context=body)
         prompt = build_prompt(setting, q)
     except MissingContextError as exc:
         return outcome(status="error", error=str(exc))
@@ -356,7 +367,7 @@ def _run_one(
         response = model.generate(prompt)
     except Exception as exc:
         return outcome(status="error", prompt=prompt, error=f"model backend failed: {exc}")
-    elapsed_ms = int((time.monotonic() - start) * 1000)
+    elapsed_ms = int((searched_s + time.monotonic() - start) * 1000)
     return outcome(status="ok", prompt=prompt, response=response, elapsed_ms=elapsed_ms)
 
 
@@ -381,9 +392,19 @@ def run_benchmark(
     Per-question backend failures are recorded and the run continues; only
     configuration errors abort the whole run. With ``out_dir`` set, each
     question gets its own record file under ``responses/`` plus a run
-    manifest, and an interrupted run resumes by skipping existing records.
-    A run directory whose manifest records another question set is refused.
-    At most ``max_in_flight`` (at least 1) questions wait on the model at once.
+    manifest. An interrupted run resumes: it keeps the stored ``ok`` and
+    ``skipped`` records and asks the other questions, ``error`` ones
+    included, again. A run directory whose manifest records another question
+    set is refused.
+
+    At most ``max_in_flight`` (at least 1) questions wait on the model at
+    once, and at most as many on ``search``. The ``auto_rag`` searches are
+    queued up front, in question order, so retrieval runs ahead of the model.
+    Records are written in question order by the calling thread while the
+    model keeps answering. A record's ``elapsed_ms`` is the question's own
+    search time plus its prompt and model time, without time spent queued.
+    On any exception the queued questions and searches are cancelled, and
+    the call returns once the running ones have finished.
     """
     check_max_in_flight(max_in_flight)
     blank = RunRecord(
@@ -413,18 +434,30 @@ def run_benchmark(
             for q, path in zip(questions, paths)
         ]
 
-    def _process(i: int) -> RunRecord:
-        record = _run_one(blank, setting, questions[i], model, search)
-        path = paths[i]
-        if path is not None:
-            write_json(path, asdict(record))
-        return record
-
-    todo = [i for i, record in enumerate(records) if record is None]
-    # map cancels the queued questions when the caller stops (Ctrl-C, a failed write)
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        for i, record in zip(todo, pool.map(_process, todo)):
-            records[i] = record
+    todo = [i for i, record in enumerate(records) if record is None or record.status == "error"]
+    with (
+        ThreadPoolExecutor(max_in_flight, thread_name_prefix="bench-search") as searches,
+        ThreadPoolExecutor(max_in_flight, thread_name_prefix="bench-model") as slots,
+    ):
+        try:
+            pages = {
+                i: searches.submit(_retrieve, search, questions[i])
+                for i in todo
+                if search is not None
+                and setting.kind is SettingKind.AUTO_RAG
+                and not questions[i].auto_context
+            }
+            answers = slots.map(
+                lambda i: _run_one(blank, setting, questions[i], model, pages.get(i)), todo
+            )
+            for i, record in zip(todo, answers):
+                if paths[i] is not None:
+                    write_json(paths[i], asdict(record))
+                records[i] = record
+        except BaseException:  # Ctrl-C, a failed write: stop what has not started
+            for pool in (slots, searches):
+                pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
     if out_dir is not None:
         write_json(

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bizcorpus
+from bizcorpus import bench
 from bizcorpus.backends import CommandModel, EchoModel, WireProtocolError
 from bizcorpus.bench import (
     OUTPUT_MARKER,
@@ -57,6 +60,16 @@ class ScriptedModel:
         if any(marker in prompt for marker in self.fail_for):
             raise RuntimeError("backend exploded")
         return f"答え({len(prompt)}文字のプロンプト)"
+
+
+class CountingModel(ScriptedModel):
+    """Counts its calls; used one question at a time."""
+
+    calls = 0
+
+    def generate(self, prompt: str) -> str:
+        self.calls += 1
+        return super().generate(prompt)
 
 
 class TestTruncation:
@@ -202,21 +215,38 @@ class TestRunBenchmark:
 
     def test_resume_skips_existing_records(self, tmp_path):
         questions = _questions(6)
-
-        class CountingModel(ScriptedModel):
-            calls = 0
-
-            def generate(self, prompt):
-                type(self).calls += 1
-                return super().generate(prompt)
-
-        run_benchmark(NO_CONTEXT, questions[:3], CountingModel(), out_dir=tmp_path / "run")
-        assert CountingModel.calls == 3
+        model = CountingModel()
+        run_benchmark(NO_CONTEXT, questions[:3], model, out_dir=tmp_path / "run")
+        assert model.calls == 3
         # a run interrupted before its manifest was written
         (tmp_path / "run" / "manifest.json").unlink()
-        responses = run_benchmark(NO_CONTEXT, questions, CountingModel(), out_dir=tmp_path / "run")
-        assert CountingModel.calls == 6  # only the 3 new questions hit the model
+        responses = run_benchmark(NO_CONTEXT, questions, model, out_dir=tmp_path / "run")
+        assert model.calls == 6  # only the 3 new questions hit the model
         assert len(responses) == 6
+
+    def test_resume_retries_error_records(self, tmp_path):
+        questions = _questions(50)
+        run_benchmark(NO_CONTEXT, questions, ScriptedModel(fail_for={"質問7は"}), out_dir=tmp_path / "run")
+        healthy = CountingModel()
+        responses = run_benchmark(NO_CONTEXT, questions, healthy, out_dir=tmp_path / "run")
+        assert healthy.calls == 1  # only the failed question is asked again
+        assert len(responses) == 50
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["status_counts"] == {"ok": 50}
+
+    def test_resume_retries_missing_context_without_a_model_call(self, tmp_path):
+        questions = [
+            q(f"q{i}", question=f"質問{i}は何ですか？", manual_context=None if i == 2 else "本文。")
+            for i in range(4)
+        ]
+        run_benchmark(MANUAL, questions, ScriptedModel(), out_dir=tmp_path / "run")
+        before = _normalized_run_dir(tmp_path / "run")
+        assert before["manifest.json"]["status_counts"] == {"error": 1, "ok": 3}
+        model = CountingModel()
+        run_benchmark(MANUAL, questions, model, out_dir=tmp_path / "run")
+        # the retried question fails again before it has a prompt
+        assert model.calls == 0
+        assert _normalized_run_dir(tmp_path / "run") == before
 
     def test_resume_with_another_question_set_refused(self, tmp_path):
         questions = _questions(4)
@@ -238,6 +268,92 @@ class TestRunBenchmark:
         serial = run_benchmark(NO_CONTEXT, questions, ScriptedModel())
         threaded = run_benchmark(NO_CONTEXT, questions, ScriptedModel(), max_in_flight=5)
         assert serial == threaded
+
+
+class PageSearch:
+    """Answers each query with a page of its own, except the queries in ``misses``."""
+
+    def __init__(self, misses: set[str] = frozenset()):
+        self.misses = misses
+
+    def search(self, query):
+        if query in self.misses:
+            return [SearchResult(url="u", title="本文のない結果")]
+        return [SearchResult(url="u", body=f"{query}についての記事。")]
+
+
+class TestPipelinedRun:
+    def test_search_runs_while_the_model_answers(self):
+        # one question in flight: question 0's model call waits for question 1's search
+        searched = threading.Event()
+
+        class SignallingSearch(PageSearch):
+            def search(self, query):
+                if query.startswith("質問1は"):
+                    searched.set()
+                return super().search(query)
+
+        class WaitingModel(ScriptedModel):
+            def generate(self, prompt):
+                if "質問0は" in prompt and not searched.wait(timeout=10):
+                    raise RuntimeError("question 1 was not searched while question 0 waited")
+                return super().generate(prompt)
+
+        questions = _questions(3)
+        responses = run_benchmark(AUTO, questions, WaitingModel(), search=SignallingSearch(), max_in_flight=1)
+        assert [qid for qid, _ in responses] == [x.id for x in questions]
+
+    def test_failed_write_stops_both_backends(self, tmp_path, monkeypatch):
+        # searches from question 3 on block until 0.2 s after the failed write
+        gate = threading.Event()
+        timer = threading.Timer(0.2, gate.set)
+        searched: list[str] = []
+        prompted: list[str] = []
+        written: list[Path] = []
+
+        class GatedSearch(PageSearch):
+            def search(self, query):
+                searched.append(query)
+                if int(re.match(r"質問(\d+)", query)[1]) >= 3:
+                    gate.wait(timeout=10)
+                return super().search(query)
+
+        class RecordingModel(ScriptedModel):
+            def generate(self, prompt):
+                prompted.append(prompt)
+                return super().generate(prompt)
+
+        def write_json(path, obj):
+            if len(written) == 2:
+                timer.start()
+                raise OSError("disk full")
+            written.append(path)
+
+        monkeypatch.setattr(bench, "write_json", write_json)
+        with pytest.raises(OSError, match="disk full"):
+            run_benchmark(
+                AUTO, _questions(20), RecordingModel(), search=GatedSearch(),
+                out_dir=tmp_path / "run", max_in_flight=2,
+            )
+        timer.join(timeout=10)
+        pools = [t.name for t in threading.enumerate() if t.name.startswith(("bench-search", "bench-model"))]
+        assert pools == []
+        # three questions answered, and at most two more in flight on each backend
+        assert len(written) == 2
+        assert len(searched) <= 5
+        assert len(prompted) <= 5
+
+    def test_auto_rag_records_equal_at_one_and_four_in_flight(self, tmp_path):
+        questions = [
+            q(f"q{i:02d}", question=f"質問{i}は何ですか？", auto_context="手元の本文。" if i % 5 == 0 else None)
+            for i in range(15)
+        ]
+        search = PageSearch(misses={"質問3は何ですか？", "質問7は何ですか？"})
+        for n in (1, 4):
+            run_benchmark(AUTO, questions, ScriptedModel(), search=search, out_dir=tmp_path / str(n), max_in_flight=n)
+        records = _normalized_run_dir(tmp_path / "1")
+        assert records["manifest.json"]["status_counts"] == {"ok": 13, "skipped": 2}
+        assert records == _normalized_run_dir(tmp_path / "4")
 
 
 class TestJudgments:
@@ -511,8 +627,12 @@ class TestQuestionLoading:
             ('["q2", "x", "trends"]', "record is not a JSON object"),
             ('{"id": "q2", "category": "trends"}', "missing field 'question'"),
             ('{"id": "q2", "question": "x"', "invalid JSON"),
+            ('{"id": "q2", "question": "x", "category": "trends", "manual_context": 5}',
+             "manual_context must be a JSON string, got 5"),
+            ('{"id": "q2", "question": "x", "category": "trends", "auto_context": ["本文"]}',
+             "auto_context must be a JSON string, got ['本文']"),
         ],
-        ids=["array", "missing_question", "broken_json"],
+        ids=["array", "missing_question", "broken_json", "number_context", "array_context"],
     )
     def test_bad_question_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "q.jsonl"

@@ -424,6 +424,27 @@ class TestBenchWorkflow:
         assert f"max_in_flight must be at least 1, got {max_in_flight}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("truncation", ["0", "-1"])
+    def test_truncation_below_one_exit_one(self, tmp_path, capsys, truncation):
+        bench_run = self._bench_run(tmp_path, "--setting", "manual_rag", "--echo-model",
+                                    "--truncation", truncation)
+        assert main(bench_run) == 1
+        assert f"truncation_chars must be at least 1, got {truncation}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_string_context_exit_two_before_any_spawn(self, tmp_path, capsys):
+        script = tmp_path / "model.py"
+        script.write_text(PID_RECORDING_MODEL, encoding="utf-8")
+        pid_file = tmp_path / "model.pids"
+        bench_run = self._bench_run(tmp_path, "--setting", "manual_rag", "--model-cmd",
+                                    shlex.join([sys.executable, str(script), str(pid_file)]))
+        questions = tmp_path / "questions.jsonl"
+        synth.write_jsonl(questions, [*QUESTIONS[:2], {**QUESTIONS[2], "manual_context": 5}])
+        assert main(bench_run) == 2
+        assert f"error: {questions}:3: manual_context must be a JSON string, got 5" in capsys.readouterr().err
+        assert not pid_file.exists()
+        assert not (tmp_path / "run").exists()
+
     def test_max_in_flight_checked_before_any_spawn(self, tmp_path, capsys):
         script = tmp_path / "model.py"
         script.write_text(PID_RECORDING_MODEL, encoding="utf-8")
