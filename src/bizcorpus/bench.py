@@ -231,18 +231,19 @@ def retrieve_auto_context(backend: SearchBackend, q: BenchmarkQuestion) -> str:
 
 
 def load_questions(path: Path | str) -> list[BenchmarkQuestion]:
-    """Load benchmark questions from line-delimited JSON. Any invalid record
-    is a configuration error and aborts the run."""
+    """Load benchmark questions from line-delimited JSON. Any invalid record,
+    such as a field that is not a JSON string, is a configuration error and
+    aborts the run."""
     seen: set[str] = set()
 
     def parse(obj: dict) -> BenchmarkQuestion:
         question = BenchmarkQuestion(
-            id=str(obj["id"]),
-            question=str(obj["question"]),
-            category=str(obj["category"]),
+            id=obj["id"],
+            question=obj["question"],
+            category=obj["category"],
             manual_context=obj.get("manual_context"),
             auto_context=obj.get("auto_context"),
-            question_set=str(obj.get("question_set", "non_latest")),
+            question_set=obj.get("question_set", "non_latest"),
         )
         if question.id in seen:
             raise ValueError(f"duplicate question id {question.id!r}")

@@ -239,11 +239,13 @@ class WhitespaceCjkTokenizer:
     def count(self, text: str) -> int:
         # Counted by runs, a few regex matches per document where one per
         # character cost several times more: each CJK character is a token,
-        # and so is each whitespace-delimited run of the rest once the CJK
-        # runs are cut out. ``str.split()`` splits on exactly the
-        # ``str.isspace`` characters.
-        cjk = _cjk_run_re()
-        return len(text) - len(cjk.sub("", text)) + len(cjk.sub(" ", text).split())
+        # and so is each whitespace-delimited run of the rest once each CJK
+        # run is replaced by one space. A run of n characters shortens the
+        # text by n - 1, so the CJK characters number the shortening plus
+        # the runs. ``str.split()`` splits on exactly the ``str.isspace``
+        # characters.
+        spaced, runs = _cjk_run_re().subn(" ", text)
+        return len(text) - len(spaced) + runs + len(spaced.split())
 
 
 class TokenizeError(RuntimeError):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import logging
 import re
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
@@ -95,34 +97,48 @@ _SCRIPT_LANG = {
 }
 
 
-@functools.cache
-def _script_res() -> dict[str, re.Pattern[str]]:
-    # One match per character: Latin text breaks into many short runs, so
-    # counting by runs is slower here than in ``jp_script_ratio``. Compiled
-    # on first use, like the tokenizer's pattern: the Han and Hangul ranges
-    # take milliseconds to compile.
-    return {
-        name: re.compile(f"[{code_point_class(ranges)}]") for name, ranges in _SCRIPT_RANGES.items()
-    }
+# The script ranges flattened and sorted by start, for ``bisect``: a code
+# point at or after ``_RANGE_STARTS[i]`` and at most ``_RANGE_ENDS[i]`` is in
+# ``_RANGE_SCRIPTS[i]``'s bucket.
+_RANGE_STARTS, _RANGE_ENDS, _RANGE_SCRIPTS = zip(
+    *sorted((lo, hi, name) for name, ranges in _SCRIPT_RANGES.items() for lo, hi in ranges)
+)
 
 
 @functools.cache
 def _kana_run_re() -> re.Pattern[str]:
-    # Apart from ``_script_res``, so the kana ratio alone compiles no other
-    # script's class.
     return re.compile(f"[{code_point_class(_KANA_RANGES)}]+")
 
 
-def jp_script_ratio(text: str) -> float:
-    """Fraction of all characters that fall in the Hiragana/Katakana blocks."""
-    if not text:
-        return 0.0
-    # summed over maximal kana runs: one match per run, not per character
-    return sum(map(len, _kana_run_re().findall(text))) / len(text)
+def _kana_share_reaches(text: str, threshold: float) -> bool:
+    """Whether the fraction of ``text``'s characters in the Hiragana/Katakana
+    blocks reaches ``threshold`` (an empty text has fraction 0).
+
+    Summed over maximal kana runs, one match per run, and stopped at the
+    first run that reaches the threshold. That is exact: the count only
+    grows and float division is monotonic, so once ``kana / len(text)``
+    reaches the threshold, the full count's fraction does too."""
+    if threshold <= 0:
+        return True
+    size = len(text)
+    kana = 0
+    for run in _kana_run_re().finditer(text):
+        kana += run.end() - run.start()
+        if kana / size >= threshold:
+            return True
+    return False
 
 
 def _script_counts(text: str) -> dict[str, int]:
-    return {name: pattern.subn("", text)[1] for name, pattern in _script_res().items()}
+    # Placed once per distinct character, not once per character, and with
+    # no regex, whose Han and Hangul classes take milliseconds to compile.
+    counts = dict.fromkeys(_SCRIPT_RANGES, 0)
+    for ch, n in Counter(text).items():
+        cp = ord(ch)
+        i = bisect_right(_RANGE_STARTS, cp) - 1
+        if i >= 0 and cp <= _RANGE_ENDS[i]:
+            counts[_RANGE_SCRIPTS[i]] += n
+    return counts
 
 
 def primary_verdicts(config: LangIdConfig, texts: list[str]) -> list[LangVerdict | None]:
@@ -164,18 +180,15 @@ def _primary_verdict(lang: str, confidence: float) -> LangVerdict:
 def classify_fallback(config: LangIdConfig, text: str) -> LangVerdict:
     """Script-characteristics heuristic.
 
-    Japanese wins when the kana ratio reaches the configured threshold, with
-    confidence ``min(1, ratio / threshold)``; otherwise the most frequent
-    script decides, with that script's character fraction as confidence.
-    Empty text yields ``und`` at confidence 0.
+    Japanese wins, at confidence 1, when the fraction of kana characters
+    reaches the configured threshold; otherwise the most frequent script
+    decides, with that script's character fraction as confidence. Empty text
+    yields ``und`` at confidence 0.
     """
     if not text:
         return LangVerdict(UNDETERMINED, 0.0, VerdictStage.FALLBACK)
-    ratio = jp_script_ratio(text)
-    threshold = config.jp_script_ratio_threshold
-    if ratio >= threshold:
-        confidence = 1.0 if threshold <= 0 else min(1.0, ratio / threshold)
-        return LangVerdict(JAPANESE, confidence, VerdictStage.FALLBACK)
+    if _kana_share_reaches(text, config.jp_script_ratio_threshold):
+        return LangVerdict(JAPANESE, 1.0, VerdictStage.FALLBACK)
     counts = _script_counts(text)
     best = max(counts, key=lambda name: (counts[name], name))
     if counts[best] == 0:

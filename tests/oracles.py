@@ -1,7 +1,8 @@
 """Reference implementations for the regex-based hot paths.
 
-These are the original per-character loops, kept verbatim so property tests
-can require the fast versions in ``bizcorpus`` to return identical results.
+These are the original per-character loops, and the language fallback
+verdict computed from them, kept verbatim so property tests can require the
+fast versions in ``bizcorpus`` to return identical results.
 They read the same range tables as the code under test, so a change to a
 range is checked against both.
 """
@@ -10,7 +11,16 @@ from __future__ import annotations
 
 from bizcorpus.core import _CJK_RANGES
 from bizcorpus.dedup import DedupConfig
-from bizcorpus.langid import _KANA_RANGES, _SCRIPT_RANGES
+from bizcorpus.langid import (
+    _KANA_RANGES,
+    _SCRIPT_LANG,
+    _SCRIPT_RANGES,
+    JAPANESE,
+    UNDETERMINED,
+    LangIdConfig,
+    LangVerdict,
+    VerdictStage,
+)
 
 
 def _is_cjk(ch: str) -> bool:
@@ -53,6 +63,23 @@ def script_counts(text: str) -> dict[str, int]:
                 counts[name] += 1
                 break
     return counts
+
+
+def fallback_verdict(config: LangIdConfig, text: str) -> LangVerdict:
+    """``classify_fallback`` from the full kana ratio, with confidence
+    ``min(1, ratio / threshold)`` on the Japanese branch."""
+    if not text:
+        return LangVerdict(UNDETERMINED, 0.0, VerdictStage.FALLBACK)
+    ratio = jp_script_ratio(text)
+    threshold = config.jp_script_ratio_threshold
+    if ratio >= threshold:
+        confidence = 1.0 if threshold <= 0 else min(1.0, ratio / threshold)
+        return LangVerdict(JAPANESE, confidence, VerdictStage.FALLBACK)
+    counts = script_counts(text)
+    best = max(counts, key=lambda name: (counts[name], name))
+    if counts[best] == 0:
+        return LangVerdict(UNDETERMINED, 0.0, VerdictStage.FALLBACK)
+    return LangVerdict(_SCRIPT_LANG[best], counts[best] / len(text), VerdictStage.FALLBACK)
 
 
 def split_line(config: DedupConfig, line: str) -> list[str]:

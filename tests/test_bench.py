@@ -631,8 +631,15 @@ class TestQuestionLoading:
              "manual_context must be a JSON string, got 5"),
             ('{"id": "q2", "question": "x", "category": "trends", "auto_context": ["本文"]}',
              "auto_context must be a JSON string, got ['本文']"),
+            ('{"id": 7, "question": "x", "category": "trends"}', "id must be a JSON string, got 7"),
+            ('{"id": "q2", "question": null, "category": "trends"}',
+             "question must be a JSON string, got None"),
+            ('{"id": "q2", "question": "x", "category": 3}', "category must be a JSON string, got 3"),
+            ('{"id": "q2", "question": "x", "category": "trends", "question_set": null}',
+             "question_set must be a JSON string, got None"),
         ],
-        ids=["array", "missing_question", "broken_json", "number_context", "array_context"],
+        ids=["array", "missing_question", "broken_json", "number_context", "array_context",
+             "number_id", "null_question", "number_category", "null_question_set"],
     )
     def test_bad_question_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "q.jsonl"

@@ -445,6 +445,26 @@ class TestBenchWorkflow:
         assert not pid_file.exists()
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [("question", None, "question must be a JSON string, got None"),
+         ("id", 7, "id must be a JSON string, got 7")],
+    )
+    def test_non_string_question_field_exit_two_before_any_spawn(
+        self, tmp_path, capsys, field, value, message
+    ):
+        script = tmp_path / "model.py"
+        script.write_text(PID_RECORDING_MODEL, encoding="utf-8")
+        pid_file = tmp_path / "model.pids"
+        bench_run = self._bench_run(tmp_path, "--setting", "manual_rag", "--model-cmd",
+                                    shlex.join([sys.executable, str(script), str(pid_file)]))
+        questions = tmp_path / "questions.jsonl"
+        synth.write_jsonl(questions, [{**QUESTIONS[0], field: value}, *QUESTIONS[1:]])
+        assert main(bench_run) == 2
+        assert f"error: {questions}:1: {message}" in capsys.readouterr().err
+        assert not pid_file.exists()
+        assert not (tmp_path / "run").exists()
+
     def test_max_in_flight_checked_before_any_spawn(self, tmp_path, capsys):
         script = tmp_path / "model.py"
         script.write_text(PID_RECORDING_MODEL, encoding="utf-8")

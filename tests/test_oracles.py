@@ -1,8 +1,10 @@
-"""The run-counting tokenizer and kana ratio, the regex script counts and
-sentence split against the per-character loops in ``oracles``."""
+"""The run-counting tokenizer and kana share test, the histogram script
+counts, the language fallback and the regex sentence split against the
+per-character loops in ``oracles``."""
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from itertools import combinations
@@ -14,7 +16,14 @@ from hypothesis import strategies as st
 
 from bizcorpus.core import _CJK_RANGES, WhitespaceCjkTokenizer
 from bizcorpus.dedup import DedupConfig, _split_line
-from bizcorpus.langid import _KANA_RANGES, _SCRIPT_RANGES, _script_counts, jp_script_ratio
+from bizcorpus.langid import (
+    _KANA_RANGES,
+    _SCRIPT_RANGES,
+    LangIdConfig,
+    _kana_share_reaches,
+    _script_counts,
+    classify_fallback,
+)
 
 
 def _edges(ranges) -> list[str]:
@@ -51,8 +60,8 @@ def test_backslash_s_is_str_isspace():
 
 
 def test_script_ranges_are_disjoint():
-    # the per-script regexes count each character once only if no two
-    # buckets share a code point
+    # placing each character in the one range ``bisect`` finds agrees with
+    # the oracle's first-match loop only if no two buckets share a code point
     ranges = [r for rs in _SCRIPT_RANGES.values() for r in rs]
     for (lo1, hi1), (lo2, hi2) in combinations(ranges, 2):
         assert hi1 < lo2 or hi2 < lo1
@@ -79,15 +88,59 @@ def test_tokenizer_pinned_cases(text, expected):
 
 
 @settings(max_examples=200, deadline=None)
-@given(kana_text)
-def test_jp_script_ratio_matches_oracle(text):
-    assert jp_script_ratio(text) == oracles.jp_script_ratio(text)
+@given(kana_text, st.floats(min_value=0.0, max_value=1.0))
+def test_jp_script_ratio_matches_oracle(text, threshold):
+    # at a drawn threshold, and on either side of the text's own ratio
+    ratio = oracles.jp_script_ratio(text)
+    for t in (threshold, ratio, math.nextafter(ratio, 2.0)):
+        assert _kana_share_reaches(text, t) == (ratio >= t)
 
 
 @settings(max_examples=200, deadline=None)
 @given(script_text)
 def test_script_counts_match_oracle(text):
     assert _script_counts(text) == oracles.script_counts(text)
+
+
+@pytest.mark.parametrize("pair", [(0x24F, 0x250), (0x36F, 0x370), (0x3FF, 0x400), (0x4FF, 0x500)])
+def test_script_counts_at_adjacent_range_edges(pair):
+    # latin|none, none|greek, greek|cyrillic, cyrillic|none: each side alone,
+    # both together and repeated
+    lo, hi = map(chr, pair)
+    for text in (lo, hi, lo + hi, (lo + hi) * 3 + hi):
+        assert _script_counts(text) == oracles.script_counts(text)
+
+
+def test_script_counts_astral_character_in_no_bucket():
+    text = "\U00020000漢\U00020000"
+    assert _script_counts(text) == oracles.script_counts(text)
+    assert sum(_script_counts(text).values()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(kana_text, script_text), st.floats(min_value=0.0, max_value=1.0))
+def test_fallback_matches_oracle(text, threshold):
+    config = LangIdConfig(jp_script_ratio_threshold=threshold)
+    assert classify_fallback(config, text) == oracles.fallback_verdict(config, text)
+
+
+@pytest.mark.parametrize(
+    ("threshold", "text", "lang", "confidence"),
+    [
+        (0.05, "あいうえお" + "x" * 95, "ja", 1.0),  # 5 kana in 100 characters: exactly 0.05
+        (0.05, "あいうえ" + "x" * 96, "en", 0.96),
+        (0.0, "plain text", "ja", 1.0),  # threshold 0: any text is Japanese
+        (0.0, "\U00020000", "ja", 1.0),
+        (1.0, "あいうえお", "ja", 1.0),  # threshold 1: only all-kana text reaches it
+        (1.0, "あいうえお漢", "ja", 5 / 6),  # below it, kana can still be the top script
+        (1.0, "あ漢漢", "zh", 2 / 3),
+    ],
+)
+def test_fallback_pinned_boundaries(threshold, text, lang, confidence):
+    config = LangIdConfig(jp_script_ratio_threshold=threshold)
+    verdict = classify_fallback(config, text)
+    assert verdict == oracles.fallback_verdict(config, text)
+    assert (verdict.lang, verdict.confidence) == (lang, confidence)
 
 
 _terminator = st.one_of(
