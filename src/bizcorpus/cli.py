@@ -30,8 +30,10 @@ from .bench import (
 from .core import (
     PipelineStats,
     SourceTag,
+    StageStats,
     count_tokens,
     read_corpus_jsonl,
+    run_stage,
     write_corpus_jsonl,
 )
 from .curation import curate, load_rules
@@ -161,7 +163,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     corpus = read_corpus_jsonl(args.input)
     stats = count_tokens(corpus)
-    stats.record_stage("stats", corpus, corpus)
+    run_stage(stats, StageStats("stats"), corpus, lambda doc: doc)
     emit_manifest(stats, args.output)
     print(f"{len(corpus)} documents, {stats.total_tokens} tokens -> {args.output}")
     return EXIT_OK

@@ -3,7 +3,9 @@
 Every pipeline stage consumes and produces the types defined here:
 ``Document`` (one ingested text unit), ``Corpus`` (an ordered document
 container) and ``PipelineStats`` (the per-stage / per-source accounting
-object that the run manifest is rendered from).
+object that the run manifest is rendered from). A stage is a per-document
+step run by :func:`run_stage`, which does every stage's accounting. No
+stage carries provenance: where a document came from is its ``source``.
 
 Ingestion reads line-delimited JSON records of the form::
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Protocol, TypeVar
+from typing import Callable, Iterable, Iterator, Protocol, TypeVar
 
 log = logging.getLogger(__name__)
 
@@ -72,9 +74,11 @@ class Document:
 
 @dataclass
 class Corpus:
-    """Ordered, deterministic sequence of documents plus free-text provenance.
+    """Ordered, deterministic sequence of documents.
 
     Document ids must be unique within a corpus; construction fails otherwise.
+    No stage sets or reads ``provenance``; it is kept only for callers that
+    still pass it.
     """
 
     documents: list[Document] = field(default_factory=list)
@@ -96,23 +100,21 @@ class Corpus:
     def __getitem__(self, idx: int) -> Document:
         return self.documents[idx]
 
-    def source_counts(self) -> Counter[str]:
-        return Counter(doc.source.value for doc in self.documents)
-
 
 @dataclass
 class StageStats:
     """Document accounting for one pipeline stage.
 
-    ``doc_removals`` maps removal reason to the number of documents dropped
+    ``docs_in`` and ``docs_out`` count documents per source label, as
+    :func:`run_stage` fills them. ``doc_removals`` maps removal reason to the number of documents dropped
     for that reason and must sum to the stage's total document loss.
     ``detail`` holds free-form sub-document counters (lines stripped,
     sentences removed, malformed input lines, rule hit counts, ...).
     """
 
     stage: str
-    docs_in: dict[str, int]
-    docs_out: dict[str, int]
+    docs_in: dict[str, int] = field(default_factory=dict)
+    docs_out: dict[str, int] = field(default_factory=dict)
     doc_removals: dict[str, int] = field(default_factory=dict)
     detail: dict[str, int] = field(default_factory=dict)
 
@@ -143,34 +145,50 @@ class PipelineStats:
     def total_tokens(self) -> int:
         return sum(self.tokens_by_source.values())
 
-    def record_stage(
-        self,
-        stage: str,
-        before: Corpus,
-        after: Corpus,
-        doc_removals: dict[str, int] | None = None,
-        detail: dict[str, int] | None = None,
-    ) -> StageStats:
+    def record_stage(self, entry: StageStats) -> StageStats:
         """Record one stage and enforce the accounting invariants:
         per-source counts never increase, and per-reason removals sum to the
         total number of documents dropped."""
-        docs_in = dict(before.source_counts())
-        docs_out = dict(after.source_counts())
-        removals = dict(doc_removals or {})
-        for tag, n_out in docs_out.items():
-            if n_out > docs_in.get(tag, 0):
-                raise ValueError(
-                    f"stage {stage!r} grew source {tag!r}: {docs_in.get(tag, 0)} -> {n_out}"
-                )
-        total_removed = sum(docs_in.values()) - sum(docs_out.values())
-        if sum(removals.values()) != total_removed:
+        for tag, n_out in entry.docs_out.items():
+            n_in = entry.docs_in.get(tag, 0)
+            if n_out > n_in:
+                raise ValueError(f"stage {entry.stage!r} grew source {tag!r}: {n_in} -> {n_out}")
+        reasons, lost = sum(entry.doc_removals.values()), entry.total_in - entry.total_out
+        if reasons != lost:
             raise ValueError(
-                f"stage {stage!r} removal reasons sum to {sum(removals.values())}, "
-                f"but {total_removed} documents were removed"
+                f"stage {entry.stage!r} removal reasons sum to {reasons}, "
+                f"but {lost} documents were removed"
             )
-        entry = StageStats(stage, docs_in, docs_out, removals, dict(detail or {}))
         self.stages.append(entry)
         return entry
+
+
+def run_stage(
+    stats: PipelineStats | None,
+    entry: StageStats,
+    docs: Iterable[Document],
+    step: Callable[[Document], Document | str],
+) -> Corpus:
+    """Run one stage: pass each document to ``step``, which returns the
+    document to keep (possibly rewritten) or, for a document that goes, the
+    reason as a string. The documents in and out are counted per source and
+    the reasons per reason into ``entry``, whose ``doc_removals`` and
+    ``detail`` the stage seeds with the keys it always reports; ``entry`` is
+    then recorded into ``stats``, which checks it."""
+    docs_in, docs_out, removals = entry.docs_in, entry.docs_out, entry.doc_removals
+    kept: list[Document] = []
+    for doc in docs:
+        docs_in[doc.source.value] = docs_in.get(doc.source.value, 0) + 1
+        result = step(doc)
+        if isinstance(result, str):
+            removals[result] = removals.get(result, 0) + 1
+        else:
+            kept.append(result)
+            docs_out[result.source.value] = docs_out.get(result.source.value, 0) + 1
+    out = Corpus(kept)
+    if stats is not None:
+        stats.record_stage(entry)
+    return out
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -406,17 +424,10 @@ def ingest_jsonl(
             )
         )
 
-    corpus = Corpus(docs, provenance=f"{path.name}@{digest}")
     if malformed:
         log.warning("%s: skipped %d malformed line(s)", path, malformed)
-    if stats is not None:
-        stats.record_stage(
-            f"ingest:{path.name}",
-            corpus,
-            corpus,
-            detail={"malformed_lines": malformed, "ingested": len(docs)},
-        )
-    return corpus
+    detail = {"malformed_lines": malformed, "ingested": len(docs)}
+    return run_stage(stats, StageStats(f"ingest:{path.name}", detail=detail), docs, lambda doc: doc)
 
 
 def document_to_record(doc: Document) -> dict:
@@ -461,4 +472,4 @@ def read_corpus_jsonl(path: Path | str) -> Corpus:
     """Strict reader for pipeline-produced corpora: every record must carry
     ``id``, ``source`` and a string ``text``. Raises ``ValueError`` naming
     the first bad line."""
-    return Corpus(read_jsonl(path, _record_to_document), provenance=str(path))
+    return Corpus(read_jsonl(path, _record_to_document))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .core import Corpus, PipelineStats
+from .core import Corpus, Document, PipelineStats, StageStats, run_stage
 
 _GLOB_CHARS = frozenset("*?[")
 
@@ -86,26 +86,15 @@ def curate(
 ) -> Corpus:
     """Keep exactly the documents matching the URL axis or the cue-word axis,
     preserving order. Per-criterion hit counts land in the stage detail."""
-    kept = []
-    url_hits = cue_hits = both = 0
-    for doc in corpus:
+    hits = {"url_hits": 0, "cue_hits": 0, "both_hits": 0}
+
+    def step(doc: Document) -> Document | str:
         by_url = matches_url(rules, doc.url)
         by_cue = contains_cue_word(rules, doc.text)
-        if by_url:
-            url_hits += 1
-        if by_cue:
-            cue_hits += 1
-        if by_url and by_cue:
-            both += 1
-        if by_url or by_cue:
-            kept.append(doc)
-    out = Corpus(kept, provenance=corpus.provenance)
-    if stats is not None:
-        stats.record_stage(
-            "curate",
-            corpus,
-            out,
-            doc_removals={"no_rule_match": len(corpus) - len(out)},
-            detail={"url_hits": url_hits, "cue_hits": cue_hits, "both_hits": both},
-        )
-    return out
+        hits["url_hits"] += by_url
+        hits["cue_hits"] += by_cue
+        hits["both_hits"] += by_url and by_cue
+        return doc if by_url or by_cue else "no_rule_match"
+
+    entry = StageStats("curate", doc_removals={"no_rule_match": 0}, detail=hits)
+    return run_stage(stats, entry, corpus, step)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .core import Corpus, Document, PipelineStats
+from .core import Corpus, Document, PipelineStats, StageStats, run_stage
 from .noise import DEFAULT_JP_TERMINATORS, DEFAULT_LATIN_TERMINATORS
 
 
@@ -123,22 +123,16 @@ def dedup_documents(
     Fingerprints only bucket candidates; equality is always confirmed on the
     text itself, so narrow test fingerprints cannot merge distinct documents."""
     groups: dict[int, list[str]] = {}
-    kept: list[Document] = []
-    removed = 0
-    for doc in corpus:
-        fp = document_fingerprint(doc, bits=fingerprint_bits)
-        texts = groups.setdefault(fp, [])
-        if any(text == doc.text for text in texts):
-            removed += 1
-            continue
+
+    def step(doc: Document) -> Document | str:
+        texts = groups.setdefault(document_fingerprint(doc, bits=fingerprint_bits), [])
+        if doc.text in texts:
+            return "duplicate_document"
         texts.append(doc.text)
-        kept.append(doc)
-    out = Corpus(kept, provenance=corpus.provenance)
-    if stats is not None:
-        stats.record_stage(
-            "dedup_documents", corpus, out, doc_removals={"duplicate_document": removed}
-        )
-    return out
+        return doc
+
+    entry = StageStats("dedup_documents", doc_removals={"duplicate_document": 0})
+    return run_stage(stats, entry, corpus, step)
 
 
 def dedup_sentences(
@@ -155,12 +149,11 @@ def dedup_sentences(
     sentence missing from it raises :class:`TableMismatchError`.
     """
     threshold = config.sentence_frequency_threshold
-    kept_docs: list[Document] = []
-    sentences_removed = 0
-    removals: Counter[str] = Counter()
-    for doc in corpus:
+    detail = {"sentences_removed": 0}
+
+    def step(doc: Document) -> Document | str:
+        sentences_removed = 0
         out_lines: list[str] = []
-        removed_any = False
         for line in doc.text.splitlines():
             sentences = _split_line(config, line)
             if not sentences:
@@ -181,19 +174,10 @@ def dedup_sentences(
                 out_lines.append(line)
             elif kept_line:
                 out_lines.append("".join(kept_line))
-            removed_any = removed_any or removed_here
-        if removed_any and not any(line.strip() for line in out_lines):
-            removals["emptied_by_sentence_dedup"] += 1
-            continue
+        detail["sentences_removed"] += sentences_removed
+        if sentences_removed and not any(line.strip() for line in out_lines):
+            return "emptied_by_sentence_dedup"
         text = "\n".join(out_lines)
-        kept_docs.append(doc if text == doc.text else doc.with_text(text))
-    out = Corpus(kept_docs, provenance=corpus.provenance)
-    if stats is not None:
-        stats.record_stage(
-            "dedup_sentences",
-            corpus,
-            out,
-            doc_removals=dict(removals),
-            detail={"sentences_removed": sentences_removed},
-        )
-    return out
+        return doc if text == doc.text else doc.with_text(text)
+
+    return run_stage(stats, StageStats("dedup_sentences", detail=detail), corpus, step)

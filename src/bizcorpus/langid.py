@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
 
-from .core import Corpus, Document, PipelineStats, code_point_class
+from .core import Corpus, Document, PipelineStats, StageStats, code_point_class, run_stage
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +54,12 @@ class ClassifierBackend(Protocol):
 
 @dataclass
 class LangIdConfig:
+    """A primary verdict stands when its confidence reaches
+    ``uncertainty_threshold``. In the fallback, a kana share reaching
+    ``jp_script_ratio_threshold`` makes a text Japanese; below it, a text
+    whose most frequent script is kana is still Japanese, so the threshold
+    decides only when kana is not the most frequent script."""
+
     uncertainty_threshold: float = 0.9
     jp_script_ratio_threshold: float = 0.05
     classifier: ClassifierBackend | None = field(default=None, repr=False)
@@ -184,6 +190,10 @@ def classify_fallback(config: LangIdConfig, text: str) -> LangVerdict:
     reaches the configured threshold; otherwise the most frequent script
     decides, with that script's character fraction as confidence. Empty text
     yields ``und`` at confidence 0.
+
+    The kana bucket maps to Japanese as well, so the threshold decides only
+    when kana is not the most frequent script: at threshold 1.0,
+    ``あいうえお漢`` is still ``ja`` at confidence 5/6.
     """
     if not text:
         return LangVerdict(UNDETERMINED, 0.0, VerdictStage.FALLBACK)
@@ -230,17 +240,15 @@ def filter_non_japanese(
         text: (_cascade(config, text, primary), primary is None)
         for text, primary in zip(distinct, primaries)
     }
-    kept: list[Document] = []
-    removals: dict[str, int] = {}
     missing = 0
-    for doc in corpus.documents:
+
+    def step(doc: Document) -> Document | str:
+        nonlocal missing
         verdict, unanswered = verdicts[doc.text]
         missing += unanswered
-        if verdict.lang == JAPANESE:
-            kept.append(doc.with_lang(JAPANESE))
-        else:
-            key = f"lang:{verdict.lang}"
-            removals[key] = removals.get(key, 0) + 1
+        return doc.with_lang(JAPANESE) if verdict.lang == JAPANESE else f"lang:{verdict.lang}"
+
+    out = run_stage(stats, StageStats("lang_id"), corpus, step)
     if config.classifier is not None and missing:
         log.warning(
             "lang_id: the classifier gave no verdict for %d of %d documents; "
@@ -249,7 +257,4 @@ def filter_non_japanese(
             len(corpus.documents),
             "not given" if failure is None else f"{type(failure).__name__}: {failure}",
         )
-    out = Corpus(kept, provenance=corpus.provenance)
-    if stats is not None:
-        stats.record_stage("lang_id", corpus, out, doc_removals=removals)
     return out

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Corpus, Document, PipelineStats
+from .core import Corpus, Document, PipelineStats, StageStats, run_stage
 
 DEFAULT_JP_TERMINATORS = frozenset("。！？")
 DEFAULT_LATIN_TERMINATORS = frozenset(".!?")
@@ -94,9 +94,9 @@ _STRIP_CLASSES = (LineClass.DATE_ONLY, LineClass.URL_ONLY, LineClass.MARKUP_FRAG
 
 def _filter_with_reasons(
     config: NoiseConfig, text: str, lang: str | None
-) -> tuple[str | None, Counter[str]]:
-    """The denoised text (None when the document goes) and what was counted;
-    a function of its arguments alone."""
+) -> tuple[str | None, str | None, Counter[str]]:
+    """The denoised text, or None and the removal reason when the document
+    goes, and the lines counted by class; a function of its arguments alone."""
     counts: Counter[str] = Counter()
     kept: list[tuple[str, LineClass]] = []
     for line in text.splitlines():
@@ -110,17 +110,15 @@ def _filter_with_reasons(
         kept.append((line, cls))
 
     if not kept:
-        counts["docs_empty_after_strip"] += 1
-        return None, counts
+        return None, "empty_after_strip", counts
 
     exempt = lang is not None and lang in config.punctuationless_languages
     if not exempt:
         sentential = sum(1 for _, cls in kept if cls is LineClass.SENTENTIAL)
         if sentential / len(kept) < config.min_sentential_ratio:
-            counts["docs_non_sentential"] += 1
-            return None, counts
+            return None, "non_sentential", counts
 
-    return "\n".join(line for line, _ in kept), counts
+    return "\n".join(line for line, _ in kept), None, counts
 
 
 def _with_text(doc: Document, text: str | None) -> Document | None:
@@ -150,27 +148,17 @@ def denoise_corpus(
     strip counts and document-level removal reasons land in stats, counted
     per document. Documents with the same text and lang share one filter
     call."""
-    kept: list[Document] = []
-    detail: Counter[str] = Counter()
-    removals: Counter[str] = Counter()
+    detail: dict[str, int] = {}
     # exact duplicates are common in web crawls: filter each (text, lang) once
-    results: dict[tuple[str, str | None], tuple[str | None, Counter[str]]] = {}
-    for doc in corpus.documents:
+    results: dict[tuple[str, str | None], tuple[str | None, str | None, Counter[str]]] = {}
+
+    def step(doc: Document) -> Document | str:
         key = (doc.text, doc.lang)
         if key not in results:
             results[key] = _filter_with_reasons(config, doc.text, doc.lang)
-        text, counts = results[key]
-        for reason, value in counts.items():
-            if reason.startswith("docs_"):
-                removals[reason.removeprefix("docs_")] += value
-            else:
-                detail[reason] += value
-        filtered = _with_text(doc, text)
-        if filtered is not None:
-            kept.append(filtered)
-    out = Corpus(kept, provenance=corpus.provenance)
-    if stats is not None:
-        stats.record_stage(
-            "noise_filter", corpus, out, doc_removals=dict(removals), detail=dict(detail)
-        )
-    return out
+        text, reason, counts = results[key]
+        for name, value in counts.items():
+            detail[name] = detail.get(name, 0) + value
+        return reason or _with_text(doc, text)
+
+    return run_stage(stats, StageStats("noise_filter", detail=detail), corpus, step)

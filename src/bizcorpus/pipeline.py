@@ -189,7 +189,12 @@ def load_config(path: Path | str) -> PipelineConfig:
         dedup_cfg = dedup_mod.DedupConfig(
             **_settings(sections, "dedup"), terminators=noise.terminators
         )
-        seed = int(raw.get("seed", 0))
+        seed = raw.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        dump_sentence_freq = raw.get("dump_sentence_freq", False)
+        if not isinstance(dump_sentence_freq, bool):
+            raise ValueError(f"dump_sentence_freq must be true or false, got {dump_sentence_freq!r}")
         workers = int(raw.get("workers", 1))
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -212,15 +217,9 @@ def load_config(path: Path | str) -> PipelineConfig:
         noise=noise,
         dedup=dedup_cfg,
         workers=workers,
-        dump_sentence_freq=bool(raw.get("dump_sentence_freq", False)),
+        dump_sentence_freq=dump_sentence_freq,
         raw=raw,
     )
-
-
-def _merge(corpora: list[Corpus]) -> Corpus:
-    docs = [doc for corpus in corpora for doc in corpus]
-    provenance = "; ".join(c.provenance for c in corpora if c.provenance)
-    return Corpus(docs, provenance=provenance)
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineStats:
@@ -237,7 +236,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineStats:
         corpora = [
             ingest_jsonl(spec.path, spec.source, stats=stats) for spec in config.sources
         ]
-        corpus = _merge(corpora)
+        corpus = Corpus([doc for c in corpora for doc in c])
         log.info("ingested %d documents from %d source file(s)", len(corpus), len(corpora))
 
         if config.rules is not None:

@@ -1,15 +1,20 @@
-"""Reference implementations for the regex-based hot paths.
+"""Reference implementations for the regex-based hot paths and the stage
+accounting.
 
 These are the original per-character loops, and the language fallback
 verdict computed from them, kept verbatim so property tests can require the
 fast versions in ``bizcorpus`` to return identical results.
 They read the same range tables as the code under test, so a change to a
-range is checked against both.
+range is checked against both. ``source_counts`` is the whole-corpus recount
+that the per-document counts of ``core.run_stage`` replaced.
 """
 
 from __future__ import annotations
 
-from bizcorpus.core import _CJK_RANGES
+from collections import Counter
+from typing import Iterable
+
+from bizcorpus.core import _CJK_RANGES, Document
 from bizcorpus.dedup import DedupConfig
 from bizcorpus.langid import (
     _KANA_RANGES,
@@ -97,3 +102,9 @@ def split_line(config: DedupConfig, line: str) -> list[str]:
     if tail:
         sentences.append(tail)
     return sentences
+
+
+def source_counts(docs: Iterable[Document]) -> dict[str, int]:
+    """Documents per source label, as each stage's input and output corpus
+    was once recounted to fill ``StageStats.docs_in`` and ``docs_out``."""
+    return dict(Counter(doc.source.value for doc in docs))

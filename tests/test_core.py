@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from synth import corpus_of, doc
@@ -11,6 +12,7 @@ from bizcorpus.core import (
     Corpus,
     PipelineStats,
     SourceTag,
+    StageStats,
     TokenizeError,
     WhitespaceCjkTokenizer,
     count_tokens,
@@ -18,6 +20,7 @@ from bizcorpus.core import (
     ingest_jsonl,
     read_corpus_jsonl,
     read_jsonl,
+    run_stage,
     write_corpus_jsonl,
 )
 
@@ -247,19 +250,19 @@ class TestTokenizer:
 class TestStats:
     def test_stage_growth_rejected(self):
         stats = PipelineStats()
-        small = corpus_of("a")
-        big = corpus_of("a", "b")
-        with pytest.raises(ValueError, match="grew"):
-            stats.record_stage("bad", small, big)
+        corpus = corpus_of("a", "b")
+        with pytest.raises(ValueError, match="grew source 'patent': 0 -> 2"):
+            run_stage(stats, StageStats("bad"), corpus, lambda d: replace(d, source=SourceTag.PATENT))
+        assert stats.stages == []
 
     def test_removal_reasons_must_sum(self):
         stats = PipelineStats()
-        before = corpus_of("a", "b", "c")
-        after = Corpus(before.documents[:1])
-        with pytest.raises(ValueError, match="removal reasons"):
-            stats.record_stage("bad", before, after, doc_removals={"x": 1})
-        stats.record_stage("good", before, after, doc_removals={"x": 1, "y": 1})
-        assert stats.stages[-1].total_out == 1
+        with pytest.raises(ValueError, match="removal reasons sum to 1, but 2"):
+            stats.record_stage(StageStats("bad", {"other": 3}, {"other": 1}, {"x": 1}))
+        assert stats.stages == []
+        entry = StageStats("good", {"other": 3}, {"other": 1}, {"x": 1, "y": 1})
+        assert stats.record_stage(entry) is entry
+        assert stats.stages == [entry]
 
 
 class TestDeriveSeed:

@@ -132,7 +132,7 @@ def test_fallback_matches_oracle(text, threshold):
         (0.0, "plain text", "ja", 1.0),  # threshold 0: any text is Japanese
         (0.0, "\U00020000", "ja", 1.0),
         (1.0, "あいうえお", "ja", 1.0),  # threshold 1: only all-kana text reaches it
-        (1.0, "あいうえお漢", "ja", 5 / 6),  # below it, kana can still be the top script
+        (1.0, "あいうえお漢", "ja", 5 / 6),  # below it, kana as the top script is still ja
         (1.0, "あ漢漢", "zh", 2 / 3),
     ],
 )

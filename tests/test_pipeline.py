@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import sys
+from pathlib import Path
 
 import pytest
 import synth
@@ -215,6 +217,25 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(config_path)
 
+    @pytest.mark.parametrize(
+        ("extra", "message"),
+        [
+            ({"dump_sentence_freq": "false"}, "dump_sentence_freq must be true or false, got 'false'"),
+            ({"dump_sentence_freq": 1}, "dump_sentence_freq must be true or false, got 1"),
+            ({"dump_sentence_freq": None}, "dump_sentence_freq must be true or false, got None"),
+            ({"seed": "7"}, "seed must be an integer, got '7'"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+            ({"seed": None}, "seed must be an integer, got None"),
+        ],
+        ids=["freq_string", "freq_int", "freq_null", "seed_string", "seed_bool", "seed_float", "seed_null"],
+    )
+    def test_mistyped_scalar_fails_validation(self, tmp_path, extra, message):
+        records, _ = synth.make_records(n_core=2)
+        config_path = synth.write_pipeline_config(tmp_path, records, extra=extra)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(config_path)
+
     def test_every_stage_key_reaches_config(self, tmp_path):
         sections = {
             "lang_id": {
@@ -356,3 +377,76 @@ class TestManifest:
         manifest = _manifest(config.output_dir / "manifest.json")
         assert manifest["config_digest"] == config.digest
         assert manifest["seed"] == 42
+
+
+def _golden_input(tmp_path) -> Path:
+    """A fixed input on which every stage removes something, for every
+    removal reason the stages give, written with relative paths so the
+    config digest does not depend on where it lands."""
+    records, truth = synth.make_records(
+        n_core=6,
+        n_off_domain=2,
+        n_non_japanese=2,
+        n_noise_carriers=6,
+        n_terminatorless=2,
+        n_duplicate_copies=3,
+        boiler_frequencies=(16, 15),
+    )
+    records[1]["source"] = "patent"
+    records[6]["source"] = "mc4"
+    del records[2]["id"]
+    boiler = next(s for s, freq in truth.boilerplate.items() if freq == 16)
+    records += [
+        {"id": "zh-1", "url": synth.BIZ_URL + "zh", "text": "市场企业技术发展。"},
+        {"id": "strip-1", "url": synth.BIZ_URL + "strip", "text": "2023年10月5日\nトップ | IR | 地図"},
+        {"id": "boiler-only", "url": synth.BIZ_URL + "b", "source": "mc4", "text": boiler},
+    ]
+    synth.write_jsonl(tmp_path / "input.jsonl", records)
+    with (tmp_path / "input.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write('{"id": "bad", "text": 3}\nnot json\n')
+    synth.write_rules(tmp_path / "rules.yaml")
+    config = {
+        "seed": 7,
+        "output_dir": "out",
+        "sources": [{"path": "input.jsonl", "source": "curated_business"}],
+        "curation": {"rules_file": "rules.yaml"},
+        "dump_sentence_freq": True,
+    }
+    path = tmp_path / "pipeline.yaml"
+    path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+class TestGoldenOutputs:
+    # sha256 of each output on _golden_input; a change to any stage's output
+    # or accounting shows here. The manifest is hashed without created_at.
+    DIGESTS = {
+        "cleaned.jsonl": "341dc724233a569494572b8fb9abd13acaa5babb6c7bb13a848b6d942d81fbb5",
+        "manifest.json": "f8631125d3a27f51c2eb61df08327a4b2d9f8e616b9b6a531d63ae553d0aac01",
+        "sentence_freq.jsonl": "87f6f2e906d5153b3d86a3dbf2a10fb55505df9e6cd62d36d2663f880812a26f",
+    }
+
+    def test_output_digests(self, tmp_path):
+        config = load_config(_golden_input(tmp_path))
+        stats = run_pipeline(config)
+        removals = {(s.stage, reason) for s in stats.stages for reason, n in s.doc_removals.items() if n}
+        assert removals == {
+            ("curate", "no_rule_match"),
+            ("lang_id", "lang:en"),
+            ("lang_id", "lang:zh"),
+            ("noise_filter", "empty_after_strip"),
+            ("noise_filter", "non_sentential"),
+            ("dedup_documents", "duplicate_document"),
+            ("dedup_sentences", "emptied_by_sentence_dedup"),
+        }
+        assert stats.stages[0].detail["malformed_lines"] == 2
+        digests = {}
+        for name in self.DIGESTS:
+            data = (config.output_dir / name).read_bytes()
+            if name == "manifest.json":
+                data = b"".join(
+                    line for line in data.splitlines(keepends=True)
+                    if not line.lstrip().startswith(b'"created_at"')
+                )
+            digests[name] = hashlib.sha256(data).hexdigest()
+        assert digests == self.DIGESTS
