@@ -367,7 +367,8 @@ def ingest_jsonl(
     """Ingest one line-delimited JSON file into a corpus.
 
     A record is valid when it decodes as UTF-8, parses as a JSON object and
-    has a string ``text`` field; anything else is counted as malformed and
+    has a string ``text`` field, and its ``id`` and ``url``, when present and
+    not null, are strings; anything else is counted as malformed and
     skipped. A record-level ``source`` overrides the file-level tag. Missing
     ids are synthesized as ``<file-digest>:<line-number>``; a reused explicit
     id is treated as malformed to keep corpus ids unique.
@@ -406,8 +407,11 @@ def ingest_jsonl(
                 pub = date.fromisoformat(raw_date)
             except ValueError:
                 pub = None
-        raw_id = obj.get("id")
-        doc_id = str(raw_id) if raw_id not in (None, "") else f"{digest}:{lineno}"
+        raw_id, url = obj.get("id"), obj.get("url")
+        if not isinstance(raw_id, (str, type(None))) or not isinstance(url, (str, type(None))):
+            malformed += 1
+            continue
+        doc_id = raw_id or f"{digest}:{lineno}"
         if doc_id in seen_ids:
             malformed += 1
             continue
@@ -418,7 +422,7 @@ def ingest_jsonl(
                 id=doc_id,
                 source=tag,
                 text=obj["text"],
-                url=str(obj.get("url") or ""),
+                url=url or "",
                 published_date=pub,
                 lang=str(lang) if isinstance(lang, str) and lang else None,
             )
@@ -453,16 +457,21 @@ def write_corpus_jsonl(corpus: Corpus, path: Path | str) -> Path:
 
 
 def _record_to_document(obj: dict) -> Document:
-    doc_id, source, text, lang = obj["id"], obj["source"], obj["text"], obj.get("lang")
+    doc_id, source, text = obj["id"], obj["source"], obj["text"]
+    url, lang = obj.get("url"), obj.get("lang")
+    if not isinstance(doc_id, str):
+        raise ValueError(f"field 'id' must be a string, got {doc_id!r}")
     if not isinstance(text, str):
         raise ValueError(f"field 'text' must be a string, got {text!r}")
+    if url is not None and not isinstance(url, str):
+        raise ValueError(f"field 'url' must be a string, got {url!r}")
     if lang is not None and not isinstance(lang, str):
         raise ValueError(f"field 'lang' must be a string, got {lang!r}")
     return Document(
-        id=str(doc_id),
+        id=doc_id,
         source=SourceTag(source),
         text=text,
-        url=str(obj.get("url") or ""),
+        url=url or "",
         published_date=date.fromisoformat(obj["date"]) if obj.get("date") else None,
         lang=lang,
     )
@@ -470,6 +479,7 @@ def _record_to_document(obj: dict) -> Document:
 
 def read_corpus_jsonl(path: Path | str) -> Corpus:
     """Strict reader for pipeline-produced corpora: every record must carry
-    ``id``, ``source`` and a string ``text``. Raises ``ValueError`` naming
-    the first bad line."""
+    a string ``id``, a ``source`` and a string ``text``; ``url`` and ``lang``
+    are strings when present. Raises ``ValueError`` naming the first bad
+    line."""
     return Corpus(read_jsonl(path, _record_to_document))

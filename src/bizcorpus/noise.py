@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .core import Corpus, Document, PipelineStats, StageStats, run_stage
 
@@ -41,7 +42,7 @@ class NoiseConfig:
         if not 0.0 <= self.min_sentential_ratio <= 1.0:
             raise ValueError("min_sentential_ratio must be in [0, 1]")
 
-    @property
+    @cached_property
     def terminators(self) -> frozenset[str]:
         return self.jp_terminators | self.latin_terminators
 

@@ -7,6 +7,9 @@ fast versions in ``bizcorpus`` to return identical results.
 They read the same range tables as the code under test, so a change to a
 range is checked against both. ``source_counts`` is the whole-corpus recount
 that the per-document counts of ``core.run_stage`` replaced.
+``split_sentences`` and ``dedup_sentences`` are the line-by-line sentence
+split and the per-sentence table lookup that the whole-text split and the
+set tests of ``bizcorpus.dedup`` replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import Counter
 from typing import Iterable
 
 from bizcorpus.core import _CJK_RANGES, Document
-from bizcorpus.dedup import DedupConfig
+from bizcorpus.dedup import DedupConfig, SentenceFrequencyTable, TableMismatchError, _split_line
 from bizcorpus.langid import (
     _KANA_RANGES,
     _SCRIPT_LANG,
@@ -102,6 +105,56 @@ def split_line(config: DedupConfig, line: str) -> list[str]:
     if tail:
         sentences.append(tail)
     return sentences
+
+
+def split_sentences(config: DedupConfig, text: str) -> list[str]:
+    """Terminator-based sentence split, line by line. Sentences keep their
+    terminator; a trailing fragment without one still counts as a sentence."""
+    out: list[str] = []
+    for line in text.splitlines():
+        out.extend(_split_line(config, line))
+    return out
+
+
+def dedup_sentences(
+    config: DedupConfig, docs: Iterable[Document], table: SentenceFrequencyTable
+) -> tuple[list[Document | str], int]:
+    """Each document's outcome (kept document or removal reason) and the
+    sentences removed, looking every sentence up in ``table.counts``."""
+    threshold = config.sentence_frequency_threshold
+    detail = {"sentences_removed": 0}
+
+    def step(doc: Document) -> Document | str:
+        sentences_removed = 0
+        out_lines: list[str] = []
+        for line in doc.text.splitlines():
+            sentences = _split_line(config, line)
+            if not sentences:
+                out_lines.append(line)
+                continue
+            kept_line: list[str] = []
+            removed_here = False
+            for sentence in sentences:
+                count = table.counts.get(sentence)
+                if count is None:
+                    raise TableMismatchError(doc.id, sentence)
+                if count > threshold:
+                    sentences_removed += 1
+                    removed_here = True
+                else:
+                    kept_line.append(sentence)
+            if not removed_here:
+                out_lines.append(line)
+            elif kept_line:
+                out_lines.append("".join(kept_line))
+        detail["sentences_removed"] += sentences_removed
+        if sentences_removed and not any(line.strip() for line in out_lines):
+            return "emptied_by_sentence_dedup"
+        text = "\n".join(out_lines)
+        return doc if text == doc.text else doc.with_text(text)
+
+    outcomes = [step(doc) for doc in docs]
+    return outcomes, detail["sentences_removed"]
 
 
 def source_counts(docs: Iterable[Document]) -> dict[str, int]:

@@ -112,6 +112,30 @@ class TestIngest:
         assert len(corpus) == 1
         assert stats.stages[-1].detail["malformed_lines"] == 1
 
+    @pytest.mark.parametrize(
+        "record",
+        [{"id": True, "text": "あ"}, {"id": [1], "text": "あ"}, {"id": 1, "text": "あ"}, {"url": 5, "text": "あ"}],
+        ids=["bool_id", "list_id", "int_id", "int_url"],
+    )
+    def test_non_string_id_or_url_is_malformed(self, tmp_path, record):
+        path = _write(tmp_path / "in.jsonl", [json.dumps(record), json.dumps({"id": "ok", "text": "い"})])
+        stats = PipelineStats()
+        corpus = ingest_jsonl(path, SourceTag.OTHER, stats=stats)
+        assert [d.id for d in corpus] == ["ok"]
+        assert stats.stages[-1].detail["malformed_lines"] == 1
+
+    def test_null_id_and_url_mean_absent(self, tmp_path):
+        path = _write(tmp_path / "in.jsonl", [json.dumps({"id": None, "url": None, "text": "あ"})])
+        (d,) = ingest_jsonl(path, SourceTag.OTHER)
+        assert d.id.endswith(":1")
+        assert d.url == ""
+
+    def test_number_id_does_not_collide_with_string_id(self, tmp_path):
+        # once coerced, "id": 1 in one file and "id": "1" in another were one id
+        a = ingest_jsonl(_write(tmp_path / "a.jsonl", ['{"id": 1, "text": "あ"}']), SourceTag.OTHER)
+        b = ingest_jsonl(_write(tmp_path / "b.jsonl", ['{"id": "1", "text": "い"}']), SourceTag.OTHER)
+        assert [d.id for d in Corpus(a.documents + b.documents)] == ["1"]
+
     def test_ingestion_manifest_byte_identical(self, tmp_path):
         path = _write(
             tmp_path / "in.jsonl",
@@ -152,12 +176,15 @@ class TestStrictReaders:
             ('{"id": "d1", "source": "mc4"}', "missing field 'text'"),
             ('{"id": "d1", "source": "mc4", "text": 5}', "field 'text' must be a string"),
             ('{"id": "d1", "source": "mc4", "text": "x", "lang": 1}', "field 'lang' must be a string"),
+            ('{"id": 1, "source": "mc4", "text": "x"}', "field 'id' must be a string, got 1"),
+            ('{"id": true, "source": "mc4", "text": "x"}', "field 'id' must be a string, got True"),
+            ('{"id": "d1", "source": "mc4", "text": "x", "url": 5}', "field 'url' must be a string"),
             ('{"id": "d1", "source": "blog", "text": "x"}', "'blog' is not a valid SourceTag"),
             ('{"id": "d1", "source": "mc4", "text": "x", "date": "2023-13-01"}', "month must be in 1..12"),
             ('{"id": "d1", "source": "mc4", "text": "x", "date": 20230101}', "must be str"),
         ],
-        ids=["broken_json", "array", "missing_text", "int_text", "int_lang", "bad_source",
-             "bad_date", "int_date"],
+        ids=["broken_json", "array", "missing_text", "int_text", "int_lang", "int_id", "bool_id",
+             "int_url", "bad_source", "bad_date", "int_date"],
     )
     def test_bad_corpus_record_names_file_and_line(self, tmp_path, line, message):
         path = _write(tmp_path / "c.jsonl", [json.dumps(GOOD_RECORD, ensure_ascii=False), line])

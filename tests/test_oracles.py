@@ -1,12 +1,14 @@
 """The run-counting tokenizer and kana share test, the histogram script
 counts, the language fallback and the regex sentence split against the
-per-character loops in ``oracles``."""
+per-character loops in ``oracles``; the whole-text sentence split and
+sentence dedup against the line-by-line versions there."""
 
 from __future__ import annotations
 
 import math
 import re
 import sys
+from collections import Counter
 from itertools import combinations
 
 import oracles
@@ -14,8 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bizcorpus.core import _CJK_RANGES, WhitespaceCjkTokenizer
-from bizcorpus.dedup import DedupConfig, _split_line
+from synth import doc
+
+from bizcorpus.core import _CJK_RANGES, Corpus, Document, PipelineStats, WhitespaceCjkTokenizer
+from bizcorpus.dedup import (
+    DedupConfig,
+    SentenceFrequencyTable,
+    TableMismatchError,
+    _split_line,
+    count_sentences,
+    dedup_sentences,
+    split_sentences,
+)
 from bizcorpus.langid import (
     _KANA_RANGES,
     _SCRIPT_RANGES,
@@ -158,3 +170,100 @@ def test_split_line_matches_oracle(data):
     pieces = st.one_of(st.text(max_size=4), st.sampled_from(sorted(terminators)))
     line = data.draw(st.lists(pieces, max_size=12).map("".join))
     assert _split_line(config, line) == oracles.split_line(config, line)
+
+
+CFG = DedupConfig()
+# Every ``str.splitlines`` boundary, "\r\n" included.
+_BOUNDARIES = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = [" ", "\t", "\u3000", "  "]
+# A few sentences that repeat across documents, so some pass the threshold.
+_SENTENCES = ["定型文です。", "共通！", "ユニーク", "a.b", "x"]
+
+# Terminator sets: the default, or drawn with line boundaries, whitespace and
+# regex metacharacters among them.
+_terminators = st.one_of(
+    st.just(CFG.terminators),
+    st.frozensets(
+        st.one_of(_terminator, st.sampled_from(_BOUNDARIES + _SPACES)), min_size=1, max_size=6
+    ),
+)
+
+
+def _draw_config(data) -> DedupConfig:
+    return DedupConfig(
+        sentence_frequency_threshold=data.draw(st.integers(1, 3)),
+        terminators=data.draw(_terminators),
+    )
+
+
+def _draw_corpus(data, config: DedupConfig) -> Corpus:
+    pieces = st.one_of(
+        st.sampled_from(_SENTENCES),
+        st.sampled_from(sorted(config.terminators)),
+        st.sampled_from(_BOUNDARIES + _SPACES),
+        st.text(max_size=4),
+    )
+    texts = data.draw(st.lists(st.lists(pieces, max_size=16).map("".join), min_size=1, max_size=4))
+    # whole texts repeat too, as they do before doc dedup
+    picks = data.draw(st.lists(st.sampled_from(texts), max_size=10))
+    return Corpus([doc(f"d{i}", text) for i, text in enumerate(texts + picks)])
+
+
+def _assert_dedup_matches_oracle(config: DedupConfig, corpus: Corpus, table: SentenceFrequencyTable):
+    try:
+        outcomes, removed = oracles.dedup_sentences(config, corpus, table)
+    except TableMismatchError as expected:
+        with pytest.raises(TableMismatchError) as got:
+            dedup_sentences(config, corpus, table)
+        assert (got.value.doc_id, got.value.sentence) == (expected.doc_id, expected.sentence)
+        return
+    stats = PipelineStats()
+    out = dedup_sentences(config, corpus, table, stats=stats)
+    kept = [(o, d) for o, d in zip(outcomes, corpus) if isinstance(o, Document)]
+    assert out.documents == [o for o, _ in kept]
+    # an unchanged document comes back as the same object
+    assert [a is d for a, (_, d) in zip(out, kept)] == [o is d for o, d in kept]
+    assert stats.stages[-1].detail == {"sentences_removed": removed}
+    assert stats.stages[-1].doc_removals == dict(Counter(o for o in outcomes if isinstance(o, str)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_split_and_count_match_oracle(data):
+    config = _draw_config(data)
+    corpus = _draw_corpus(data, config)
+    for d in corpus:
+        assert split_sentences(config, d.text) == oracles.split_sentences(config, d.text)
+    expected = Counter(s for d in corpus for s in oracles.split_sentences(config, d.text))
+    assert count_sentences(config, corpus).counts == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dedup_sentences_matches_oracle(data):
+    config = _draw_config(data)
+    corpus = _draw_corpus(data, config)
+    _assert_dedup_matches_oracle(config, corpus, count_sentences(config, corpus))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dedup_with_hand_built_table_matches_oracle(data):
+    # a table missing sentences, or with other counts, or counted over
+    # another corpus: the same documents survive or the same mismatch raises
+    config = _draw_config(data)
+    corpus = _draw_corpus(data, config)
+    full = count_sentences(config, corpus).counts
+    kept = data.draw(st.lists(st.sampled_from(sorted(full)), unique=True) if full else st.just([]))
+    counts = Counter({s: data.draw(st.integers(0, 4)) for s in kept})
+    _assert_dedup_matches_oracle(config, corpus, SentenceFrequencyTable(counts))
+    other = _draw_corpus(data, config)
+    _assert_dedup_matches_oracle(config, corpus, count_sentences(config, other))
+
+
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+def test_every_line_boundary_ends_a_sentence(boundary):
+    text = f"一。二{boundary}三。 "
+    corpus = Corpus([doc("a", text)])
+    assert split_sentences(CFG, text) == ["一。", "二", "三。"] == oracles.split_sentences(CFG, text)
+    assert dedup_sentences(CFG, corpus, count_sentences(CFG, corpus))[0].text == "一。二\n三。 "
