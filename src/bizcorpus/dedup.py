@@ -7,21 +7,19 @@ survives. Sentences are counted corpus-wide with a terminator-based split,
 and every occurrence of a sentence whose frequency exceeds the threshold is
 removed — over-threshold sentences are boilerplate, so no copies are kept.
 
-Each text is split into sentences once, in C: a line break goes in after
-every terminator and ``str.splitlines`` cuts the result, so no sentence
-crosses a line. ``count_sentences`` keeps each distinct text's sentences on
-the table, and ``dedup_sentences`` reuses them: a document holding no
-over-threshold sentence only has its line breaks normalised to ``\n``, and
-in the other documents only the lines that contain such a sentence are split
-again and rewritten. A text the table never counted is split afresh, so a
-table counted over another corpus still raises :class:`TableMismatchError`.
+Each text is split into sentences in C: a line break goes in after every
+terminator and ``str.splitlines`` cuts the result, so no sentence crosses a
+line. ``dedup_sentences`` splits each document, tests its sentences against
+the table and the over-threshold set without a Python loop, and returns a
+document holding no over-threshold sentence with only its line breaks
+normalised to ``\\n``; in the other documents only the lines that contain
+such a sentence are split again and rewritten.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,28 +58,14 @@ class DedupConfig:
         """The terminators that can end a sentence: single characters only."""
         return tuple(t for t in sorted(self.terminators) if len(t) == 1)
 
-    @cached_property
-    def sentence_pattern(self) -> re.Pattern[str]:
-        """Matches one sentence: text up to and including a terminator, or a
-        trailing fragment without one. Only single-character terminators can
-        end a sentence; with none, the whole line is one sentence."""
-        chars = "".join(map(re.escape, self.sentence_ends))
-        if not chars:
-            return re.compile(r"(?s:.+)")
-        return re.compile(f"[^{chars}]*[{chars}]|[^{chars}]+")
-
-
-def _split_line(config: DedupConfig, line: str) -> list[str]:
-    return [s for m in config.sentence_pattern.findall(line) if (s := m.strip())]
-
 
 def split_sentences(config: DedupConfig, text: str) -> list[str]:
-    """Terminator-based sentence split of each line, in order: the
-    ``_split_line`` sentences of every line of ``str.splitlines``. Sentences
-    keep their terminator; a trailing fragment without one still counts as a
-    sentence. A line break after each terminator makes every sentence a line
-    of its own; a terminator that is itself a line boundary only adds an
-    empty line, and empty lines are dropped."""
+    """Terminator-based sentence split, line by line: each line of
+    ``str.splitlines`` is cut after every single-character terminator.
+    Sentences keep their terminator; a trailing fragment without one still
+    counts as a sentence. A line break after each terminator makes every
+    sentence a line of its own; a terminator that is itself a line boundary
+    only adds an empty line, and empty lines are dropped."""
     for end in config.sentence_ends:
         if end in text:
             text = text.replace(end, end + "\n")
@@ -90,18 +74,9 @@ def split_sentences(config: DedupConfig, text: str) -> list[str]:
 
 @dataclass
 class SentenceFrequencyTable:
-    """Exact sentence string -> occurrence count over a whole corpus.
-
-    ``sentences`` maps each distinct text that ``count_sentences`` counted to
-    its ``split_sentences`` list, so ``dedup_sentences`` need not split it
-    again. It holds a reference to every counted sentence until the table
-    goes. A text missing from it (a table counted over another corpus, or
-    built by hand from ``counts`` alone) is split and checked against
-    ``counts`` as before.
-    """
+    """Exact sentence string -> occurrence count over a whole corpus."""
 
     counts: Counter[str] = field(default_factory=Counter)
-    sentences: dict[str, list[str]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def total(self) -> int:
@@ -132,16 +107,11 @@ class TableMismatchError(RuntimeError):
 def count_sentences(
     config: DedupConfig, corpus: Corpus, *, workers: int = 1  # ignored; kept for existing callers
 ) -> SentenceFrequencyTable:
-    """Count exact sentence strings over the whole corpus, keeping each
-    distinct text's sentences on the table for ``dedup_sentences``."""
+    """Count exact sentence strings over the whole corpus."""
     counter: Counter[str] = Counter()
-    split: dict[str, list[str]] = {}
     for doc in corpus:
-        sentences = split.get(doc.text)
-        if sentences is None:
-            sentences = split[doc.text] = split_sentences(config, doc.text)
-        counter.update(sentences)
-    return SentenceFrequencyTable(counter, split)
+        counter.update(split_sentences(config, doc.text))
+    return SentenceFrequencyTable(counter)
 
 
 def dedup_documents(
@@ -177,17 +147,15 @@ def dedup_sentences(
     """Remove every occurrence of sentences whose corpus frequency exceeds
     the threshold; documents reduced to zero sentences are dropped.
 
-    The table must have been computed over this corpus with this config:
-    encountering a sentence missing from it raises :class:`TableMismatchError`.
+    The table must have been computed over this corpus: encountering a
+    sentence missing from it raises :class:`TableMismatchError`.
     """
     counts = table.counts
     over = {s for s, count in counts.items() if count > config.sentence_frequency_threshold}
     detail = {"sentences_removed": 0}
 
     def step(doc: Document) -> Document | str:
-        sentences = table.sentences.get(doc.text)
-        if sentences is None:
-            sentences = split_sentences(config, doc.text)
+        sentences = split_sentences(config, doc.text)
         if not all(map(counts.__contains__, sentences)):
             raise TableMismatchError(doc.id, next(s for s in sentences if s not in counts))
         if over.isdisjoint(sentences):
@@ -199,7 +167,7 @@ def dedup_sentences(
         out_lines: list[str] = []
         for line in doc.text.splitlines():
             if any(map(line.__contains__, present)):
-                line_sentences = _split_line(config, line)
+                line_sentences = split_sentences(config, line)
                 kept = [s for s in line_sentences if s not in over]
                 if len(kept) < len(line_sentences):
                     sentences_removed += len(line_sentences) - len(kept)

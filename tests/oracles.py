@@ -9,7 +9,8 @@ range is checked against both. ``source_counts`` is the whole-corpus recount
 that the per-document counts of ``core.run_stage`` replaced.
 ``split_sentences`` and ``dedup_sentences`` are the line-by-line sentence
 split and the per-sentence table lookup that the whole-text split and the
-set tests of ``bizcorpus.dedup`` replaced.
+set tests of ``bizcorpus.dedup`` replaced, built on the per-character
+``split_line`` in place of the regex line split they once called.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import Counter
 from typing import Iterable
 
 from bizcorpus.core import _CJK_RANGES, Document
-from bizcorpus.dedup import DedupConfig, SentenceFrequencyTable, TableMismatchError, _split_line
+from bizcorpus.dedup import DedupConfig, SentenceFrequencyTable, TableMismatchError
 from bizcorpus.langid import (
     _KANA_RANGES,
     _SCRIPT_LANG,
@@ -112,7 +113,7 @@ def split_sentences(config: DedupConfig, text: str) -> list[str]:
     terminator; a trailing fragment without one still counts as a sentence."""
     out: list[str] = []
     for line in text.splitlines():
-        out.extend(_split_line(config, line))
+        out.extend(split_line(config, line))
     return out
 
 
@@ -128,7 +129,7 @@ def dedup_sentences(
         sentences_removed = 0
         out_lines: list[str] = []
         for line in doc.text.splitlines():
-            sentences = _split_line(config, line)
+            sentences = split_line(config, line)
             if not sentences:
                 out_lines.append(line)
                 continue

@@ -176,6 +176,13 @@ class TestDedupSentences:
         with pytest.raises(TableMismatchError):
             dedup_sentences(CFG, corpus, SentenceFrequencyTable(Counter({"別の文。": 1})))
 
+    def test_table_counted_with_other_terminators_is_fatal(self):
+        corpus = Corpus([doc("a", "一、二。")])
+        table = count_sentences(DedupConfig(terminators=frozenset("。")), corpus)
+        with pytest.raises(TableMismatchError) as got:
+            dedup_sentences(DedupConfig(terminators=frozenset("。、")), corpus, table)
+        assert (got.value.doc_id, got.value.sentence) == ("a", "一、")
+
     def test_untouched_lines_kept_verbatim(self):
         corpus = Corpus([doc("a", "スペース付き。 そのままです。")])
         table = count_sentences(CFG, corpus)

@@ -1,6 +1,6 @@
 """The run-counting tokenizer and kana share test, the histogram script
-counts, the language fallback and the regex sentence split against the
-per-character loops in ``oracles``; the whole-text sentence split and
+counts, the language fallback and the sentence split of one line against
+the per-character loops in ``oracles``; the whole-text sentence split and
 sentence dedup against the line-by-line versions there."""
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from bizcorpus.dedup import (
     DedupConfig,
     SentenceFrequencyTable,
     TableMismatchError,
-    _split_line,
     count_sentences,
     dedup_sentences,
     split_sentences,
@@ -165,11 +164,12 @@ _terminator = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_split_line_matches_oracle(data):
+    # one line, as the rewrite path of ``dedup_sentences`` splits it
     terminators = data.draw(st.frozensets(_terminator, min_size=1, max_size=6))
     config = DedupConfig(terminators=terminators)
     pieces = st.one_of(st.text(max_size=4), st.sampled_from(sorted(terminators)))
-    line = data.draw(st.lists(pieces, max_size=12).map("".join))
-    assert _split_line(config, line) == oracles.split_line(config, line)
+    line = "".join(data.draw(st.lists(pieces, max_size=12).map("".join)).splitlines())
+    assert split_sentences(config, line) == oracles.split_line(config, line)
 
 
 CFG = DedupConfig()
