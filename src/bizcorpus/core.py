@@ -366,14 +366,11 @@ def ingest_jsonl(
 ) -> Corpus:
     """Ingest one line-delimited JSON file into a corpus.
 
-    A record is valid when it decodes as UTF-8, parses as a JSON object and
-    has a string ``text`` field, and its ``id`` and ``url``, when present and
-    not null, are strings; anything else is counted as malformed and
-    skipped. A record-level ``source`` overrides the file-level tag. Missing
-    ids are synthesized as ``<file-digest>:<line-number>``; a reused explicit
-    id is treated as malformed to keep corpus ids unique.
-
-    An unreadable file raises the underlying ``OSError``.
+    A missing, null or empty ``id`` becomes ``<file-digest>:<line-number>``
+    and a missing or null ``source`` the file-level tag. A line is then
+    malformed, counted and skipped, when the strict reader
+    (:func:`read_corpus_jsonl`) would reject it or when it reuses an id of
+    this file. An unreadable file raises the underlying ``OSError``.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -387,46 +384,20 @@ def ingest_jsonl(
             continue
         try:
             obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            if not isinstance(obj, dict):
+                raise TypeError("record is not a JSON object")
+            if obj.get("id") in (None, ""):
+                obj["id"] = f"{digest}:{lineno}"
+            if obj.get("source") is None:
+                obj["source"] = source
+            doc = _record_to_document(obj)
+            if doc.id in seen_ids:
+                raise ValueError(f"id {doc.id!r} reused")
+        except (KeyError, TypeError, ValueError):
             malformed += 1
             continue
-        if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
-            malformed += 1
-            continue
-        tag = source
-        if obj.get("source") is not None:
-            try:
-                tag = SourceTag(obj["source"])
-            except ValueError:
-                malformed += 1
-                continue
-        pub: date | None = None
-        raw_date = obj.get("date")
-        if isinstance(raw_date, str) and raw_date:
-            try:
-                pub = date.fromisoformat(raw_date)
-            except ValueError:
-                pub = None
-        raw_id, url = obj.get("id"), obj.get("url")
-        if not isinstance(raw_id, (str, type(None))) or not isinstance(url, (str, type(None))):
-            malformed += 1
-            continue
-        doc_id = raw_id or f"{digest}:{lineno}"
-        if doc_id in seen_ids:
-            malformed += 1
-            continue
-        seen_ids.add(doc_id)
-        lang = obj.get("lang")
-        docs.append(
-            Document(
-                id=doc_id,
-                source=tag,
-                text=obj["text"],
-                url=url or "",
-                published_date=pub,
-                lang=str(lang) if isinstance(lang, str) and lang else None,
-            )
-        )
+        seen_ids.add(doc.id)
+        docs.append(doc)
 
     if malformed:
         log.warning("%s: skipped %d malformed line(s)", path, malformed)
@@ -457,8 +428,10 @@ def write_corpus_jsonl(corpus: Corpus, path: Path | str) -> Path:
 
 
 def _record_to_document(obj: dict) -> Document:
+    """The one definition of a valid corpus record, for both readers; an
+    empty ``url`` or ``date`` means absent."""
     doc_id, source, text = obj["id"], obj["source"], obj["text"]
-    url, lang = obj.get("url"), obj.get("lang")
+    url, day, lang = obj.get("url"), obj.get("date"), obj.get("lang")
     if not isinstance(doc_id, str):
         raise ValueError(f"field 'id' must be a string, got {doc_id!r}")
     if not isinstance(text, str):
@@ -472,14 +445,13 @@ def _record_to_document(obj: dict) -> Document:
         source=SourceTag(source),
         text=text,
         url=url or "",
-        published_date=date.fromisoformat(obj["date"]) if obj.get("date") else None,
+        published_date=None if day in (None, "") else date.fromisoformat(day),
         lang=lang,
     )
 
 
 def read_corpus_jsonl(path: Path | str) -> Corpus:
-    """Strict reader for pipeline-produced corpora: every record must carry
-    a string ``id``, a ``source`` and a string ``text``; ``url`` and ``lang``
-    are strings when present. Raises ``ValueError`` naming the first bad
-    line."""
+    """Strict reader for pipeline-produced corpora: every record must be
+    valid as :func:`_record_to_document` defines it. Raises ``ValueError``
+    naming the first bad line."""
     return Corpus(read_jsonl(path, _record_to_document))

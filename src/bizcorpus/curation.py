@@ -47,9 +47,13 @@ def load_rules(path: Path | str) -> CurationRuleSet:
             raise ValueError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: rule file must contain a mapping")
+    lists = {key: [] if raw.get(key) is None else raw[key] for key in ("url_patterns", "cue_words")}
+    for key, items in lists.items():
+        if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
+            raise ValueError(f"{path}: {key} must be a list of strings, got {items!r}")
     return CurationRuleSet(
-        url_patterns=tuple(str(p) for p in raw.get("url_patterns") or ()),
-        cue_words=tuple(str(w) for w in raw.get("cue_words") or ()),
+        url_patterns=tuple(lists["url_patterns"]),
+        cue_words=tuple(lists["cue_words"]),
         rule_set_version=str(raw.get("version", "unversioned")),
     )
 

@@ -71,6 +71,32 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {rules}: invalid YAML: ")
 
 
+    def test_scalar_rule_list_stops_run_and_curate(self, tmp_path, capsys):
+        rules = tmp_path / "scalar_rules.yaml"
+        rules.write_text("url_patterns: https://biz.example.com/\n", encoding="utf-8")
+        records, _ = synth.make_records(n_core=2)
+        config = synth.write_pipeline_config(tmp_path, records)
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["curation"]["rules_file"] = str(rules)
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: bad rules file {rules}: {rules}: url_patterns must be a list" in err
+        corpus, _ = _corpus_file(tmp_path)
+        curate = ["curate", "--rules", str(rules), "--in", str(corpus), "--out", str(tmp_path / "c.jsonl")]
+        assert main(curate) == 2
+        assert capsys.readouterr().err.startswith(f"error: {rules}: url_patterns must be a list")
+
+    def test_id_reused_across_source_files_exit_two(self, tmp_path, capsys):
+        config = synth.write_pipeline_config(tmp_path, [{"id": "x", "text": "一つ目。"}])
+        second = synth.write_jsonl(tmp_path / "second.jsonl", [{"id": "x", "text": "二つ目。"}])
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["sources"].append({"path": str(second), "source": "patent"})
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 2
+        assert "error: stage 'ingest' failed: duplicate document id in corpus: 'x'" in capsys.readouterr().err
+
+
 # The reproduction: a flow sequence opened and never closed.
 BROKEN_YAML = "sources: [\n  - path: x\n"
 

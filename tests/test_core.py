@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from synth import corpus_of, doc
 
 from bizcorpus.core import (
@@ -157,6 +162,57 @@ class TestIngest:
 GOOD_RECORD = {"id": "d0", "source": "mc4", "text": "本文です。"}
 
 
+# One bad line for each way a corpus record can be invalid, with the
+# reason the strict reader gives. Both readers must reject every row.
+BAD_RECORDS = [
+    ('{"id": "d1", "source": "mc4"', "invalid JSON"),
+    ('["d1", "mc4", "本文。"]', "record is not a JSON object"),
+    ('{"id": "d1", "source": "mc4"}', "missing field 'text'"),
+    ('{"id": "d1", "source": "mc4", "text": 5}', "field 'text' must be a string"),
+    ('{"id": "d1", "source": "mc4", "text": "x", "lang": 1}', "field 'lang' must be a string"),
+    ('{"id": 1, "source": "mc4", "text": "x"}', "field 'id' must be a string, got 1"),
+    ('{"id": true, "source": "mc4", "text": "x"}', "field 'id' must be a string, got True"),
+    ('{"id": "d1", "source": "mc4", "text": "x", "url": 5}', "field 'url' must be a string"),
+    ('{"id": "d1", "source": "blog", "text": "x"}', "'blog' is not a valid SourceTag"),
+    ('{"id": "d1", "source": "mc4", "text": "x", "date": "2023-13-01"}', "month must be in 1..12"),
+    ('{"id": "d1", "source": "mc4", "text": "x", "date": 20230101}', "must be str"),
+    ('{"id": "d1", "source": "mc4", "text": "x", "date": false}', "must be str"),
+]
+BAD_RECORD_IDS = [
+    "broken_json", "array", "missing_text", "int_text", "int_lang", "int_id", "bool_id",
+    "int_url", "bad_source", "bad_date", "int_date", "false_date",
+]
+
+
+# Records drawn field by field: each field takes a value that looks right
+# (some are not: a bad month, an unknown source label), and up to two
+# fields are then made missing, null, a string, a number, a bool or a list.
+_PLAUSIBLE = {
+    "id": ("d1", "d2", ""),
+    "source": ("mc4", "patent", "blog", ""),
+    "text": ("本文です。", "x", ""),
+    "url": ("https://example.com/x", ""),
+    "date": ("2023-09-30", "", "2023-13-45", "2023-02-30"),
+    "lang": ("ja", "en", ""),
+}
+_MISSING = object()
+_ANY = st.one_of(
+    st.just(_MISSING), st.none(), st.text(max_size=4), st.integers(),
+    st.floats(allow_nan=False), st.booleans(), st.lists(st.integers(), max_size=2),
+)
+
+
+def _record(plausible: dict, changed: dict) -> dict:
+    return {k: v for k, v in {**plausible, **changed}.items() if v is not _MISSING}
+
+
+RECORDS = st.builds(
+    _record,
+    st.fixed_dictionaries({key: st.sampled_from(values) for key, values in _PLAUSIBLE.items()}),
+    st.dictionaries(st.sampled_from(sorted(_PLAUSIBLE)), _ANY, max_size=2),
+)
+
+
 class TestStrictReaders:
     def test_read_jsonl_skips_blank_lines_and_parses_objects(self, tmp_path):
         path = _write(tmp_path / "r.jsonl", ['{"n": 1}', "", "   ", '{"n": 2}'])
@@ -168,29 +224,59 @@ class TestStrictReaders:
         with pytest.raises(ValueError, match=r"c\.jsonl:2: 'utf-8' codec can't decode"):
             read_jsonl(path, lambda obj: obj["n"])
 
-    @pytest.mark.parametrize(
-        ("line", "message"),
-        [
-            ('{"id": "d1", "source": "mc4"', "invalid JSON"),
-            ('["d1", "mc4", "本文。"]', "record is not a JSON object"),
-            ('{"id": "d1", "source": "mc4"}', "missing field 'text'"),
-            ('{"id": "d1", "source": "mc4", "text": 5}', "field 'text' must be a string"),
-            ('{"id": "d1", "source": "mc4", "text": "x", "lang": 1}', "field 'lang' must be a string"),
-            ('{"id": 1, "source": "mc4", "text": "x"}', "field 'id' must be a string, got 1"),
-            ('{"id": true, "source": "mc4", "text": "x"}', "field 'id' must be a string, got True"),
-            ('{"id": "d1", "source": "mc4", "text": "x", "url": 5}', "field 'url' must be a string"),
-            ('{"id": "d1", "source": "blog", "text": "x"}', "'blog' is not a valid SourceTag"),
-            ('{"id": "d1", "source": "mc4", "text": "x", "date": "2023-13-01"}', "month must be in 1..12"),
-            ('{"id": "d1", "source": "mc4", "text": "x", "date": 20230101}', "must be str"),
-        ],
-        ids=["broken_json", "array", "missing_text", "int_text", "int_lang", "int_id", "bool_id",
-             "int_url", "bad_source", "bad_date", "int_date"],
-    )
+    @pytest.mark.parametrize(("line", "message"), BAD_RECORDS, ids=BAD_RECORD_IDS)
     def test_bad_corpus_record_names_file_and_line(self, tmp_path, line, message):
         path = _write(tmp_path / "c.jsonl", [json.dumps(GOOD_RECORD, ensure_ascii=False), line])
         with pytest.raises(ValueError, match=r"c\.jsonl:2: ") as excinfo:
             read_corpus_jsonl(path)
         assert message in str(excinfo.value)
+
+
+class TestOneRecordSchema:
+    """Lenient ingest and the strict reader apply one record schema; ingest
+    only fills in a missing ``id`` and ``source`` and counts a bad line."""
+
+    @pytest.mark.parametrize(("line", "message"), BAD_RECORDS, ids=BAD_RECORD_IDS)
+    def test_bad_record_is_one_malformed_line(self, tmp_path, line, message):
+        path = _write(tmp_path / "c.jsonl", [json.dumps(GOOD_RECORD, ensure_ascii=False), line])
+        stats = PipelineStats()
+        corpus = ingest_jsonl(path, SourceTag.OTHER, stats=stats)
+        assert [d.id for d in corpus] == ["d0"]
+        assert stats.stages[-1].detail == {"malformed_lines": 1, "ingested": 1}
+
+    def test_bad_lang_and_date_are_malformed(self, tmp_path):
+        path = _write(
+            tmp_path / "in.jsonl",
+            [
+                '{"id": "a", "text": "あ", "lang": 5, "date": "2023-13-45"}',
+                '{"id": "b", "text": "い", "date": 20230101}',
+            ],
+        )
+        stats = PipelineStats()
+        assert len(ingest_jsonl(path, SourceTag.OTHER, stats=stats)) == 0
+        assert stats.stages[-1].detail["malformed_lines"] == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=RECORDS)
+    def test_ingest_keeps_exactly_what_the_strict_reader_accepts(self, record):
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = Path(tmp) / "raw.jsonl"
+            raw.write_text(json.dumps(record) + "\n", encoding="utf-8")
+            filled = dict(record)
+            if filled.get("id") in (None, ""):
+                filled["id"] = hashlib.sha256(raw.read_bytes()).hexdigest()[:12] + ":1"
+            if filled.get("source") is None:
+                filled["source"] = "wikipedia"
+            strict = Path(tmp) / "filled.jsonl"
+            strict.write_text(json.dumps(filled) + "\n", encoding="utf-8")
+            stats = PipelineStats()
+            ingested = ingest_jsonl(raw, SourceTag.WIKIPEDIA, stats=stats)
+            try:
+                expected = read_corpus_jsonl(strict).documents
+            except ValueError:
+                expected = []
+        assert ingested.documents == expected
+        assert stats.stages[-1].detail["malformed_lines"] == 1 - len(expected)
 
 
 class TestCorpus:

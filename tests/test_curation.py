@@ -39,6 +39,25 @@ class TestRuleSet:
         assert rules.cue_words == ("ペロブスカイト", "solar")
 
 
+    @pytest.mark.parametrize(
+        ("body", "key"),
+        [
+            # a scalar would become one-character patterns, and "h" matches every URL
+            ("url_patterns: https://biz.example.com/\n", "url_patterns"),
+            ("cue_words: 決算\n", "cue_words"),
+            # str() of the null would add the cue word "None"
+            ("cue_words: [決算, ~]\n", "cue_words"),
+            ("url_patterns: [https://biz.example.com/, 7]\n", "url_patterns"),
+        ],
+        ids=["scalar_url_patterns", "scalar_cue_words", "null_cue_word", "int_url_pattern"],
+    )
+    def test_rule_lists_must_hold_strings(self, tmp_path, body, key):
+        path = tmp_path / "rules.yaml"
+        path.write_text("version: r1\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"rules\.yaml: {key} must be a list of strings"):
+            load_rules(path)
+
+
 class TestMatchesUrl:
     RULES = CurationRuleSet(url_patterns=("https://example.com/news/",))
 

@@ -190,6 +190,18 @@ class TestRunPipeline:
         manifest = _manifest(config.output_dir / "manifest.json")
         assert manifest["status"] == "incomplete"
 
+    def test_id_reused_across_source_files_fails_ingest(self, tmp_path):
+        config_path = synth.write_pipeline_config(tmp_path, [{"id": "x", "text": "一つ目。"}])
+        second = synth.write_jsonl(tmp_path / "second.jsonl", [{"id": "x", "text": "二つ目。"}])
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw["sources"].append({"path": str(second), "source": "patent"})
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        config = load_config(config_path)
+        with pytest.raises(StageFailure, match="'ingest' failed: duplicate document id in corpus: 'x'"):
+            run_pipeline(config)
+        manifest = _manifest(config.output_dir / "manifest.json")
+        assert manifest["status"] == "incomplete"
+
     def test_env_overrides(self, tmp_path, monkeypatch):
         records, _ = synth.make_records(n_core=2)
         config_path = synth.write_pipeline_config(tmp_path, records)
@@ -276,11 +288,21 @@ class TestRunPipeline:
         assert config.noise == NoiseConfig()
         assert config.dedup == DedupConfig()
 
-    @pytest.mark.parametrize("value", [[], None], ids=["empty", "null"])
-    def test_empty_terminator_list_fails_validation(self, tmp_path, value):
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("latin_terminators", []),
+            ("latin_terminators", None),
+            ("jp_terminators", ["。", "…。"]),
+            ("jp_terminators", [1, 2]),
+            ("punctuationless_languages", ["th", 7]),
+        ],
+        ids=["empty", "null", "two_characters", "numbers", "number_language"],
+    )
+    def test_empty_terminator_list_fails_validation(self, tmp_path, key, value):
         records, _ = synth.make_records(n_core=2)
         config_path = synth.write_pipeline_config(
-            tmp_path, records, extra={"noise": {"latin_terminators": value}}
+            tmp_path, records, extra={"noise": {key: value}}
         )
         with pytest.raises(ConfigError):
             load_config(config_path)
