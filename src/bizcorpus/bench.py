@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Protocol, Sequence, get_args, get_type_hints
+from typing import Protocol, Sequence, TypeVar, get_args, get_type_hints
 
 from .core import ConfigError, read_json, read_jsonl, utcnow, write_json
 
@@ -49,6 +49,14 @@ _JSON_TYPE_NAMES = {str: "string", int: "integer", bool: "boolean"}
 
 # resolves the string annotations that ``from __future__ import annotations`` leaves
 _field_types = functools.cache(get_type_hints)
+
+R = TypeVar("R")
+
+
+def _from_fields(cls: type[R], obj: dict) -> R:
+    """A ``cls`` built from ``obj``'s value for each of its dataclass fields;
+    every field is required, and a missing one raises ``KeyError``."""
+    return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 def _check_field_types(record: object) -> None:
@@ -126,11 +134,6 @@ class Judgment:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> Judgment:
-        """Every field is required; a missing one raises ``KeyError``."""
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +303,7 @@ def _read_record(path: Path) -> RunRecord:
     A file that is not a JSON object holding every field with its type, or
     names an unknown setting, raises ``ValueError("<path>: <reason>")``.
     """
-    obj = read_json(path)
-    try:
-        return RunRecord(**{f.name: obj[f.name] for f in fields(RunRecord)})
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_json(path, functools.partial(_from_fields, RunRecord))
 
 
 def _resume(path: Path, expected: dict) -> RunRecord:
@@ -542,7 +539,7 @@ def record_judgments(
 
 
 def load_judgments(path: Path | str) -> list[Judgment]:
-    return read_jsonl(path, Judgment.from_dict)
+    return read_jsonl(path, functools.partial(_from_fields, Judgment))
 
 
 def _judgment_key(judgment: Judgment) -> tuple[str, SettingKind, str, str]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 log = logging.getLogger(__name__)
 
@@ -202,7 +202,7 @@ def derive_seed(seed: int, label: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer backends
+# Token counting
 # ---------------------------------------------------------------------------
 
 # Unicode ranges treated as CJK for per-character token splitting: CJK
@@ -237,22 +237,13 @@ def _cjk_run_re() -> re.Pattern[str]:
     return re.compile(f"[{code_point_class(((0x3001, 0x303F),) + _CJK_RANGES[1:])}]+")
 
 
-class TokenizerBackend(Protocol):
-    name: str
-
-    def count(self, text: str) -> int: ...
-
-
 class WhitespaceCjkTokenizer:
-    """Built-in default tokenizer: whitespace-delimited chunks, with every
-    CJK character counted as its own token.
+    """The one token count: whitespace-delimited chunks, with every CJK
+    character counted as its own token.
 
     Not a real subword tokenizer; it exists so token accounting works with
-    no external models. Any backend implementing ``count(text) -> int`` can
-    replace it.
+    no external models.
     """
-
-    name = "whitespace_cjk_v1"
 
     def count(self, text: str) -> int:
         # Counted by runs, a few regex matches per document where one per
@@ -266,30 +257,13 @@ class WhitespaceCjkTokenizer:
         return len(text) - len(spaced) + runs + len(spaced.split())
 
 
-class TokenizeError(RuntimeError):
-    """Tokenizer backend failure, carrying the document where it happened."""
-
-    def __init__(self, doc_id: str, message: str = "tokenizer backend failed"):
-        super().__init__(f"{message} (document {doc_id!r})")
-        self.doc_id = doc_id
-
-
-def count_tokens(
-    corpus: Corpus,
-    tokenizer: TokenizerBackend | None = None,
-    *,
-    stats: PipelineStats | None = None,
-) -> PipelineStats:
+def count_tokens(corpus: Corpus, *, stats: PipelineStats | None = None) -> PipelineStats:
     """Count tokens per source; the grand total is exactly the sum of the
-    per-source totals for any backend."""
-    tok = tokenizer or WhitespaceCjkTokenizer()
+    per-source totals."""
+    count = WhitespaceCjkTokenizer().count
     per_source: Counter[str] = Counter()
     for doc in corpus:
-        try:
-            n = tok.count(doc.text)
-        except Exception as exc:
-            raise TokenizeError(doc.id) from exc
-        per_source[doc.source.value] += n
+        per_source[doc.source.value] += count(doc.text)
     out = stats if stats is not None else PipelineStats()
     out.tokens_by_source = dict(per_source)
     return out
@@ -318,43 +292,50 @@ def write_json(path: Path | str, obj: dict) -> None:
     os.replace(tmp, path)
 
 
-def read_json(path: Path | str) -> dict:
-    """Strict whole-file JSON reader: the file must hold one JSON object.
-    Anything else raises ``ValueError("<path>: <reason>")``."""
+def parse_object(raw: bytes, parse: Callable[[dict], T], path: Path | str, lineno: int | None = None) -> T:
+    """Decode ``raw`` as one UTF-8 JSON object and return ``parse(obj)``.
+
+    Invalid UTF-8 or JSON, a value that is not an object, or a ``KeyError``,
+    ``TypeError`` or ``ValueError`` from ``parse`` raises
+    ``ValueError("<path>: <reason>")``, or ``"<path>:<lineno>: <reason>"``
+    for one line of a file; a missing key reads as ``missing field 'x'``.
+    """
     try:
-        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: record is not a JSON object")
-    return obj
+        obj = json.loads(raw.decode("utf-8"))
+        if not isinstance(obj, dict):
+            raise TypeError("record is not a JSON object")
+        return parse(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        # worded only on failure: a good line costs no string building
+        if isinstance(exc, KeyError):
+            reason = f"missing field {exc.args[0]!r}"
+        elif isinstance(exc, json.JSONDecodeError):
+            # within a whole file, the line and column are where to look
+            reason = f"invalid JSON: {exc if lineno is None else exc.msg}"
+        else:
+            reason = str(exc)
+        where = path if lineno is None else f"{path}:{lineno}"
+        raise ValueError(f"{where}: {reason}") from exc
+
+
+def read_json(path: Path | str, parse: Callable[[dict], T] = dict) -> T:
+    """Strict whole-file JSON reader: the file must hold one JSON object, and
+    ``parse(obj)`` is returned. Anything else raises ``ValueError("<path>:
+    <reason>")`` as :func:`parse_object` words it."""
+    return parse_object(Path(path).read_bytes(), parse, path)
 
 
 def read_jsonl(path: Path | str, parse: Callable[[dict], T]) -> list[T]:
     """Strict line-delimited JSON reader: blank lines are skipped, every
     other line must be a JSON object, and ``parse(obj)`` is returned for each.
-
     The first bad line stops the read with ``ValueError("<path>:<line>:
-    <reason>")``: invalid UTF-8 or JSON, a non-object, or a ``KeyError``,
-    ``TypeError`` or ``ValueError`` from ``parse`` (a missing key reads as
-    ``missing field 'x'``).
+    <reason>")`` as :func:`parse_object` words it.
     """
     out: list[T] = []
     with Path(path).open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw.decode("utf-8"))
-                if not isinstance(obj, dict):
-                    raise TypeError("record is not a JSON object")
-                out.append(parse(obj))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if raw.strip():
+                out.append(parse_object(raw, parse, path, lineno))
     return out
 
 
@@ -379,21 +360,24 @@ def ingest_jsonl(
     docs: list[Document] = []
     seen_ids: set[str] = set()
     malformed = 0
+
+    def parse(obj: dict) -> Document:
+        # called from the loop below, so ``lineno`` is the line being parsed
+        if obj.get("id") in (None, ""):
+            obj["id"] = f"{digest}:{lineno}"
+        if obj.get("source") is None:
+            obj["source"] = source
+        doc = _record_to_document(obj)
+        if doc.id in seen_ids:
+            raise ValueError(f"id {doc.id!r} reused")
+        return doc
+
     for lineno, raw in enumerate(data.split(b"\n"), start=1):
         if not raw.strip():
             continue
         try:
-            obj = json.loads(raw.decode("utf-8"))
-            if not isinstance(obj, dict):
-                raise TypeError("record is not a JSON object")
-            if obj.get("id") in (None, ""):
-                obj["id"] = f"{digest}:{lineno}"
-            if obj.get("source") is None:
-                obj["source"] = source
-            doc = _record_to_document(obj)
-            if doc.id in seen_ids:
-                raise ValueError(f"id {doc.id!r} reused")
-        except (KeyError, TypeError, ValueError):
+            doc = parse_object(raw, parse, path, lineno)
+        except ValueError:
             malformed += 1
             continue
         seen_ids.add(doc.id)

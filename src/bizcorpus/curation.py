@@ -38,7 +38,8 @@ class CurationRuleSet:
 
 def load_rules(path: Path | str) -> CurationRuleSet:
     """Load a rule set from a YAML (or JSON) file with keys
-    ``url_patterns``, ``cue_words`` and ``version``."""
+    ``url_patterns``, ``cue_words`` and ``version``; any other key is an
+    error."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         try:
@@ -47,6 +48,9 @@ def load_rules(path: Path | str) -> CurationRuleSet:
             raise ValueError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: rule file must contain a mapping")
+    unknown = sorted(str(key) for key in raw.keys() - {"version", "url_patterns", "cue_words"})
+    if unknown:
+        raise ValueError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
     lists = {key: [] if raw.get(key) is None else raw[key] for key in ("url_patterns", "cue_words")}
     for key, items in lists.items():
         if not isinstance(items, list) or not all(isinstance(item, str) for item in items):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .core import Corpus, SourceTag, derive_seed, read_jsonl
+from .core import Corpus, SourceTag, derive_seed
 
 
 class MixtureConfigError(ValueError):
@@ -98,13 +98,6 @@ class SamplePlan:
                 fh.write(json.dumps({"source": entry.source.value, "id": entry.doc_id}))
                 fh.write("\n")
         return path
-
-    @classmethod
-    def from_jsonl(cls, path: Path | str) -> SamplePlan:
-        def parse(obj: dict) -> PlanEntry:
-            return PlanEntry(SourceTag(obj["source"]), str(obj["id"]))
-
-        return cls(read_jsonl(path, parse))
 
 
 def round_half_up(x: Fraction) -> int:

@@ -40,11 +40,9 @@ class NoiseConfig:
         if not self.jp_terminators or not self.latin_terminators:
             raise ValueError("terminator sets must be non-empty")
         # a line's last character is what gets tested, so a longer entry never matches
-        bad = sorted(repr(t) for t in self.terminators if not isinstance(t, str) or len(t) != 1)
+        bad = sorted(repr(t) for t in self.terminators if len(t) != 1)
         if bad:
             raise ValueError(f"terminators must be single characters, got {', '.join(bad)}")
-        if not all(isinstance(lang, str) for lang in self.punctuationless_languages):
-            raise ValueError("punctuationless_languages entries must be strings")
         if not 0.0 <= self.min_sentential_ratio <= 1.0:
             raise ValueError("min_sentential_ratio must be in [0, 1]")
 

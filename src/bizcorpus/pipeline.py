@@ -41,23 +41,42 @@ MANIFEST_SCHEMA = "bizcorpus-manifest/1"
 
 ENV_OUTPUT_DIR = "BIZCORPUS_OUTPUT_DIR"
 
-# Every key of each stage section, with the converter of its value. A key
-# converted here sets the field of that name on the stage's config
+
+def _string_set(key: str, value: object) -> frozenset[str]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"{key} must be a list of strings, got {value!r}")
+    return frozenset(value)
+
+
+def _number(key: str, value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(key: str, value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+# Every key of each stage section, with the checker of its value's JSON type.
+# A key checked here sets the field of that name on the stage's config
 # dataclass; a key mapped to None is read by load_config itself.
-_SECTIONS: dict[str, dict[str, Callable | None]] = {
+_SECTIONS: dict[str, dict[str, Callable[[str, object], object] | None]] = {
     "curation": {"rules_file": None},
     "lang_id": {
-        "uncertainty_threshold": float,
-        "jp_script_ratio_threshold": float,
+        "uncertainty_threshold": _number,
+        "jp_script_ratio_threshold": _number,
         "classifier_cmd": None,
     },
     "noise": {
-        "jp_terminators": frozenset,
-        "latin_terminators": frozenset,
-        "min_sentential_ratio": float,
-        "punctuationless_languages": frozenset,
+        "jp_terminators": _string_set,
+        "latin_terminators": _string_set,
+        "min_sentential_ratio": _number,
+        "punctuationless_languages": _string_set,
     },
-    "dedup": {"sentence_frequency_threshold": int},
+    "dedup": {"sentence_frequency_threshold": _integer},
 }
 _TOP_LEVEL_KEYS = frozenset(
     {"seed", "output_dir", "workers", "sources", "dump_sentence_freq", *_SECTIONS}
@@ -124,10 +143,10 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def _settings(sections: dict[str, dict], name: str) -> dict:
-    """The config dataclass fields that section ``name`` sets, each converted.
+    """The config dataclass fields that section ``name`` sets, each checked.
     Absent keys are left out, so the dataclass's own defaults apply."""
-    convert = _SECTIONS[name]
-    return {key: convert[key](v) for key, v in sections[name].items() if convert[key]}
+    check = _SECTIONS[name]
+    return {key: check[key](key, v) for key, v in sections[name].items() if check[key]}
 
 
 def load_config(path: Path | str) -> PipelineConfig:
@@ -189,13 +208,11 @@ def load_config(path: Path | str) -> PipelineConfig:
         dedup_cfg = dedup_mod.DedupConfig(
             **_settings(sections, "dedup"), terminators=noise.terminators
         )
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+        seed = _integer("seed", raw.get("seed", 0))
         dump_sentence_freq = raw.get("dump_sentence_freq", False)
         if not isinstance(dump_sentence_freq, bool):
             raise ValueError(f"dump_sentence_freq must be true or false, got {dump_sentence_freq!r}")
-        workers = int(raw.get("workers", 1))
+        workers = _integer("workers", raw.get("workers", 1))
         if workers < 1:
             raise ValueError("workers must be >= 1")
         # spawned last, so a config that fails validation leaves no child behind

@@ -13,10 +13,9 @@ import synth
 
 from bizcorpus.bench import SettingKind, TaskSetting
 from bizcorpus.cli import build_parser, main
-from bizcorpus.core import read_corpus_jsonl
+from bizcorpus.core import SourceTag, read_corpus_jsonl, read_jsonl
 from bizcorpus.dedup import DedupConfig
 from bizcorpus.langid import LangIdConfig
-from bizcorpus.mixture import SamplePlan
 from bizcorpus.noise import NoiseConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -72,8 +71,21 @@ class TestRun:
 
 
     def test_scalar_rule_list_stops_run_and_curate(self, tmp_path, capsys):
-        rules = tmp_path / "scalar_rules.yaml"
-        rules.write_text("url_patterns: https://biz.example.com/\n", encoding="utf-8")
+        self._bad_rules_stop_run_and_curate(
+            tmp_path, capsys, "url_patterns: https://biz.example.com/\n", "url_patterns must be a list"
+        )
+
+    def test_unknown_rule_key_stops_run_and_curate(self, tmp_path, capsys):
+        # a typo next to a valid list once gave a rule set with no cue words
+        self._bad_rules_stop_run_and_curate(
+            tmp_path, capsys, "url_patterns: [https://biz.example.com/]\ncue_word: [決算]\n",
+            "unknown key(s) 'cue_word'",
+        )
+
+    @staticmethod
+    def _bad_rules_stop_run_and_curate(tmp_path, capsys, text, message):
+        rules = tmp_path / "bad_rules.yaml"
+        rules.write_text(text, encoding="utf-8")
         records, _ = synth.make_records(n_core=2)
         config = synth.write_pipeline_config(tmp_path, records)
         raw = json.loads(config.read_text(encoding="utf-8"))
@@ -81,11 +93,11 @@ class TestRun:
         config.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["run", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert f"error: bad rules file {rules}: {rules}: url_patterns must be a list" in err
+        assert f"error: bad rules file {rules}: {rules}: {message}" in err
         corpus, _ = _corpus_file(tmp_path)
         curate = ["curate", "--rules", str(rules), "--in", str(corpus), "--out", str(tmp_path / "c.jsonl")]
         assert main(curate) == 2
-        assert capsys.readouterr().err.startswith(f"error: {rules}: url_patterns must be a list")
+        assert capsys.readouterr().err.startswith(f"error: {rules}: {message}")
 
     def test_id_reused_across_source_files_exit_two(self, tmp_path, capsys):
         config = synth.write_pipeline_config(tmp_path, [{"id": "x", "text": "一つ目。"}])
@@ -238,7 +250,7 @@ class TestMix:
             ["mix", "epoch", "--in", str(path), "--out", str(out), "--seed", "5",
              "--weight", "curated_business=2.0"]
         ) == 0
-        plan = SamplePlan.from_jsonl(out)
+        plan = read_jsonl(out, lambda obj: (SourceTag(obj["source"]), obj["id"]))
         assert len(plan) == 2 * truth.total_records
 
     def test_update_mix_and_verify(self, tmp_path, capsys):

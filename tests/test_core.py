@@ -18,12 +18,13 @@ from bizcorpus.core import (
     PipelineStats,
     SourceTag,
     StageStats,
-    TokenizeError,
     WhitespaceCjkTokenizer,
+    _record_to_document,
     count_tokens,
     derive_seed,
     ingest_jsonl,
     read_corpus_jsonl,
+    read_json,
     read_jsonl,
     run_stage,
     write_corpus_jsonl,
@@ -224,6 +225,41 @@ class TestStrictReaders:
         with pytest.raises(ValueError, match=r"c\.jsonl:2: 'utf-8' codec can't decode"):
             read_jsonl(path, lambda obj: obj["n"])
 
+    @pytest.mark.parametrize(
+        ("raw", "reason"),
+        [
+            (b'{"id": "d1", "source": "mc4", "text": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+            (b'["d1", "mc4", "x"]', "record is not a JSON object"),
+            (b'{"id": "d1", "source": "mc4"}', "missing field 'text'"),
+            (b'{"id": "d1", "source": "mc4"', "invalid JSON: Expecting ',' delimiter"),
+        ],
+        ids=["invalid_utf8", "array", "missing_field", "truncated"],
+    )
+    def test_one_parser_behind_every_reader(self, tmp_path, raw, reason):
+        whole = tmp_path / "r.json"
+        whole.write_bytes(raw)
+        with pytest.raises(ValueError) as excinfo:
+            read_json(whole, _record_to_document)
+        assert str(excinfo.value).startswith(f"{whole}: {reason}")
+        lines = tmp_path / "r.jsonl"
+        lines.write_bytes(json.dumps(GOOD_RECORD).encode() + b"\n" + raw + b"\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_jsonl(lines, _record_to_document)
+        assert str(excinfo.value).startswith(f"{lines}:2: {reason}")
+        stats = PipelineStats()
+        assert [d.id for d in ingest_jsonl(lines, SourceTag.OTHER, stats=stats)] == ["d0"]
+        assert stats.stages[-1].detail == {"malformed_lines": 1, "ingested": 1}
+
+    def test_read_json_names_line_and_column_of_bad_json(self, tmp_path):
+        # whole files are written with indent=2 and edited by hand
+        path = tmp_path / "record.json"
+        path.write_text('{\n  "id": "d1",\n  "text": "cut off', encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_json(path)
+        assert str(excinfo.value) == (
+            f"{path}: invalid JSON: Unterminated string starting at: line 3 column 11 (char 26)"
+        )
+
     @pytest.mark.parametrize(("line", "message"), BAD_RECORDS, ids=BAD_RECORD_IDS)
     def test_bad_corpus_record_names_file_and_line(self, tmp_path, line, message):
         path = _write(tmp_path / "c.jsonl", [json.dumps(GOOD_RECORD, ensure_ascii=False), line])
@@ -346,18 +382,6 @@ class TestTokenizer:
             "common_crawl": 112_900_000_000,
         }
         assert stats.total_tokens == 221_900_000_000
-
-    def test_backend_failure_names_document(self):
-        class Exploding:
-            name = "exploding"
-
-            def count(self, text):
-                raise RuntimeError("boom")
-
-        corpus = Corpus([doc("fine", "a"), doc("bad", "b")])
-        with pytest.raises(TokenizeError) as err:
-            count_tokens(corpus, Exploding())
-        assert err.value.doc_id == "fine"
 
 
 class TestStats:

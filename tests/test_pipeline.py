@@ -239,8 +239,22 @@ class TestRunPipeline:
             ({"seed": True}, "seed must be an integer, got True"),
             ({"seed": 1.9}, "seed must be an integer, got 1.9"),
             ({"seed": None}, "seed must be an integer, got None"),
+            ({"noise": {"punctuationless_languages": "th"}}, "punctuationless_languages must be a list of strings, got 'th'"),
+            ({"noise": {"jp_terminators": "。！"}}, "jp_terminators must be a list of strings, got '。！'"),
+            ({"noise": {"punctuationless_languages": ["th", 1]}}, "punctuationless_languages must be a list of strings, got ['th', 1]"),
+            ({"dedup": {"sentence_frequency_threshold": 2.9}}, "sentence_frequency_threshold must be an integer, got 2.9"),
+            ({"dedup": {"sentence_frequency_threshold": True}}, "sentence_frequency_threshold must be an integer, got True"),
+            ({"lang_id": {"uncertainty_threshold": True}}, "uncertainty_threshold must be a number, got True"),
+            ({"lang_id": {"uncertainty_threshold": "0.9"}}, "uncertainty_threshold must be a number, got '0.9'"),
+            ({"noise": {"min_sentential_ratio": "0.5"}}, "min_sentential_ratio must be a number, got '0.5'"),
+            ({"workers": 2.5}, "workers must be an integer, got 2.5"),
+            ({"workers": True}, "workers must be an integer, got True"),
         ],
-        ids=["freq_string", "freq_int", "freq_null", "seed_string", "seed_bool", "seed_float", "seed_null"],
+        ids=[
+            "freq_string", "freq_int", "freq_null", "seed_string", "seed_bool", "seed_float", "seed_null",
+            "languages_scalar", "terminators_string", "languages_number", "threshold_float", "threshold_bool",
+            "uncertainty_bool", "uncertainty_string", "ratio_string", "workers_float", "workers_bool",
+        ],
     )
     def test_mistyped_scalar_fails_validation(self, tmp_path, extra, message):
         records, _ = synth.make_records(n_core=2)
