@@ -20,6 +20,7 @@ import json
 import shlex
 import subprocess
 import threading
+from typing import Iterable, Iterator
 
 from .bench import SearchResult
 
@@ -70,24 +71,29 @@ class JsonLineProcess:
         )
 
     def call(self, request: dict) -> dict:
-        return _parse_reply(self.call_many([request])[0])
+        (reply,) = self.exchange([request])
+        return _parse_reply(reply)
 
-    def call_many(self, requests: list[dict]) -> list[str]:
+    def exchange(self, requests: list[dict]) -> Iterator[str]:
         """Send the requests in order, up to ``WINDOW`` ahead of the replies
-        read, and return the reply lines ("" where none came). Requests are
-        flushed in batches of half a window, and always before a read, so a
-        child must answer each line as it arrives, not wait for EOF."""
+        read, and yield each reply line as it is read ("" where none came).
+        Requests are flushed in batches of half a window, and always before a
+        read, so a child must answer each line as it arrives, not wait for
+        EOF. The child is taken at the first ``next`` and handed back once the
+        last reply is read and the exchange is exhausted or closed; closed
+        earlier, the child is out of step, and no later call gets a reply."""
         with self._lock:
-            if self._broken:
-                return [""] * len(requests)
-            if not self._idle:
+            if not (self._broken or self._idle):
                 self._procs.append(self._spawn())
                 self._idle.append(self._procs[-1])
-            proc = self._idle.pop()
+            proc = None if self._broken else self._idle.pop()
+        if proc is None:
+            yield from [""] * len(requests)
+            return
         stdin, stdout = proc.stdin, proc.stdout
         assert stdin is not None and stdout is not None
-        lines: list[str] = []
-        sent = 0
+        sent = read = 0
+        reply = ""
         batch = self.WINDOW // 2
         try:
             with contextlib.suppress(BrokenPipeError):  # the child is gone: the rest go unanswered
@@ -96,18 +102,22 @@ class JsonLineProcess:
                     sent += 1
                     if sent % batch == 0:
                         stdin.flush()
-                        if sent - len(lines) == self.WINDOW:
-                            lines += [stdout.readline() for _ in range(batch)]
+                        while sent - read > batch:
+                            read += 1
+                            yield (reply := stdout.readline())
                 stdin.flush()
-            lines += [stdout.readline() for _ in range(sent - len(lines))]
+            while read < sent:
+                read += 1
+                yield (reply := stdout.readline())
         finally:
-            # a child that did not answer every request is dead or out of step
+            # a child that did not answer every request is dead or out of step;
+            # one that closed its stdout gives "" for every later read
             with self._lock:
-                if len(lines) == len(requests) and "" not in lines:
+                if read == len(requests) and (reply or not requests):
                     self._idle.append(proc)
                 else:
                     self._broken = True
-        return lines + [""] * (len(requests) - sent)
+        yield from [""] * (len(requests) - sent)
 
     def close(self) -> None:
         for proc in self._procs:
@@ -122,11 +132,24 @@ class JsonLineProcess:
             proc.stdout.close()
 
 
-class ClassifierAnswers(list):
-    """``(lang, confidence)`` per text, None where no usable answer came;
-    ``failure`` is the error behind the first None, if any."""
+class ClassifierAnswers:
+    """``(lang, confidence)`` per text, given lazily as the replies arrive,
+    None where no usable answer came; ``failure`` is the error behind the
+    first None, set by the time that None is given. Iterable once."""
 
     failure: WireProtocolError | None = None
+
+    def __init__(self, replies: Iterable[str]):
+        self._replies = replies
+
+    def __iter__(self) -> Iterator[tuple[str, float] | None]:
+        for line in self._replies:
+            try:
+                answer = _parse_verdict(line)
+            except WireProtocolError as exc:
+                answer = None
+                self.failure = self.failure or exc
+            yield answer
 
 
 def _parse_verdict(line: str) -> tuple[str, float]:
@@ -147,20 +170,15 @@ class SubprocessClassifier:
 
     def classify(self, text: str) -> tuple[str, float]:
         answers = self.classify_many([text])
+        (answer,) = answers
         if answers.failure is not None:
             raise answers.failure
-        return answers[0]
+        return answer
 
     def classify_many(self, texts: list[str]) -> ClassifierAnswers:
-        """``(lang, confidence)`` for each text; None where no usable answer came."""
-        answers = ClassifierAnswers()
-        for line in self._proc.call_many([{"text": text} for text in texts]):
-            try:
-                answers.append(_parse_verdict(line))
-            except WireProtocolError as exc:
-                answers.append(None)
-                answers.failure = answers.failure or exc
-        return answers
+        """``(lang, confidence)`` for each text as its reply is read; None
+        where no usable answer came."""
+        return ClassifierAnswers(self._proc.exchange([{"text": text} for text in texts]))
 
     def close(self) -> None:
         self._proc.close()

@@ -488,12 +488,12 @@ def record_judgments(
     resulting judgments to ``<run_dir>/judgments.jsonl``.
 
     Verdict records are line-delimited JSON:
-    ``{"question_id": ..., "content_faithful": bool, "instruction_followed": bool}``.
-    Both criteria must be JSON booleans. A verdict for a question without an
-    ok response, or with a non-boolean criterion, is an error naming the line,
-    and so is a second judgment of one (question, setting, model, judge),
-    whether already in ``judgments.jsonl`` or earlier in the same file. On
-    any error nothing is appended.
+    ``{"question_id": str, "content_faithful": bool, "instruction_followed": bool}``.
+    The id must be a JSON string and both criteria JSON booleans. A verdict
+    for a question without an ok response, or with a mistyped field, is an
+    error naming the line, and so is a second judgment of one (question,
+    setting, model, judge), whether already in ``judgments.jsonl`` or earlier
+    in the same file. On any error nothing is appended.
     """
     run_dir = Path(run_dir)
     responses_dir = run_dir / "responses"
@@ -505,7 +505,9 @@ def record_judgments(
     judged = {_judgment_key(j) for j in load_judgments(stored)} if stored.exists() else set()
 
     def parse(obj: dict) -> Judgment:
-        qid = str(obj["question_id"])
+        qid = obj["question_id"]
+        if not isinstance(qid, str):
+            raise ValueError(f"field 'question_id' must be a string, got {qid!r}")
         record = records.get(qid)
         if record is None:
             raise ValueError(f"no response record for {qid!r}")

@@ -163,7 +163,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     corpus = read_corpus_jsonl(args.input)
     stats = count_tokens(corpus)
-    run_stage(stats, StageStats("stats"), corpus, lambda doc: doc)
+    list(run_stage(stats, StageStats("stats"), corpus, lambda doc: doc))  # counts them per source
     emit_manifest(stats, args.output)
     print(f"{len(corpus)} documents, {stats.total_tokens} tokens -> {args.output}")
     return EXIT_OK

@@ -4,8 +4,9 @@ Every pipeline stage consumes and produces the types defined here:
 ``Document`` (one ingested text unit), ``Corpus`` (an ordered document
 container) and ``PipelineStats`` (the per-stage / per-source accounting
 object that the run manifest is rendered from). A stage is a per-document
-step run by :func:`run_stage`, which does every stage's accounting. No
-stage carries provenance: where a document came from is its ``source``.
+step run by :func:`run_stage`, a generator that does every stage's
+accounting, so stages chain one document at a time. No stage carries
+provenance: where a document came from is its ``source``.
 
 Ingestion reads line-delimited JSON records of the form::
 
@@ -25,7 +26,7 @@ import logging
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -65,11 +66,13 @@ class Document:
     published_date: date | None = None
     lang: str | None = None
 
+    # built field by field: ``dataclasses.replace`` costs twice as much, and
+    # the streamed stages call these once per document
     def with_lang(self, lang: str) -> Document:
-        return replace(self, lang=lang)
+        return Document(self.id, self.source, self.text, self.url, self.published_date, lang)
 
     def with_text(self, text: str) -> Document:
-        return replace(self, text=text)
+        return Document(self.id, self.source, text, self.url, self.published_date, self.lang)
 
 
 @dataclass
@@ -106,8 +109,9 @@ class StageStats:
     """Document accounting for one pipeline stage.
 
     ``docs_in`` and ``docs_out`` count documents per source label, as
-    :func:`run_stage` fills them. ``doc_removals`` maps removal reason to the number of documents dropped
-    for that reason and must sum to the stage's total document loss.
+    :func:`run_stage` fills them. ``doc_removals`` maps removal reason to the
+    number of documents dropped for that reason and must sum to the stage's
+    total document loss.
     ``detail`` holds free-form sub-document counters (lines stripped,
     sentences removed, malformed input lines, rule hit counts, ...).
     """
@@ -168,27 +172,32 @@ def run_stage(
     entry: StageStats,
     docs: Iterable[Document],
     step: Callable[[Document], Document | str],
-) -> Corpus:
-    """Run one stage: pass each document to ``step``, which returns the
-    document to keep (possibly rewritten) or, for a document that goes, the
-    reason as a string. The documents in and out are counted per source and
-    the reasons per reason into ``entry``, whose ``doc_removals`` and
-    ``detail`` the stage seeds with the keys it always reports; ``entry`` is
-    then recorded into ``stats``, which checks it."""
+) -> Iterator[Document]:
+    """Run one stage as a stream: pass each document to ``step``, which
+    returns the document to keep (possibly rewritten) or, for a document that
+    goes, the reason as a string, and yield each document kept as soon as its
+    step returns. The documents in and out are counted per source and the
+    reasons per reason into ``entry``, whose ``doc_removals`` and ``detail``
+    the stage seeds with the keys it always reports; once ``docs`` runs out,
+    ``entry`` is recorded into ``stats``, which checks it. An exception from
+    ``step`` leaves with the stage's name as its ``stage`` attribute, so a
+    failure in a chain of stages names the stage whose step raised."""
     docs_in, docs_out, removals = entry.docs_in, entry.docs_out, entry.doc_removals
-    kept: list[Document] = []
     for doc in docs:
         docs_in[doc.source.value] = docs_in.get(doc.source.value, 0) + 1
-        result = step(doc)
+        try:
+            result = step(doc)
+        except Exception as exc:
+            if not hasattr(exc, "stage"):
+                exc.stage = entry.stage
+            raise
         if isinstance(result, str):
             removals[result] = removals.get(result, 0) + 1
         else:
-            kept.append(result)
             docs_out[result.source.value] = docs_out.get(result.source.value, 0) + 1
-    out = Corpus(kept)
+            yield result
     if stats is not None:
         stats.record_stage(entry)
-    return out
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -386,7 +395,8 @@ def ingest_jsonl(
     if malformed:
         log.warning("%s: skipped %d malformed line(s)", path, malformed)
     detail = {"malformed_lines": malformed, "ingested": len(docs)}
-    return run_stage(stats, StageStats(f"ingest:{path.name}", detail=detail), docs, lambda doc: doc)
+    entry = StageStats(f"ingest:{path.name}", detail=detail)
+    return Corpus(list(run_stage(stats, entry, docs, lambda doc: doc)))
 
 
 def document_to_record(doc: Document) -> dict:
@@ -411,6 +421,11 @@ def write_corpus_jsonl(corpus: Corpus, path: Path | str) -> Path:
     return path
 
 
+# ``date.fromisoformat`` also takes ``20230105`` and ``2023-W01-4`` from
+# Python 3.11 on; a record's date is ``YYYY-MM-DD`` on every version
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _record_to_document(obj: dict) -> Document:
     """The one definition of a valid corpus record, for both readers; an
     empty ``url`` or ``date`` means absent."""
@@ -424,6 +439,8 @@ def _record_to_document(obj: dict) -> Document:
         raise ValueError(f"field 'url' must be a string, got {url!r}")
     if lang is not None and not isinstance(lang, str):
         raise ValueError(f"field 'lang' must be a string, got {lang!r}")
+    if isinstance(day, str) and day and not _ISO_DAY.fullmatch(day):
+        raise ValueError(f"field 'date' must be YYYY-MM-DD, got {day!r}")
     return Document(
         id=doc_id,
         source=SourceTag(source),

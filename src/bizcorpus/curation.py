@@ -38,8 +38,8 @@ class CurationRuleSet:
 
 def load_rules(path: Path | str) -> CurationRuleSet:
     """Load a rule set from a YAML (or JSON) file with keys
-    ``url_patterns``, ``cue_words`` and ``version``; any other key is an
-    error."""
+    ``url_patterns``, ``cue_words`` (lists of strings) and ``version`` (a
+    string, ``"unversioned"`` when absent); any other key is an error."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         try:
@@ -55,10 +55,14 @@ def load_rules(path: Path | str) -> CurationRuleSet:
     for key, items in lists.items():
         if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
             raise ValueError(f"{path}: {key} must be a list of strings, got {items!r}")
+    version = raw.get("version", "unversioned")
+    if not isinstance(version, str):
+        # str() would read ``version: 1.10`` back as "1.1"
+        raise ValueError(f"{path}: version must be a string, got {version!r}")
     return CurationRuleSet(
         url_patterns=tuple(lists["url_patterns"]),
         cue_words=tuple(lists["cue_words"]),
-        rule_set_version=str(raw.get("version", "unversioned")),
+        rule_set_version=version,
     )
 
 
@@ -105,4 +109,4 @@ def curate(
         return doc if by_url or by_cue else "no_rule_match"
 
     entry = StageStats("curate", doc_removals={"no_rule_match": 0}, detail=hits)
-    return run_stage(stats, entry, corpus, step)
+    return Corpus(list(run_stage(stats, entry, corpus, step)))

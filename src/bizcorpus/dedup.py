@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .core import Corpus, Document, PipelineStats, StageStats, run_stage
 from .noise import DEFAULT_JP_TERMINATORS, DEFAULT_LATIN_TERMINATORS
@@ -114,16 +115,17 @@ def count_sentences(
     return SentenceFrequencyTable(counter)
 
 
-def dedup_documents(
+def iter_unique_documents(
     config: DedupConfig,
-    corpus: Corpus,
+    docs: Iterable[Document],
     *,
     stats: PipelineStats | None = None,
     fingerprint_bits: int = 64,
-) -> Corpus:
-    """Drop byte-identical documents, keeping the first seen of each class.
-    Fingerprints only bucket candidates; equality is always confirmed on the
-    text itself, so narrow test fingerprints cannot merge distinct documents."""
+) -> Iterator[Document]:
+    """Drop byte-identical documents as they come, keeping the first seen of
+    each class. Fingerprints only bucket candidates; equality is always
+    confirmed on the text itself, so narrow test fingerprints cannot merge
+    distinct documents."""
     groups: dict[int, list[str]] = {}
 
     def step(doc: Document) -> Document | str:
@@ -134,7 +136,19 @@ def dedup_documents(
         return doc
 
     entry = StageStats("dedup_documents", doc_removals={"duplicate_document": 0})
-    return run_stage(stats, entry, corpus, step)
+    return run_stage(stats, entry, docs, step)
+
+
+def dedup_documents(
+    config: DedupConfig,
+    corpus: Corpus,
+    *,
+    stats: PipelineStats | None = None,
+    fingerprint_bits: int = 64,
+) -> Corpus:
+    """:func:`iter_unique_documents` over a whole corpus."""
+    unique = iter_unique_documents(config, corpus, stats=stats, fingerprint_bits=fingerprint_bits)
+    return Corpus(list(unique))
 
 
 def dedup_sentences(
@@ -181,4 +195,5 @@ def dedup_sentences(
             return "emptied_by_sentence_dedup"
         return doc.with_text(text)
 
-    return run_stage(stats, StageStats("dedup_sentences", detail=detail), corpus, step)
+    entry = StageStats("dedup_sentences", detail=detail)
+    return Corpus(list(run_stage(stats, entry, corpus, step)))

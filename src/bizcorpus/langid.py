@@ -11,6 +11,7 @@ cascade self-contained; no external detector is required.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import re
@@ -18,7 +19,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol
+from typing import Iterator, Protocol
 
 from .core import Corpus, Document, PipelineStats, StageStats, code_point_class, run_stage
 
@@ -46,8 +47,9 @@ class LangVerdict:
 
 class ClassifierBackend(Protocol):
     """Primary-stage plug point: ``classify(text) -> (language, confidence)``;
-    an optional ``classify_many(texts)`` gives one pair or None per text in one
-    go, in a list that may carry the error behind its first None as ``failure``."""
+    an optional ``classify_many(texts)`` gives one pair or None per text, in
+    order, as a list or a lazy iterable. It may carry the error behind its
+    first None as ``failure``, set by the time that None is given."""
 
     def classify(self, text: str) -> tuple[str, float]: ...
 
@@ -149,34 +151,35 @@ def _script_counts(text: str) -> dict[str, int]:
 
 def primary_verdicts(config: LangIdConfig, texts: list[str]) -> list[LangVerdict | None]:
     """The configured backend's verdict for each text, or None where it gave
-    none: in one ``classify_many`` call when the backend has it, otherwise one
-    ``classify`` call per text, where a raise gives None."""
-    return _primary_verdicts(config, texts)[0]
+    none: from one ``classify_many`` call when the backend has it, otherwise
+    one ``classify`` call per text, where a raise gives None."""
+    return [v if isinstance(v, LangVerdict) else None for v in _primary_answers(config, texts)]
 
 
-def _primary_verdicts(
+def _primary_answers(
     config: LangIdConfig, texts: list[str]
-) -> tuple[list[LangVerdict | None], Exception | None]:
-    """``primary_verdicts`` and the error behind the first missing verdict:
-    the exception ``classify`` raised, or the ``failure`` that a
-    ``classify_many`` answer list carries."""
+) -> Iterator[LangVerdict | Exception | None]:
+    """``primary_verdicts`` one at a time, as the backend gives them, with
+    the error behind a missing verdict in its place: the exception
+    ``classify`` raised, or the ``failure`` that a ``classify_many`` answer
+    list carries by the time it gives that None (None where no cause is
+    known)."""
     backend = config.classifier
-    if backend is None:
-        return [None] * len(texts), None
-    failure: Exception | None = None
     classify_many = getattr(backend, "classify_many", None)
-    if classify_many:
+    if backend is None:
+        yield from [None] * len(texts)
+    elif classify_many:
         answers = classify_many(texts)
-        failure = getattr(answers, "failure", None)
+        for answer in answers:
+            yield getattr(answers, "failure", None) if answer is None else _primary_verdict(*answer)
     else:
-        answers = []
         for text in texts:
             try:
-                answers.append(backend.classify(text))
+                answer = backend.classify(text)
             except Exception as exc:  # a failing backend leaves this text to the fallback
-                answers.append(None)
-                failure = failure or exc
-    return [None if answer is None else _primary_verdict(*answer) for answer in answers], failure
+                yield exc
+            else:
+                yield _primary_verdict(*answer)
 
 
 def _primary_verdict(lang: str, confidence: float) -> LangVerdict:
@@ -219,6 +222,50 @@ def _cascade(config: LangIdConfig, text: str, primary: LangVerdict | None) -> La
     return classify_fallback(config, text)
 
 
+def iter_japanese(
+    config: LangIdConfig, corpus: Corpus, *, stats: PipelineStats | None = None
+) -> Iterator[Document]:
+    """Yield exactly the documents identified as Japanese, setting ``lang``,
+    each as soon as its text is decided. Removal counts are recorded per
+    detected language. Each distinct text is classified and decided once,
+    when the backend's answer for it arrives, and its verdict holds for every
+    document carrying it, so a classifier must answer as a function of the
+    text. When a configured classifier gives no verdict for some documents,
+    one warning at the end says how many the fallback decided instead, and
+    why the first got none. Closing the stream early abandons the classifier
+    exchange."""
+    # exact duplicates are common in web crawls: classify each text once, in
+    # the order the documents first carry it, so each answer is for the text
+    # of the next document that brings a new one
+    answers = _primary_answers(config, list(dict.fromkeys(doc.text for doc in corpus)))
+    verdicts: dict[str, tuple[LangVerdict, bool]] = {}
+    missing = 0
+    failure: Exception | None = None
+
+    def step(doc: Document) -> Document | str:
+        nonlocal missing, failure
+        decided = verdicts.get(doc.text)
+        if decided is None:
+            primary = next(answers)
+            if not isinstance(primary, LangVerdict):
+                failure, primary = failure or primary, None
+            decided = verdicts[doc.text] = (_cascade(config, doc.text, primary), primary is None)
+        verdict, unanswered = decided
+        missing += unanswered
+        return doc.with_lang(JAPANESE) if verdict.lang == JAPANESE else f"lang:{verdict.lang}"
+
+    with contextlib.closing(answers):
+        yield from run_stage(stats, StageStats("lang_id"), corpus, step)
+    if config.classifier is not None and missing:
+        log.warning(
+            "lang_id: the classifier gave no verdict for %d of %d documents; "
+            "the script fallback decided them; first cause: %s",
+            missing,
+            len(corpus),
+            "not given" if failure is None else f"{type(failure).__name__}: {failure}",
+        )
+
+
 def filter_non_japanese(
     config: LangIdConfig,
     corpus: Corpus,
@@ -226,35 +273,5 @@ def filter_non_japanese(
     stats: PipelineStats | None = None,
     workers: int = 1,  # ignored: every stage runs in one thread; kept for existing callers
 ) -> Corpus:
-    """Keep exactly the documents identified as Japanese, setting ``lang`` on
-    survivors. Removal counts are recorded per detected language. Each
-    distinct text is classified and decided once, and its verdict holds for
-    every document carrying it, so a classifier must answer as a function of
-    the text. When a configured classifier gives no verdict for some
-    documents, one warning says how many the fallback decided instead, and
-    why the first got none."""
-    # exact duplicates are common in web crawls: classify each text once
-    distinct = list(dict.fromkeys(doc.text for doc in corpus.documents))
-    primaries, failure = _primary_verdicts(config, distinct)
-    verdicts = {
-        text: (_cascade(config, text, primary), primary is None)
-        for text, primary in zip(distinct, primaries)
-    }
-    missing = 0
-
-    def step(doc: Document) -> Document | str:
-        nonlocal missing
-        verdict, unanswered = verdicts[doc.text]
-        missing += unanswered
-        return doc.with_lang(JAPANESE) if verdict.lang == JAPANESE else f"lang:{verdict.lang}"
-
-    out = run_stage(stats, StageStats("lang_id"), corpus, step)
-    if config.classifier is not None and missing:
-        log.warning(
-            "lang_id: the classifier gave no verdict for %d of %d documents; "
-            "the script fallback decided them; first cause: %s",
-            missing,
-            len(corpus.documents),
-            "not given" if failure is None else f"{type(failure).__name__}: {failure}",
-        )
-    return out
+    """:func:`iter_japanese` over a whole corpus."""
+    return Corpus(list(iter_japanese(config, corpus, stats=stats)))

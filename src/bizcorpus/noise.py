@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterable, Iterator
 
 from .core import Corpus, Document, PipelineStats, StageStats, run_stage
 
@@ -142,17 +143,13 @@ def filter_document(config: NoiseConfig, doc: Document) -> Document | None:
     return _with_text(doc, _filter_with_reasons(config, doc.text, doc.lang)[0])
 
 
-def denoise_corpus(
-    config: NoiseConfig,
-    corpus: Corpus,
-    *,
-    stats: PipelineStats | None = None,
-    workers: int = 1,  # ignored: every stage runs in one thread; kept for existing callers
-) -> Corpus:
-    """Apply :func:`filter_document` to every document in order; line-level
+def iter_denoised(
+    config: NoiseConfig, docs: Iterable[Document], *, stats: PipelineStats | None = None
+) -> Iterator[Document]:
+    """Apply :func:`filter_document` to each document as it comes; line-level
     strip counts and document-level removal reasons land in stats, counted
-    per document. Documents with the same text and lang share one filter
-    call."""
+    per document, once the documents run out. Documents with the same text
+    and lang share one filter call."""
     detail: dict[str, int] = {}
     # exact duplicates are common in web crawls: filter each (text, lang) once
     results: dict[tuple[str, str | None], tuple[str | None, str | None, Counter[str]]] = {}
@@ -166,4 +163,15 @@ def denoise_corpus(
             detail[name] = detail.get(name, 0) + value
         return reason or _with_text(doc, text)
 
-    return run_stage(stats, StageStats("noise_filter", detail=detail), corpus, step)
+    return run_stage(stats, StageStats("noise_filter", detail=detail), docs, step)
+
+
+def denoise_corpus(
+    config: NoiseConfig,
+    corpus: Corpus,
+    *,
+    stats: PipelineStats | None = None,
+    workers: int = 1,  # ignored: every stage runs in one thread; kept for existing callers
+) -> Corpus:
+    """:func:`iter_denoised` over a whole corpus."""
+    return Corpus(list(iter_denoised(config, corpus, stats=stats)))

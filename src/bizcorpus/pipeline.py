@@ -9,6 +9,7 @@ standalone through the CLI subcommands.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -32,8 +33,8 @@ from .core import (
     write_json,
 )
 from .curation import CurationRuleSet, curate, load_rules
-from .langid import LangIdConfig, filter_non_japanese
-from .noise import NoiseConfig, denoise_corpus
+from .langid import LangIdConfig, iter_japanese
+from .noise import NoiseConfig, iter_denoised
 
 log = logging.getLogger(__name__)
 
@@ -171,16 +172,22 @@ def load_config(path: Path | str) -> PipelineConfig:
     sections = {name: _section(raw, name) for name in _SECTIONS}
     base = path.parent
 
-    def _resolve(p: str) -> Path:
-        candidate = Path(p)
+    def _resolve(key: str, value: object) -> Path:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: {key} must be a string, got {value!r}")
+        candidate = Path(value)
         return candidate if candidate.is_absolute() else base / candidate
+
+    # checked before any child is spawned, and also when the environment overrides it
+    output_dir = _resolve("output_dir", raw.get("output_dir", "out"))
+    output_dir = Path(os.environ.get(ENV_OUTPUT_DIR) or output_dir)
 
     sources: list[SourceSpec] = []
     for i, entry in enumerate(raw.get("sources") or []):
         if not isinstance(entry, dict) or "path" not in entry:
             raise ConfigError(f"sources[{i}]: each source needs a path")
         _check_keys(f"sources[{i}]", entry, _SOURCE_KEYS)
-        src_path = _resolve(str(entry["path"]))
+        src_path = _resolve(f"sources[{i}].path", entry["path"])
         if not src_path.exists():
             raise ConfigError(f"sources[{i}]: file not found: {src_path}")
         try:
@@ -193,8 +200,8 @@ def load_config(path: Path | str) -> PipelineConfig:
 
     rules = None
     curation_raw = sections["curation"]
-    if curation_raw.get("rules_file"):
-        rules_path = _resolve(str(curation_raw["rules_file"]))
+    if curation_raw.get("rules_file") not in (None, ""):
+        rules_path = _resolve("curation.rules_file", curation_raw["rules_file"])
         if not rules_path.exists():
             raise ConfigError(f"curation rules file not found: {rules_path}")
         try:
@@ -224,7 +231,6 @@ def load_config(path: Path | str) -> PipelineConfig:
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    output_dir = Path(os.environ.get(ENV_OUTPUT_DIR) or _resolve(str(raw.get("output_dir", "out"))))
     return PipelineConfig(
         sources=sources,
         output_dir=output_dir,
@@ -260,14 +266,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineStats:
             stage = "curate"
             corpus = curate(config.rules, corpus, stats=stats)
 
+        # lang_id, noise_filter and dedup_documents run as one stream: each
+        # document goes on as soon as the classifier has answered for it, and
+        # a step that raises names its own stage
         stage = "lang_id"
-        corpus = filter_non_japanese(config.lang_id, corpus, stats=stats)
-
-        stage = "noise_filter"
-        corpus = denoise_corpus(config.noise, corpus, stats=stats)
-
-        stage = "dedup_documents"
-        corpus = dedup_mod.dedup_documents(config.dedup, corpus, stats=stats)
+        with contextlib.closing(iter_japanese(config.lang_id, corpus, stats=stats)) as japanese:
+            docs = iter_denoised(config.noise, japanese, stats=stats)
+            corpus = Corpus(list(dedup_mod.iter_unique_documents(config.dedup, docs, stats=stats)))
 
         stage = "dedup_sentences"
         table = dedup_mod.count_sentences(config.dedup, corpus)
@@ -283,7 +288,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineStats:
     except Exception as exc:
         emit_manifest(stats, config.output_dir / "manifest.json", status="incomplete")
         doc_id = getattr(exc, "doc_id", None)
-        raise StageFailure(stage, str(exc), doc_id) from exc
+        raise StageFailure(getattr(exc, "stage", stage), str(exc), doc_id) from exc
 
     emit_manifest(stats, config.output_dir / "manifest.json")
     return stats

@@ -548,6 +548,20 @@ class TestJudgingWorkflow:
         assert message in str(excinfo.value)
         assert not (tmp_path / "run" / "judgments.jsonl").exists()
 
+    def test_non_string_question_id_rejected(self, tmp_path):
+        # str() used to record {"question_id": 7} as a judgment of question "7"
+        run_benchmark(NO_CONTEXT, [q("7")], ScriptedModel(), out_dir=tmp_path / "run")
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text(
+            json.dumps({"question_id": 7, "content_faithful": True, "instruction_followed": True}) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            ValueError, match=r"verdicts\.jsonl:1: field 'question_id' must be a string, got 7"
+        ):
+            record_judgments(tmp_path / "run", verdicts, judge_id="judge-a")
+        assert not (tmp_path / "run" / "judgments.jsonl").exists()
+
     def test_non_boolean_stored_judgment_rejected(self, tmp_path):
         path = tmp_path / "judgments.jsonl"
         judgment = Judgment.record(

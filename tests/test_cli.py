@@ -343,6 +343,27 @@ class TestBenchWorkflow:
         ) == 2
         err = capsys.readouterr().err
         assert f"error: {verdicts}:1: missing field 'instruction_followed'" in err
+
+    def test_bench_judge_non_string_question_id_exit_two(self, tmp_path, capsys):
+        questions = tmp_path / "questions.jsonl"
+        synth.write_jsonl(questions, [{**QUESTIONS[1], "id": "7"}])
+        run_dir = tmp_path / "run"
+        assert main(
+            ["bench-run", "--questions", str(questions), "--setting", "manual_rag",
+             "--out", str(run_dir), "--echo-model"]
+        ) == 0
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text(
+            json.dumps({"question_id": 7, "content_faithful": True, "instruction_followed": True}) + "\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(
+            ["bench-judge", "--run", str(run_dir), "--verdicts", str(verdicts), "--judge", "t"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"error: {verdicts}:1: field 'question_id' must be a string, got 7" in err
+        assert not (run_dir / "judgments.jsonl").exists()
         assert not (run_dir / "judgments.jsonl").exists()
 
     @staticmethod

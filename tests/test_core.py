@@ -178,10 +178,13 @@ BAD_RECORDS = [
     ('{"id": "d1", "source": "mc4", "text": "x", "date": "2023-13-01"}', "month must be in 1..12"),
     ('{"id": "d1", "source": "mc4", "text": "x", "date": 20230101}', "must be str"),
     ('{"id": "d1", "source": "mc4", "text": "x", "date": false}', "must be str"),
+    # Python 3.11's date.fromisoformat reads both as 2023-01-05
+    ('{"id": "d1", "source": "mc4", "text": "x", "date": "20230105"}', "field 'date' must be YYYY-MM-DD"),
+    ('{"id": "d1", "source": "mc4", "text": "x", "date": "2023-W01-4"}', "field 'date' must be YYYY-MM-DD"),
 ]
 BAD_RECORD_IDS = [
     "broken_json", "array", "missing_text", "int_text", "int_lang", "int_id", "bool_id",
-    "int_url", "bad_source", "bad_date", "int_date", "false_date",
+    "int_url", "bad_source", "bad_date", "int_date", "false_date", "basic_format_date", "week_date",
 ]
 
 
@@ -389,7 +392,7 @@ class TestStats:
         stats = PipelineStats()
         corpus = corpus_of("a", "b")
         with pytest.raises(ValueError, match="grew source 'patent': 0 -> 2"):
-            run_stage(stats, StageStats("bad"), corpus, lambda d: replace(d, source=SourceTag.PATENT))
+            list(run_stage(stats, StageStats("bad"), corpus, lambda d: replace(d, source=SourceTag.PATENT)))
         assert stats.stages == []
 
     def test_removal_reasons_must_sum(self):

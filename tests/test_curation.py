@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,31 @@ class TestRuleSet:
         path.write_text("version: r1\n" + body, encoding="utf-8")
         with pytest.raises(ValueError, match=rf"rules\.yaml: {key} must be a list of strings"):
             load_rules(path)
+
+
+    @pytest.mark.parametrize(
+        ("body", "got"),
+        [
+            # str() used to read this YAML float back as "1.1"
+            ("version: 1.10\n", "1.1"),
+            ("version: 3\n", "3"),
+            ("version: [r1]\n", "['r1']"),
+            ("version: ~\n", "None"),
+        ],
+        ids=["float_version", "int_version", "list_version", "null_version"],
+    )
+    def test_version_must_be_a_string(self, tmp_path, body, got):
+        path = tmp_path / "rules.yaml"
+        path.write_text(body + "cue_words: [決算]\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"rules.yaml: version must be a string, got {got}")):
+            load_rules(path)
+
+    def test_absent_version_is_unversioned(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text("version: '1.10'\ncue_words: [決算]\n", encoding="utf-8")
+        assert load_rules(path).rule_set_version == "1.10"
+        path.write_text("cue_words: [決算]\n", encoding="utf-8")
+        assert load_rules(path).rule_set_version == "unversioned"
 
 
 class TestMatchesUrl:

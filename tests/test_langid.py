@@ -314,7 +314,7 @@ class TestPipelinedCalls:
             for i in range(150)
         ]
         backend = spawn()
-        assert backend.classify_many(texts) == [backend.classify(text) for text in texts]
+        assert list(backend.classify_many(texts)) == [backend.classify(text) for text in texts]
 
     @pytest.mark.parametrize("n", [1, 15, 16, 17, 32, 33, 97])
     def test_many_matches_one_call_per_text_at_batch_edges(self, spawn, n):
@@ -328,7 +328,7 @@ class TestPipelinedCalls:
         answers: dict[str, list] = {}
 
         def exchange() -> None:
-            answers["many"] = backend.classify_many(texts)
+            answers["many"] = list(backend.classify_many(texts))
             answers["one"] = [backend.classify(text) for text in texts]
 
         thread = threading.Thread(target=exchange, daemon=True)
@@ -341,10 +341,38 @@ class TestPipelinedCalls:
     def test_bad_replies_and_exit_give_no_answer(self, spawn):
         texts = ["にほんご。", "garbled", "no confidence", "english", "die", "にほんご。", "english"]
         backend = spawn()
-        assert backend.classify_many(texts) == [("ja", 0.97), None, None, ("en", 0.97), None, None, None]
-        assert backend.classify_many(["english"]) == [None]
+        answers = backend.classify_many(texts)
+        assert list(answers) == [("ja", 0.97), None, None, ("en", 0.97), None, None, None]
+        assert str(answers.failure) == "backend sent invalid JSON: 'not json\\n'"
+        assert list(backend.classify_many(["english"])) == [None]
         with pytest.raises(RuntimeError):
             backend.classify("english")
+
+    def test_answers_arrive_before_the_exchange_ends(self, spawn):
+        texts = [f"english {i}" for i in range(100)]
+        backend = spawn()
+        answers = backend.classify_many(texts)
+        replies = iter(answers)
+        assert next(replies) == ("en", 0.97)
+        # the child is out of the pool until the exchange ends
+        assert backend._proc._idle == []
+        assert list(replies) == [("en", 0.97)] * 99
+        assert answers.failure is None
+        assert backend.classify("english") == ("en", 0.97)
+
+    def test_abandoned_exchange_is_never_reused(self, spawn):
+        backend = spawn()
+        replies = iter(backend.classify_many([f"english {i}" for i in range(100)]))
+        assert next(replies) == ("en", 0.97)
+        replies.close()
+        # replies to the unread requests may still be in the pipe: no later
+        # call reads them as its own, and none spawns another child
+        with pytest.raises(RuntimeError, match="closed its stdout"):
+            backend.classify("english")
+        assert list(backend.classify_many(["にほんご。"])) == [None]
+        (proc,) = backend._proc._procs
+        backend.close()
+        assert proc.returncode is not None
 
     def test_filter_matches_one_call_per_document(self, spawn):
         # the stub says ja for any kana; the fallback needs a kana ratio of 0.05

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 import synth
 
+from bizcorpus import noise as noise_mod
 from bizcorpus.backends import SubprocessClassifier
 from bizcorpus.core import SourceTag, ingest_jsonl, read_corpus_jsonl
 from bizcorpus.curation import curate, load_rules
@@ -24,6 +25,8 @@ from bizcorpus.pipeline import (
     load_config,
     run_pipeline,
 )
+
+WIRE_CLASSIFIER = Path(__file__).with_name("wire_classifier.py")
 
 SOURCE_LABELS = {
     "curated_business",
@@ -184,11 +187,63 @@ class TestRunPipeline:
         def _boom(*args, **kwargs):
             raise RuntimeError("induced failure")
 
-        monkeypatch.setattr("bizcorpus.pipeline.denoise_corpus", _boom)
+        monkeypatch.setattr("bizcorpus.noise._filter_with_reasons", _boom)
         with pytest.raises(StageFailure, match="noise_filter"):
             run_pipeline(config)
         manifest = _manifest(config.output_dir / "manifest.json")
         assert manifest["status"] == "incomplete"
+
+    def test_noise_step_runs_while_verdicts_are_still_coming(self, tmp_path, monkeypatch):
+        records, _ = synth.make_records(n_core=20)
+        config = load_config(synth.write_pipeline_config(tmp_path, records))
+
+        class Lazy:  # in-process, answering one text at a time as it is asked
+            given = 0
+
+            def classify(self, text: str) -> tuple[str, float]:
+                return ("ja", 1.0) if "。" in text else ("en", 1.0)
+
+            def classify_many(self, texts):
+                for text in texts:
+                    self.given += 1
+                    yield self.classify(text)
+
+        backend = config.lang_id.classifier = Lazy()
+        given_at_first_denoise = []
+        denoise = noise_mod._filter_with_reasons
+
+        def first_seen(*args):
+            given_at_first_denoise.append(backend.given)
+            return denoise(*args)
+
+        monkeypatch.setattr("bizcorpus.noise._filter_with_reasons", first_seen)
+        run_pipeline(config)
+        assert backend.given > 20
+        assert given_at_first_denoise[0] < backend.given
+
+    def test_stage_failure_mid_stream_abandons_the_classifier_child(self, tmp_path, monkeypatch):
+        config = load_config(_golden_input(tmp_path))
+        config.lang_id.classifier = backend = SubprocessClassifier([sys.executable, str(WIRE_CLASSIFIER)])
+        denoise, calls = noise_mod._filter_with_reasons, []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("induced failure")
+            return denoise(*args)
+
+        monkeypatch.setattr("bizcorpus.noise._filter_with_reasons", fail_second)
+        try:
+            with pytest.raises(StageFailure, match="stage 'noise_filter' failed: induced failure"):
+                run_pipeline(config)
+            assert _manifest(config.output_dir / "manifest.json")["status"] == "incomplete"
+            # the child has unread replies: it is never asked again
+            with pytest.raises(RuntimeError, match="closed its stdout"):
+                backend.classify("にほんご。")
+        finally:
+            config.close()
+        (proc,) = backend._proc._procs
+        assert proc.returncode is not None
 
     def test_id_reused_across_source_files_fails_ingest(self, tmp_path):
         config_path = synth.write_pipeline_config(tmp_path, [{"id": "x", "text": "一つ目。"}])
@@ -257,6 +312,26 @@ class TestRunPipeline:
         ],
     )
     def test_mistyped_scalar_fails_validation(self, tmp_path, extra, message):
+        records, _ = synth.make_records(n_core=2)
+        config_path = synth.write_pipeline_config(tmp_path, records, extra=extra)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(config_path)
+
+    @pytest.mark.parametrize(
+        ("extra", "message"),
+        [
+            # str() used to turn this into a directory named "7"
+            ({"output_dir": 7}, "output_dir must be a string, got 7"),
+            ({"output_dir": None}, "output_dir must be a string, got None"),
+            ({"sources": [{"path": 7}]}, "sources[0].path must be a string, got 7"),
+            ({"sources": [{"path": ["input.jsonl"]}]}, "sources[0].path must be a string, got ['input.jsonl']"),
+            ({"curation": {"rules_file": 7}}, "curation.rules_file must be a string, got 7"),
+            ({"curation": {"rules_file": False}}, "curation.rules_file must be a string, got False"),
+        ],
+        ids=["int_output_dir", "null_output_dir", "int_source_path", "list_source_path",
+             "int_rules_file", "false_rules_file"],
+    )
+    def test_non_string_path_fails_validation(self, tmp_path, extra, message):
         records, _ = synth.make_records(n_core=2)
         config_path = synth.write_pipeline_config(tmp_path, records, extra=extra)
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -476,13 +551,39 @@ class TestGoldenOutputs:
             ("dedup_sentences", "emptied_by_sentence_dedup"),
         }
         assert stats.stages[0].detail["malformed_lines"] == 2
-        digests = {}
-        for name in self.DIGESTS:
-            data = (config.output_dir / name).read_bytes()
-            if name == "manifest.json":
-                data = b"".join(
-                    line for line in data.splitlines(keepends=True)
-                    if not line.lstrip().startswith(b'"created_at"')
-                )
-            digests[name] = hashlib.sha256(data).hexdigest()
-        assert digests == self.DIGESTS
+        assert _output_digests(config.output_dir) == self.DIGESTS
+
+    # the same input with a wire classifier child (tests/wire_classifier.py):
+    # it answers each distinct text once, its confident verdicts stand, its
+    # uncertain ones go to the script fallback, and it keeps the Chinese
+    # text that the fallback alone drops
+    CLASSIFIER_DIGESTS = {
+        "cleaned.jsonl": "5188af1c8b2cf19ff24358c311ea9f18e40aea374ab7a95227e29dea444fff92",
+        "manifest.json": "dc796cddabb248dff9da23b7911ed8887e2e99d7a211a9f01730a7004d6473ec",
+        "sentence_freq.jsonl": "4477135aeea6dc724bcbaa9a55f4b927d89776a0ed0b7c79d851cd6d7912b5ee",
+    }
+
+    def test_output_digests_with_wire_classifier(self, tmp_path):
+        config = load_config(_golden_input(tmp_path))
+        config.lang_id.classifier = SubprocessClassifier([sys.executable, str(WIRE_CLASSIFIER)])
+        try:
+            stats = run_pipeline(config)
+        finally:
+            config.close()
+        lang_id = _stage(stats, "lang_id")
+        assert lang_id.doc_removals == {"lang:en": 2}
+        assert _output_digests(config.output_dir) == self.CLASSIFIER_DIGESTS
+
+
+def _output_digests(output_dir: Path) -> dict[str, str]:
+    """sha256 of each output, the manifest hashed without created_at."""
+    digests = {}
+    for name in ("cleaned.jsonl", "manifest.json", "sentence_freq.jsonl"):
+        data = (output_dir / name).read_bytes()
+        if name == "manifest.json":
+            data = b"".join(
+                line for line in data.splitlines(keepends=True)
+                if not line.lstrip().startswith(b'"created_at"')
+            )
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
