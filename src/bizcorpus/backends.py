@@ -20,7 +20,7 @@ import json
 import shlex
 import subprocess
 import threading
-from typing import Iterable, Iterator
+from typing import Generator, Iterator
 
 from .bench import SearchResult
 
@@ -135,12 +135,17 @@ class JsonLineProcess:
 class ClassifierAnswers:
     """``(lang, confidence)`` per text, given lazily as the replies arrive,
     None where no usable answer came; ``failure`` is the error behind the
-    first None, set by the time that None is given. Iterable once."""
+    first None, set by the time that None is given. Iterable once; ``close``
+    ends the exchange, so the child goes back to its pool, or, with replies
+    unread, is never asked again."""
 
     failure: WireProtocolError | None = None
 
-    def __init__(self, replies: Iterable[str]):
+    def __init__(self, replies: Generator[str, None, None]):
         self._replies = replies
+
+    def close(self) -> None:
+        self._replies.close()
 
     def __iter__(self) -> Iterator[tuple[str, float] | None]:
         for line in self._replies:

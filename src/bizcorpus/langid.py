@@ -170,8 +170,12 @@ def _primary_answers(
         yield from [None] * len(texts)
     elif classify_many:
         answers = classify_many(texts)
-        for answer in answers:
-            yield getattr(answers, "failure", None) if answer is None else _primary_verdict(*answer)
+        try:
+            for answer in answers:
+                yield getattr(answers, "failure", None) if answer is None else _primary_verdict(*answer)
+        finally:  # a lazy answer list ends its exchange here, not when it is collected
+            if hasattr(answers, "close"):
+                answers.close()
     else:
         for text in texts:
             try:

@@ -343,6 +343,7 @@ class TestBenchWorkflow:
         ) == 2
         err = capsys.readouterr().err
         assert f"error: {verdicts}:1: missing field 'instruction_followed'" in err
+        assert not (run_dir / "judgments.jsonl").exists()
 
     def test_bench_judge_non_string_question_id_exit_two(self, tmp_path, capsys):
         questions = tmp_path / "questions.jsonl"
@@ -363,7 +364,6 @@ class TestBenchWorkflow:
         ) == 2
         err = capsys.readouterr().err
         assert f"error: {verdicts}:1: field 'question_id' must be a string, got 7" in err
-        assert not (run_dir / "judgments.jsonl").exists()
         assert not (run_dir / "judgments.jsonl").exists()
 
     @staticmethod

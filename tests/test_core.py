@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from synth import corpus_of, doc
 
 from bizcorpus.core import (
     Corpus,
+    Document,
     PipelineStats,
     SourceTag,
     StageStats,
@@ -326,6 +328,18 @@ class TestCorpus:
     def test_iteration_order_is_ingestion_order(self):
         corpus = corpus_of("a", "b", "c")
         assert [d.text for d in corpus] == ["a", "b", "c"]
+
+    def test_with_lang_and_with_text_keep_every_other_field(self):
+        # no field left at its default, and a field added to Document fails
+        # here until it is set, so with_lang/with_text cannot drop it unseen
+        values = {
+            "id": "d1", "source": SourceTag.PATENT, "text": "本文。", "url": "https://example.org/",
+            "published_date": date(2023, 1, 5), "lang": "en",
+        }
+        assert [f.name for f in fields(Document)] == list(values)
+        document = Document(**values)
+        assert document.with_lang("ja") == replace(document, lang="ja")
+        assert document.with_text("別の本文。") == replace(document, text="別の本文。")
 
 
 class TestTokenizer:

@@ -24,6 +24,7 @@ from bizcorpus.langid import (
     classify_fallback,
     filter_non_japanese,
     identify,
+    iter_japanese,
     primary_verdicts,
 )
 
@@ -211,6 +212,36 @@ class TestFilter:
         removed = Counter(f"lang:{v.lang}" for v in reference if v.lang != "ja")
         assert stats.stages[-1].doc_removals == removed == {"lang:en": 4, "lang:ru": 1}
 
+    @pytest.mark.parametrize("kept", [2, 1])
+    def test_filter_closes_a_lazy_answer_list(self, kept):
+        class Answers:  # a lazy classify_many answer list with a close method
+            closed = False
+
+            def __init__(self, texts):
+                self.texts = texts
+
+            def __iter__(self):
+                return iter([("ja", 1.0)] * len(self.texts))
+
+            def close(self):
+                self.closed = True
+
+        class Lazy:
+            def classify_many(self, texts):
+                self.answers = Answers(texts)
+                return self.answers
+
+        backend = Lazy()
+        stream = iter_japanese(LangIdConfig(classifier=backend), Corpus([doc("a", "あ"), doc("b", "い")]))
+        assert [d.id for _, d in zip(range(kept), stream)] == ["a", "b"][:kept]
+        assert not backend.answers.closed
+        # read to the end, or closed early: the answer list is closed at once
+        if kept == 2:
+            assert list(stream) == []
+        else:
+            stream.close()
+        assert backend.answers.closed
+
 
 CHILD = textwrap.dedent(
     """
@@ -359,6 +390,24 @@ class TestPipelinedCalls:
         assert list(replies) == [("en", 0.97)] * 99
         assert answers.failure is None
         assert backend.classify("english") == ("en", 0.97)
+
+    def test_closing_the_answers_ends_the_exchange(self, spawn):
+        backend = spawn()
+        answers = backend.classify_many(["english", "にほんご。"])
+        replies = iter(answers)
+        assert [next(replies), next(replies)] == [("en", 0.97), ("ja", 0.97)]
+        # every reply read but the exchange not yet ended: close hands the child back
+        answers.close()
+        assert backend._proc._idle == backend._proc._procs
+        abandoned = backend.classify_many([f"english {i}" for i in range(100)])
+        replies = iter(abandoned)
+        assert next(replies) == ("en", 0.97)
+        # ``replies`` is still referenced: close alone retires the child
+        abandoned.close()
+        assert backend._proc._broken
+        (proc,) = backend._proc._procs
+        backend.close()
+        assert proc.returncode is not None
 
     def test_abandoned_exchange_is_never_reused(self, spawn):
         backend = spawn()

@@ -236,7 +236,11 @@ class TestRunPipeline:
         try:
             with pytest.raises(StageFailure, match="stage 'noise_filter' failed: induced failure"):
                 run_pipeline(config)
-            assert _manifest(config.output_dir / "manifest.json")["status"] == "incomplete"
+            manifest = _manifest(config.output_dir / "manifest.json")
+            assert manifest["status"] == "incomplete"
+            # lang_id, noise_filter and dedup_documents are one stream, recorded
+            # once it runs out: the failure mid-stream leaves out all three
+            assert [s["stage"] for s in manifest["stages"]] == ["ingest:input.jsonl", "curate"]
             # the child has unread replies: it is never asked again
             with pytest.raises(RuntimeError, match="closed its stdout"):
                 backend.classify("にほんご。")
