@@ -8,8 +8,8 @@ per concurrent caller, so the command must tolerate that many instances.
 
 Request/response schemas:
 
-* language classifier: ``{"text": ...}`` -> ``{"lang": ..., "confidence": ...}``
-* model:               ``{"prompt": ...}`` -> ``{"response": ...}``
+* language classifier: ``{"text": ...}`` -> ``{"lang": <string>, "confidence": <number>}``
+* model:               ``{"prompt": ...}`` -> ``{"response": <string>}``
 * search:              ``{"query": ...}`` -> ``{"results": [{"url", "title", "body"}, ...]}``
 """
 
@@ -20,7 +20,7 @@ import json
 import shlex
 import subprocess
 import threading
-from typing import Generator, Iterator
+from typing import Iterator
 
 from .bench import SearchResult
 
@@ -29,16 +29,35 @@ class WireProtocolError(RuntimeError):
     """The child process broke the one-JSON-object-per-line contract."""
 
 
-def _parse_reply(line: str) -> dict:
-    if not line:
-        raise WireProtocolError("backend process closed its stdout")
+_CLOSED = "backend process closed its stdout"
+_ABANDONED = "backend process out of step: an earlier exchange was abandoned with replies unread"
+
+
+def _parse_reply(reply: str | WireProtocolError) -> dict:
+    if isinstance(reply, WireProtocolError):
+        raise reply
     try:
-        response = json.loads(line)
+        response = json.loads(reply)
     except json.JSONDecodeError as exc:
-        raise WireProtocolError(f"backend sent invalid JSON: {line!r}") from exc
+        raise WireProtocolError(f"backend sent invalid JSON: {reply!r}") from exc
     if not isinstance(response, dict):
         raise WireProtocolError("backend response is not a JSON object")
     return response
+
+
+_JSON_TYPES = {"string": str, "number": (int, float)}
+
+
+def _reply_fields(backend: str, reply: str | WireProtocolError, **kinds: str) -> list:
+    """The reply's named fields, each a JSON value of its named type (a
+    boolean is never a number)."""
+    response = _parse_reply(reply)
+    for key, kind in kinds.items():
+        if key not in response:
+            raise WireProtocolError(f"{backend} reply has no {key!r}: {reply.strip()!r}")
+        if not isinstance(response[key], _JSON_TYPES[kind]) or isinstance(response[key], bool):
+            raise WireProtocolError(f"{backend} reply has a non-{kind} {key!r}: {reply.strip()!r}")
+    return [response[key] for key in kinds]
 
 
 class JsonLineProcess:
@@ -47,9 +66,9 @@ class JsonLineProcess:
     One child is spawned at construction. A call takes an idle child for its
     whole exchange and spawns another only when every child is busy, so there
     are as many children as the peak number of concurrent callers. The lock
-    covers only taking and returning a child. Once any child has closed its
-    stdout or broken its stdin pipe, every later call gets no reply and no
-    child is spawned again.
+    covers only taking and returning a child. Once a child has closed its
+    stdout or broken its stdin pipe, or an exchange was abandoned with replies
+    unread, ``_broken`` says why, and no later call gets a reply or a child.
     """
 
     WINDOW = 32  # unread replies wait in the pipe: 32 verdicts of ~40 bytes fit any buffer
@@ -60,7 +79,7 @@ class JsonLineProcess:
         self._lock = threading.Lock()
         self._procs = [self._spawn()]
         self._idle = list(self._procs)
-        self._broken = False
+        self._broken: str | None = None
 
     def _spawn(self) -> subprocess.Popen:
         return subprocess.Popen(
@@ -70,25 +89,26 @@ class JsonLineProcess:
             text=True,
         )
 
-    def call(self, request: dict) -> dict:
+    def call(self, request: dict) -> str | WireProtocolError:
         (reply,) = self.exchange([request])
-        return _parse_reply(reply)
+        return reply
 
-    def exchange(self, requests: list[dict]) -> Iterator[str]:
+    def exchange(self, requests: list[dict]) -> Iterator[str | WireProtocolError]:
         """Send the requests in order, up to ``WINDOW`` ahead of the replies
-        read, and yield each reply line as it is read ("" where none came).
-        Requests are flushed in batches of half a window, and always before a
-        read, so a child must answer each line as it arrives, not wait for
-        EOF. The child is taken at the first ``next`` and handed back once the
-        last reply is read and the exchange is exhausted or closed; closed
-        earlier, the child is out of step, and no later call gets a reply."""
+        read, and yield each reply line as it is read, or, where none came,
+        the WireProtocolError saying why. Requests are flushed in batches of
+        half a window, and always before a read, so a child must answer each
+        line as it arrives, not wait for EOF. The child is taken at the first
+        ``next`` and handed back once the last reply is read and the exchange
+        is exhausted or closed; closed earlier, the child is out of step, and
+        no later call gets a reply."""
         with self._lock:
             if not (self._broken or self._idle):
                 self._procs.append(self._spawn())
                 self._idle.append(self._procs[-1])
             proc = None if self._broken else self._idle.pop()
-        if proc is None:
-            yield from [""] * len(requests)
+        if proc is None:  # the cause, once set, never changes
+            yield from (WireProtocolError(self._broken) for _ in requests)
             return
         stdin, stdout = proc.stdin, proc.stdout
         assert stdin is not None and stdout is not None
@@ -104,20 +124,19 @@ class JsonLineProcess:
                         stdin.flush()
                         while sent - read > batch:
                             read += 1
-                            yield (reply := stdout.readline())
+                            yield (reply := stdout.readline()) or WireProtocolError(_CLOSED)
                 stdin.flush()
             while read < sent:
                 read += 1
-                yield (reply := stdout.readline())
+                yield (reply := stdout.readline()) or WireProtocolError(_CLOSED)
         finally:
-            # a child that did not answer every request is dead or out of step;
-            # one that closed its stdout gives "" for every later read
+            # a child that did not answer every request is dead or out of step
             with self._lock:
                 if read == len(requests) and (reply or not requests):
                     self._idle.append(proc)
-                else:
-                    self._broken = True
-        yield from [""] * (len(requests) - sent)
+                elif not self._broken:  # the first cause stands
+                    self._broken = _ABANDONED if reply and read < sent else _CLOSED
+        yield from (WireProtocolError(_CLOSED) for _ in range(len(requests) - sent))
 
     def close(self) -> None:
         for proc in self._procs:
@@ -132,41 +151,6 @@ class JsonLineProcess:
             proc.stdout.close()
 
 
-class ClassifierAnswers:
-    """``(lang, confidence)`` per text, given lazily as the replies arrive,
-    None where no usable answer came; ``failure`` is the error behind the
-    first None, set by the time that None is given. Iterable once; ``close``
-    ends the exchange, so the child goes back to its pool, or, with replies
-    unread, is never asked again."""
-
-    failure: WireProtocolError | None = None
-
-    def __init__(self, replies: Generator[str, None, None]):
-        self._replies = replies
-
-    def close(self) -> None:
-        self._replies.close()
-
-    def __iter__(self) -> Iterator[tuple[str, float] | None]:
-        for line in self._replies:
-            try:
-                answer = _parse_verdict(line)
-            except WireProtocolError as exc:
-                answer = None
-                self.failure = self.failure or exc
-            yield answer
-
-
-def _parse_verdict(line: str) -> tuple[str, float]:
-    response = _parse_reply(line)
-    try:
-        return str(response["lang"]), float(response["confidence"])
-    except KeyError as exc:
-        raise WireProtocolError(f"classifier reply has no {exc}: {line.strip()!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise WireProtocolError(f"classifier reply has a bad confidence: {line.strip()!r}") from exc
-
-
 class SubprocessClassifier:
     """Language classifier backend over the wire protocol."""
 
@@ -174,16 +158,25 @@ class SubprocessClassifier:
         self._proc = JsonLineProcess(cmd)
 
     def classify(self, text: str) -> tuple[str, float]:
-        answers = self.classify_many([text])
-        (answer,) = answers
-        if answers.failure is not None:
-            raise answers.failure
+        (answer,) = self.classify_many([text])
+        if isinstance(answer, WireProtocolError):
+            raise answer
         return answer
 
-    def classify_many(self, texts: list[str]) -> ClassifierAnswers:
-        """``(lang, confidence)`` for each text as its reply is read; None
-        where no usable answer came."""
-        return ClassifierAnswers(self._proc.exchange([{"text": text} for text in texts]))
+    def classify_many(self, texts: list[str]) -> Iterator[tuple[str, float] | WireProtocolError]:
+        """``(lang, confidence)`` for each text, in order, as its reply is
+        read, or the WireProtocolError in its place where no usable answer
+        came. Closing the generator ends the exchange at once."""
+        with contextlib.closing(self._proc.exchange([{"text": text} for text in texts])) as replies:
+            for reply in replies:
+                try:
+                    lang, confidence = _reply_fields(
+                        "classifier", reply, lang="string", confidence="number"
+                    )
+                    answer = lang, float(confidence)
+                except WireProtocolError as exc:
+                    answer = exc
+                yield answer
 
     def close(self) -> None:
         self._proc.close()
@@ -197,7 +190,8 @@ class CommandModel:
         self.model_id = model_id or " ".join(self._proc.cmd)
 
     def generate(self, prompt: str) -> str:
-        return str(self._proc.call({"prompt": prompt})["response"])
+        (response,) = _reply_fields("model", self._proc.call({"prompt": prompt}), response="string")
+        return response
 
     def close(self) -> None:
         self._proc.close()
@@ -210,7 +204,7 @@ class CommandSearch:
         self._proc = JsonLineProcess(cmd)
 
     def search(self, query: str) -> list[SearchResult]:
-        raw = self._proc.call({"query": query}).get("results", [])
+        raw = _parse_reply(self._proc.call({"query": query})).get("results", [])
         return [
             SearchResult(
                 url=str(r.get("url", "")),

@@ -137,7 +137,10 @@ def cmd_mix(args: argparse.Namespace) -> int:
         weights = {}
         for item in args.weight or []:
             tag, _, value = item.partition("=")
-            weights[SourceTag(tag)] = float(value)
+            try:
+                weights[SourceTag(tag)] = float(value)
+            except ValueError:
+                raise ConfigError(f"--weight {item!r} is not TAG=W (a source and a number)") from None
         spec = MixtureSpec(weights=weights, seed=args.seed) if weights else MixtureSpec(seed=args.seed)
         corpus = read_corpus_jsonl(args.input)
         plan = plan_epoch(spec, corpus)

@@ -46,10 +46,10 @@ class LangVerdict:
 
 
 class ClassifierBackend(Protocol):
-    """Primary-stage plug point: ``classify(text) -> (language, confidence)``;
-    an optional ``classify_many(texts)`` gives one pair or None per text, in
-    order, as a list or a lazy iterable. It may carry the error behind its
-    first None as ``failure``, set by the time that None is given."""
+    """Primary-stage plug point: ``classify(text) -> (language, confidence)``.
+    An optional ``classify_many(texts)`` gives, per text, in order, the pair
+    or the exception in its place (anything else fails the stage), as a list
+    or a lazy iterable, closed if it can be when the ``lang_id`` stream ends."""
 
     def classify(self, text: str) -> tuple[str, float]: ...
 
@@ -149,41 +149,40 @@ def _script_counts(text: str) -> dict[str, int]:
     return counts
 
 
-def primary_verdicts(config: LangIdConfig, texts: list[str]) -> list[LangVerdict | None]:
-    """The configured backend's verdict for each text, or None where it gave
-    none: from one ``classify_many`` call when the backend has it, otherwise
-    one ``classify`` call per text, where a raise gives None."""
-    return [v if isinstance(v, LangVerdict) else None for v in _primary_answers(config, texts)]
-
-
 def _primary_answers(
     config: LangIdConfig, texts: list[str]
 ) -> Iterator[LangVerdict | Exception | None]:
-    """``primary_verdicts`` one at a time, as the backend gives them, with
-    the error behind a missing verdict in its place: the exception
-    ``classify`` raised, or the ``failure`` that a ``classify_many`` answer
-    list carries by the time it gives that None (None where no cause is
-    known)."""
+    """The backend's verdict for each text, in order, as it gives them, or the
+    exception in its place: from one ``classify_many`` call if the backend
+    has it, else one ``classify`` call per text (with no backend, None)."""
     backend = config.classifier
-    classify_many = getattr(backend, "classify_many", None)
     if backend is None:
         yield from [None] * len(texts)
-    elif classify_many:
-        answers = classify_many(texts)
+        return
+    classify_many = getattr(backend, "classify_many", None)
+    answers = classify_many(texts) if classify_many else _classify_each(backend, texts)
+    name, given = type(backend).__name__, 0
+    try:
+        for given, answer in enumerate(answers, 1):
+            if not isinstance(answer, (tuple, Exception)):
+                raise TypeError(f"{name} gave {answer!r}, not a pair or an exception")
+            yield answer if isinstance(answer, Exception) else _primary_verdict(*answer)
+    finally:  # a lazy answer list ends its exchange here, not when it is collected
+        if hasattr(answers, "close"):
+            answers.close()
+    if given < len(texts):
+        raise RuntimeError(f"{name}.classify_many gave {given} answers for {len(texts)} texts")
+
+
+def _classify_each(
+    backend: ClassifierBackend, texts: list[str]
+) -> Iterator[tuple[str, float] | Exception]:
+    for text in texts:
         try:
-            for answer in answers:
-                yield getattr(answers, "failure", None) if answer is None else _primary_verdict(*answer)
-        finally:  # a lazy answer list ends its exchange here, not when it is collected
-            if hasattr(answers, "close"):
-                answers.close()
-    else:
-        for text in texts:
-            try:
-                answer = backend.classify(text)
-            except Exception as exc:  # a failing backend leaves this text to the fallback
-                yield exc
-            else:
-                yield _primary_verdict(*answer)
+            answer = backend.classify(text)
+        except Exception as exc:  # a failing backend leaves this text to the fallback
+            answer = exc
+        yield answer
 
 
 def _primary_verdict(lang: str, confidence: float) -> LangVerdict:
@@ -217,11 +216,13 @@ def identify(config: LangIdConfig, text: str) -> LangVerdict:
     """Cascade: the primary verdict stands when its confidence reaches the
     uncertainty threshold; otherwise (or when the backend is unusable) the
     characteristics fallback decides."""
-    return _cascade(config, text, primary_verdicts(config, [text])[0])
+    return _cascade(config, text, *_primary_answers(config, [text]))
 
 
-def _cascade(config: LangIdConfig, text: str, primary: LangVerdict | None) -> LangVerdict:
-    if primary is not None and primary.confidence >= config.uncertainty_threshold:
+def _cascade(
+    config: LangIdConfig, text: str, primary: LangVerdict | Exception | None
+) -> LangVerdict:
+    if isinstance(primary, LangVerdict) and primary.confidence >= config.uncertainty_threshold:
         return primary
     return classify_fallback(config, text)
 
@@ -251,22 +252,23 @@ def iter_japanese(
         decided = verdicts.get(doc.text)
         if decided is None:
             primary = next(answers)
-            if not isinstance(primary, LangVerdict):
-                failure, primary = failure or primary, None
-            decided = verdicts[doc.text] = (_cascade(config, doc.text, primary), primary is None)
+            if unanswered := isinstance(primary, Exception):
+                failure = failure or primary
+            decided = verdicts[doc.text] = (_cascade(config, doc.text, primary), unanswered)
         verdict, unanswered = decided
         missing += unanswered
         return doc.with_lang(JAPANESE) if verdict.lang == JAPANESE else f"lang:{verdict.lang}"
 
     with contextlib.closing(answers):
         yield from run_stage(stats, StageStats("lang_id"), corpus, step)
-    if config.classifier is not None and missing:
+    if missing:
         log.warning(
             "lang_id: the classifier gave no verdict for %d of %d documents; "
-            "the script fallback decided them; first cause: %s",
+            "the script fallback decided them; first cause: %s: %s",
             missing,
             len(corpus),
-            "not given" if failure is None else f"{type(failure).__name__}: {failure}",
+            type(failure).__name__,
+            failure,
         )
 
 

@@ -47,8 +47,8 @@ class MixtureSpec:
         for tag, weight in dict(self.weights).items():
             tag = SourceTag(tag)
             weight = float(weight)
-            if weight <= 0:
-                raise MixtureConfigError(f"weight for {tag.value} must be > 0, got {weight}")
+            if not 0 < weight < math.inf:
+                raise MixtureConfigError(f"weight for {tag.value} must be finite and > 0, got {weight}")
             normalized[tag] = weight
         object.__setattr__(self, "weights", normalized)
 

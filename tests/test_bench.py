@@ -685,6 +685,30 @@ class TestWireModel:
         finally:
             model.close()
 
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            ('{"response": null}', "model reply has a non-string 'response'"),
+            ('{"response": 7}', "model reply has a non-string 'response'"),
+            ('{"answer": "x"}', "model reply has no 'response'"),
+        ],
+        ids=["null", "number", "missing"],
+    )
+    def test_reply_without_a_string_response_is_an_error_record(self, tmp_path, reply, message):
+        script = tmp_path / "model.py"
+        script.write_text(f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n")
+        model = CommandModel([sys.executable, str(script)], model_id="wire")
+        try:
+            with pytest.raises(WireProtocolError, match=message):
+                model.generate("質問")
+            run_benchmark(NO_CONTEXT, [q("q1")], model, out_dir=tmp_path / "run")
+        finally:
+            model.close()
+        (path,) = (tmp_path / "run" / "responses").glob("*.json")
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["status"] == "error"
+        assert record["error"] == f"model backend failed: {message}: {reply!r}"
+
     def test_echo_model_smoke(self):
         assert EchoModel().generate("a\nb") == "b"
 

@@ -253,6 +253,25 @@ class TestMix:
         plan = read_jsonl(out, lambda obj: (SourceTag(obj["source"]), obj["id"]))
         assert len(plan) == 2 * truth.total_records
 
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            ("wikipedia", "--weight 'wikipedia' is not TAG=W (a source and a number)"),
+            ("bogus=2", "--weight 'bogus=2' is not TAG=W (a source and a number)"),
+            ("wikipedia=x", "--weight 'wikipedia=x' is not TAG=W (a source and a number)"),
+            ("wikipedia=-1", "weight for wikipedia must be finite and > 0, got -1.0"),
+            ("wikipedia=nan", "weight for wikipedia must be finite and > 0, got nan"),
+            ("wikipedia=inf", "weight for wikipedia must be finite and > 0, got inf"),
+        ],
+        ids=["no_value", "unknown_tag", "not_a_number", "negative", "nan", "inf"],
+    )
+    def test_epoch_bad_weight_exit_one(self, tmp_path, capsys, weight, message):
+        path, _ = _corpus_file(tmp_path, n_core=2)
+        out = tmp_path / "plan.jsonl"
+        assert main(["mix", "epoch", "--in", str(path), "--out", str(out), "--weight", weight]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_update_mix_and_verify(self, tmp_path, capsys):
         latest_records = [
             {"id": f"l{i}", "source": "latest_update", "text": f"さいしんのきじ{i}。"}

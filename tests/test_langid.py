@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from synth import doc
 
-from bizcorpus.backends import SubprocessClassifier
+from bizcorpus.backends import SubprocessClassifier, WireProtocolError
 from bizcorpus.core import Corpus, PipelineStats
 from bizcorpus.langid import (
     LangIdConfig,
@@ -25,7 +25,6 @@ from bizcorpus.langid import (
     filter_non_japanese,
     identify,
     iter_japanese,
-    primary_verdicts,
 )
 
 
@@ -44,7 +43,7 @@ class StubClassifier:
 class TestPrimary:
     def test_passthrough_ja(self):
         config = LangIdConfig(classifier=StubClassifier("ja", 0.99))
-        (verdict,) = primary_verdicts(config, ["なんでも"])
+        verdict = identify(config, "なんでも")
         assert (verdict.lang, verdict.confidence, verdict.stage) == (
             "ja",
             0.99,
@@ -53,15 +52,18 @@ class TestPrimary:
 
     def test_passthrough_en(self):
         config = LangIdConfig(classifier=StubClassifier("en", 0.99))
-        (verdict,) = primary_verdicts(config, ["anything"])
-        assert verdict.lang == "en"
+        verdict = identify(config, "anything")
+        assert (verdict.lang, verdict.stage) == ("en", VerdictStage.PRIMARY)
 
     def test_backend_timeout_surfaces_fallback_mode_error(self):
+        # 0.9 would stand; the raise leaves the text to the script fallback
         config = LangIdConfig(classifier=StubClassifier("ja", 0.9, fail=True))
-        assert primary_verdicts(config, ["text"]) == [None]
+        verdict = identify(config, "text")
+        assert (verdict.lang, verdict.stage) == ("en", VerdictStage.FALLBACK)
 
     def test_no_backend_configured(self):
-        assert primary_verdicts(LangIdConfig(), ["text"]) == [None]
+        verdict = identify(LangIdConfig(), "text")
+        assert (verdict.lang, verdict.stage) == ("en", VerdictStage.FALLBACK)
 
 
 class TestFallback:
@@ -272,7 +274,8 @@ class TestWireAdapter:
         backend = SubprocessClassifier([sys.executable, str(script)])
         config = LangIdConfig(classifier=backend)
         try:
-            assert primary_verdicts(config, ["text"]) == [None]
+            with pytest.raises(WireProtocolError, match="closed its stdout"):
+                backend.classify("text")
             # the cascade still classifies via the heuristic
             assert identify(config, "にほんごのれんしゅう。").lang == "ja"
         finally:
@@ -367,16 +370,25 @@ class TestPipelinedCalls:
         thread.join(timeout=20)
         assert not thread.is_alive(), f"the exchange of {n} requests did not finish"
         assert answers["many"] == answers["one"]
-        assert None not in answers["many"]
+        assert all(isinstance(answer, tuple) for answer in answers["many"])
 
     def test_bad_replies_and_exit_give_no_answer(self, spawn):
         texts = ["にほんご。", "garbled", "no confidence", "english", "die", "にほんご。", "english"]
         backend = spawn()
-        answers = backend.classify_many(texts)
-        assert list(answers) == [("ja", 0.97), None, None, ("en", 0.97), None, None, None]
-        assert str(answers.failure) == "backend sent invalid JSON: 'not json\\n'"
-        assert list(backend.classify_many(["english"])) == [None]
-        with pytest.raises(RuntimeError):
+        answers = [a if isinstance(a, tuple) else str(a) for a in backend.classify_many(texts)]
+        closed = "backend process closed its stdout"
+        assert answers == [
+            ("ja", 0.97),
+            "backend sent invalid JSON: 'not json\\n'",
+            """classifier reply has no 'confidence': '{"lang": "ja"}'""",
+            ("en", 0.97),
+            closed,
+            closed,
+            closed,
+        ]
+        (answer,) = backend.classify_many(["english"])
+        assert isinstance(answer, WireProtocolError) and str(answer) == closed
+        with pytest.raises(WireProtocolError, match=closed):
             backend.classify("english")
 
     def test_answers_arrive_before_the_exchange_ends(self, spawn):
@@ -388,7 +400,6 @@ class TestPipelinedCalls:
         # the child is out of the pool until the exchange ends
         assert backend._proc._idle == []
         assert list(replies) == [("en", 0.97)] * 99
-        assert answers.failure is None
         assert backend.classify("english") == ("en", 0.97)
 
     def test_closing_the_answers_ends_the_exchange(self, spawn):
@@ -416,9 +427,11 @@ class TestPipelinedCalls:
         replies.close()
         # replies to the unread requests may still be in the pipe: no later
         # call reads them as its own, and none spawns another child
-        with pytest.raises(RuntimeError, match="closed its stdout"):
+        abandoned = "an earlier exchange was abandoned with replies unread"
+        with pytest.raises(WireProtocolError, match=abandoned):
             backend.classify("english")
-        assert list(backend.classify_many(["にほんご。"])) == [None]
+        (answer,) = backend.classify_many(["にほんご。"])
+        assert isinstance(answer, WireProtocolError) and abandoned in str(answer)
         (proc,) = backend._proc._procs
         backend.close()
         assert proc.returncode is not None
@@ -447,6 +460,73 @@ class TestPipelinedCalls:
         # after "die" every new text falls back, so d16 goes where d7 stayed;
         # d17 repeats d7's text and keeps d7's verdict
         assert [d.id for d in runs[0][0]] == ["d0", "d4", "d7", "d9", "d13", "d17"]
+
+    @pytest.mark.parametrize(
+        "reply, problem",
+        [
+            ('{"lang": null, "confidence": true}', "a non-string 'lang'"),
+            ('{"lang": 7, "confidence": 0.97}', "a non-string 'lang'"),
+            ('{"lang": "en", "confidence": true}', "a non-number 'confidence'"),
+            ('{"lang": "en", "confidence": "0.97"}', "a non-number 'confidence'"),
+            ('{"confidence": 0.97}', "no 'lang'"),
+        ],
+        ids=["null_lang", "number_lang", "boolean_confidence", "string_confidence", "no_lang"],
+    )
+    def test_reply_of_the_wrong_type_falls_back(self, tmp_path, caplog, reply, problem):
+        script = tmp_path / "typed.py"
+        script.write_text(f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n")
+        backend = SubprocessClassifier([sys.executable, str(script)])
+        docs = [doc("d0", "にほんごのぶんしょうです。"), doc("d1", "plain english")]
+        try:
+            with caplog.at_level(logging.WARNING, logger="bizcorpus.langid"):
+                out = filter_non_japanese(LangIdConfig(classifier=backend), Corpus(docs))
+        finally:
+            backend.close()
+        # the script fallback decides both: the Japanese document stays
+        assert out.documents == [docs[0].with_lang("ja")]
+        (record,) = caplog.records
+        assert "2 of 2 documents" in record.getMessage()
+        assert f"first cause: WireProtocolError: classifier reply has {problem}: {reply!r}" in (
+            record.getMessage()
+        )
+
+    def test_every_backend_shape_decides_alike(self, spawn, caplog):
+        texts = ["にほんご。", "low english", "no confidence", "english", "low にほんご。"]
+        docs = [doc(f"d{i}", text) for i, text in enumerate(texts + texts[:3])]
+        no_confidence = """classifier reply has no 'confidence': '{"lang": "ja"}'"""
+
+        def flaky(text: str) -> tuple[str, float]:  # FLAKY's answers, in process
+            if text == "no confidence":
+                raise WireProtocolError(no_confidence)
+            lang = "ja" if any(0x3040 <= ord(c) <= 0x30FF for c in text) else "en"
+            return lang, 0.5 if text.startswith("low") else 0.97
+
+        class ClassifyOnly:
+            def classify(self, text: str) -> tuple[str, float]:
+                return flaky(text)
+
+        class InProcessGenerator(ClassifyOnly):
+            def classify_many(self, texts):
+                for text in texts:
+                    try:
+                        answer = flaky(text)
+                    except WireProtocolError as exc:
+                        answer = exc
+                    yield answer
+
+        runs = []
+        for backend in (ClassifyOnly(), InProcessGenerator(), spawn()):
+            caplog.clear()
+            stats = PipelineStats()
+            with caplog.at_level(logging.WARNING, logger="bizcorpus.langid"):
+                out = filter_non_japanese(LangIdConfig(classifier=backend), Corpus(docs), stats=stats)
+            runs.append((out.documents, stats.stages, [r.getMessage() for r in caplog.records]))
+        assert runs[0] == runs[1] == runs[2]
+        kept, (lang_id,), (message,) = runs[0]
+        assert [d.id for d in kept] == ["d0", "d4", "d5"]
+        assert lang_id.doc_removals == {"lang:en": 5}
+        assert "2 of 8 documents" in message
+        assert f"first cause: WireProtocolError: {no_confidence}" in message
 
     def test_lost_verdicts_warn_once_per_call(self, spawn, caplog):
         # after "die": two new texts, then a repeat of a text answered before it

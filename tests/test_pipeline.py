@@ -242,12 +242,36 @@ class TestRunPipeline:
             # once it runs out: the failure mid-stream leaves out all three
             assert [s["stage"] for s in manifest["stages"]] == ["ingest:input.jsonl", "curate"]
             # the child has unread replies: it is never asked again
-            with pytest.raises(RuntimeError, match="closed its stdout"):
+            with pytest.raises(RuntimeError, match="abandoned with replies unread"):
                 backend.classify("にほんご。")
         finally:
             config.close()
         (proc,) = backend._proc._procs
         assert proc.returncode is not None
+
+    @pytest.mark.parametrize("shape", ["short", "none"])
+    def test_bad_classify_many_fails_lang_id(self, tmp_path, shape):
+        records, _ = synth.make_records(n_core=5)
+        config = load_config(synth.write_pipeline_config(tmp_path, records))
+
+        class InProcess:  # one answer short, or None in place of the last
+            def classify(self, text: str) -> tuple[str, float]:
+                return "ja", 1.0
+
+            def classify_many(self, texts):
+                self.asked = len(texts)
+                return [("ja", 1.0)] * (len(texts) - 1) + ([None] if shape == "none" else [])
+
+        backend = config.lang_id.classifier = InProcess()
+        with pytest.raises(StageFailure) as failure:
+            run_pipeline(config)
+        n = backend.asked
+        reason = {
+            "short": f"InProcess.classify_many gave {n - 1} answers for {n} texts",
+            "none": "InProcess gave None, not a pair or an exception",
+        }[shape]
+        assert (failure.value.stage, str(failure.value)) == ("lang_id", f"stage 'lang_id' failed: {reason}")
+        assert _manifest(config.output_dir / "manifest.json")["status"] == "incomplete"
 
     def test_id_reused_across_source_files_fails_ingest(self, tmp_path):
         config_path = synth.write_pipeline_config(tmp_path, [{"id": "x", "text": "一つ目。"}])
