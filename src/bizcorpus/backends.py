@@ -10,7 +10,8 @@ Request/response schemas:
 
 * language classifier: ``{"text": ...}`` -> ``{"lang": <string>, "confidence": <number>}``
 * model:               ``{"prompt": ...}`` -> ``{"response": <string>}``
-* search:              ``{"query": ...}`` -> ``{"results": [{"url", "title", "body"}, ...]}``
+* search:              ``{"query": ...}`` -> ``{"results": [{"url", "title", "body"}, ...]}``,
+  each of the three a string where present
 """
 
 from __future__ import annotations
@@ -45,19 +46,23 @@ def _parse_reply(reply: str | WireProtocolError) -> dict:
     return response
 
 
-_JSON_TYPES = {"string": str, "number": (int, float)}
+_JSON_TYPES = {"string": str, "number": (int, float), "list": list}
+
+
+def _typed_fields(backend: str, obj: dict, reply: str, kinds: dict[str, str]) -> list:
+    """``obj``'s named fields, each a JSON value of its named type (a
+    boolean is never a number); an error quotes the whole ``reply``."""
+    for key, kind in kinds.items():
+        if key not in obj:
+            raise WireProtocolError(f"{backend} reply has no {key!r}: {reply.strip()!r}")
+        if not isinstance(obj[key], _JSON_TYPES[kind]) or isinstance(obj[key], bool):
+            raise WireProtocolError(f"{backend} reply has a non-{kind} {key!r}: {reply.strip()!r}")
+    return [obj[key] for key in kinds]
 
 
 def _reply_fields(backend: str, reply: str | WireProtocolError, **kinds: str) -> list:
-    """The reply's named fields, each a JSON value of its named type (a
-    boolean is never a number)."""
-    response = _parse_reply(reply)
-    for key, kind in kinds.items():
-        if key not in response:
-            raise WireProtocolError(f"{backend} reply has no {key!r}: {reply.strip()!r}")
-        if not isinstance(response[key], _JSON_TYPES[kind]) or isinstance(response[key], bool):
-            raise WireProtocolError(f"{backend} reply has a non-{kind} {key!r}: {reply.strip()!r}")
-    return [response[key] for key in kinds]
+    """The reply's named fields, checked by :func:`_typed_fields`."""
+    return _typed_fields(backend, _parse_reply(reply), reply, kinds)
 
 
 class JsonLineProcess:
@@ -197,6 +202,9 @@ class CommandModel:
         self._proc.close()
 
 
+_RESULT_FIELDS = {"url": "string", "title": "string", "body": "string"}
+
+
 class CommandSearch:
     """Search backend over the wire protocol."""
 
@@ -204,15 +212,17 @@ class CommandSearch:
         self._proc = JsonLineProcess(cmd)
 
     def search(self, query: str) -> list[SearchResult]:
-        raw = _parse_reply(self._proc.call({"query": query})).get("results", [])
-        return [
-            SearchResult(
-                url=str(r.get("url", "")),
-                title=str(r.get("title", "")),
-                body=str(r.get("body", "")),
-            )
-            for r in raw
-        ]
+        """The reply's ``results``, a list of objects whose ``url``, ``title``
+        and ``body`` are strings where present and empty where absent."""
+        reply = self._proc.call({"query": query})
+        (results,) = _reply_fields("search", reply, results="list")
+        found = []
+        for result in results:
+            if not isinstance(result, dict):
+                raise WireProtocolError(f"search reply has a non-object result: {reply.strip()!r}")
+            fields = {"url": "", "title": "", "body": "", **result}
+            found.append(SearchResult(*_typed_fields("search", fields, reply, _RESULT_FIELDS)))
+        return found
 
     def close(self) -> None:
         self._proc.close()

@@ -60,10 +60,11 @@ def _from_fields(cls: type[R], obj: dict) -> R:
 
 
 def _check_field_types(record: object) -> None:
-    """Raise ``ValueError`` unless each field holds the type its annotation names."""
+    """Raise ``ValueError`` unless each field holds the type its annotation
+    names; a boolean is never an integer."""
     for name, kind in _field_types(type(record)).items():
         value = getattr(record, name)
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             base = next(iter(get_args(kind)), kind)  # an optional field names its non-null type
             expected = _JSON_TYPE_NAMES.get(base, base.__name__)
             raise ValueError(f"{name} must be a JSON {expected}, got {value!r}")

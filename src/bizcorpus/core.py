@@ -19,6 +19,7 @@ byte-identical corpus.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 log = logging.getLogger(__name__)
 
@@ -288,17 +289,28 @@ def utcnow() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def write_json(path: Path | str, obj: dict) -> None:
-    """Write ``obj`` as JSON with sorted keys, indent 2 and a trailing
-    newline. It goes to ``<name>.tmp`` first and is renamed over ``path``,
-    so an interrupted write never leaves a truncated file."""
+@contextlib.contextmanager
+def open_replacing(path: Path | str) -> Iterator[TextIO]:
+    """Open ``<name>.tmp`` for writing UTF-8 text and rename it over ``path``
+    once the block ends. A block that raises, ``KeyboardInterrupt``
+    included, deletes the temporary file, so an interrupted write never
+    leaves a truncated file and an earlier ``path`` stays as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def write_json(path: Path | str, obj: dict) -> None:
+    """Write ``obj`` as JSON with sorted keys, indent 2 and a trailing
+    newline, through :func:`open_replacing`."""
+    with open_replacing(path) as fh:
+        fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
 def parse_object(raw: bytes, parse: Callable[[dict], T], path: Path | str, lineno: int | None = None) -> T:
@@ -412,9 +424,10 @@ def document_to_record(doc: Document) -> dict:
 
 def write_corpus_jsonl(corpus: Corpus, path: Path | str) -> Path:
     """Serialize a corpus as line-delimited JSON with stable key order,
-    so identical corpora produce byte-identical files."""
+    so identical corpora produce byte-identical files. Written through
+    :func:`open_replacing`, so an interrupted write keeps the old file."""
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with open_replacing(path) as fh:
         for doc in corpus:
             fh.write(json.dumps(document_to_record(doc), ensure_ascii=False, sort_keys=True))
             fh.write("\n")

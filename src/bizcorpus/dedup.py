@@ -1,11 +1,10 @@
 """Exact-match deduplication at document and sentence level.
 
-Documents are grouped by a stable 64-bit BLAKE2b fingerprint of their text
-bytes and merged only after byte comparison, so dedup semantics are exact
-regardless of hash quality; the first-seen document of each equal class
-survives. Sentences are counted corpus-wide with a terminator-based split,
-and every occurrence of a sentence whose frequency exceeds the threshold is
-removed — over-threshold sentences are boilerplate, so no copies are kept.
+A document whose text equals that of an earlier document is dropped, so the
+first-seen document of each text survives. Sentences are counted
+corpus-wide with a terminator-based split, and every occurrence of a
+sentence whose frequency exceeds the threshold is removed — over-threshold
+sentences are boilerplate, so no copies are kept.
 
 Each text is split into sentences in C: a line break goes in after every
 terminator and ``str.splitlines`` cuts the result, so no sentence crosses a
@@ -18,7 +17,6 @@ such a sentence are split again and rewritten.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,19 +24,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import Corpus, Document, PipelineStats, StageStats, run_stage
+from .core import Corpus, Document, PipelineStats, StageStats, open_replacing, run_stage
 from .noise import DEFAULT_JP_TERMINATORS, DEFAULT_LATIN_TERMINATORS
-
-
-def document_fingerprint(doc: Document, *, bits: int = 64) -> int:
-    """Fingerprint of the document text bytes. ``bits`` narrows the digest
-    (test hook for forcing collisions); equal texts always collide, and
-    colliding fingerprints are resolved by byte comparison downstream."""
-    if not 1 <= bits <= 64:
-        raise ValueError("bits must be in 1..64")
-    digest = hashlib.blake2b(doc.text.encode("utf-8"), digest_size=8).digest()
-    fp = int.from_bytes(digest, "big")
-    return fp & ((1 << bits) - 1) if bits < 64 else fp
 
 
 @dataclass(frozen=True)
@@ -84,10 +71,11 @@ class SentenceFrequencyTable:
         return sum(self.counts.values())
 
     def dump_jsonl(self, path: Path | str) -> Path:
-        """Audit dump, most frequent first (ties broken by sentence)."""
+        """Audit dump, most frequent first (ties broken by sentence), written
+        through :func:`~bizcorpus.core.open_replacing`."""
         path = Path(path)
         ordered = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        with path.open("w", encoding="utf-8") as fh:
+        with open_replacing(path) as fh:
             for sentence, count in ordered:
                 fh.write(json.dumps({"sentence": sentence, "count": count}, ensure_ascii=False))
                 fh.write("\n")
@@ -120,19 +108,15 @@ def iter_unique_documents(
     docs: Iterable[Document],
     *,
     stats: PipelineStats | None = None,
-    fingerprint_bits: int = 64,
 ) -> Iterator[Document]:
-    """Drop byte-identical documents as they come, keeping the first seen of
-    each class. Fingerprints only bucket candidates; equality is always
-    confirmed on the text itself, so narrow test fingerprints cannot merge
-    distinct documents."""
-    groups: dict[int, list[str]] = {}
+    """Drop documents whose text was seen before, as they come, keeping the
+    first seen of each text."""
+    seen: set[str] = set()
 
     def step(doc: Document) -> Document | str:
-        texts = groups.setdefault(document_fingerprint(doc, bits=fingerprint_bits), [])
-        if doc.text in texts:
+        if doc.text in seen:
             return "duplicate_document"
-        texts.append(doc.text)
+        seen.add(doc.text)
         return doc
 
     entry = StageStats("dedup_documents", doc_removals={"duplicate_document": 0})
@@ -144,11 +128,9 @@ def dedup_documents(
     corpus: Corpus,
     *,
     stats: PipelineStats | None = None,
-    fingerprint_bits: int = 64,
 ) -> Corpus:
     """:func:`iter_unique_documents` over a whole corpus."""
-    unique = iter_unique_documents(config, corpus, stats=stats, fingerprint_bits=fingerprint_bits)
-    return Corpus(list(unique))
+    return Corpus(list(iter_unique_documents(config, corpus, stats=stats)))
 
 
 def dedup_sentences(

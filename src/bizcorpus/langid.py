@@ -149,6 +149,9 @@ def _script_counts(text: str) -> dict[str, int]:
     return counts
 
 
+_NO_ANSWER = object()
+
+
 def _primary_answers(
     config: LangIdConfig, texts: list[str]
 ) -> Iterator[LangVerdict | Exception | None]:
@@ -161,11 +164,14 @@ def _primary_answers(
         return
     classify_many = getattr(backend, "classify_many", None)
     answers = classify_many(texts) if classify_many else _classify_each(backend, texts)
-    name, given = type(backend).__name__, 0
+    name, given, pending = type(backend).__name__, 0, iter(answers)
     try:
-        for given, answer in enumerate(answers, 1):
+        for given, answer in enumerate(pending, 1):
             if not isinstance(answer, (tuple, Exception)):
                 raise TypeError(f"{name} gave {answer!r}, not a pair or an exception")
+            # an answer after the last text's means the answers are out of step
+            if given == len(texts) and next(pending, _NO_ANSWER) is not _NO_ANSWER:
+                raise RuntimeError(f"{name}.classify_many gave more than {given} answers for {given} texts")
             yield answer if isinstance(answer, Exception) else _primary_verdict(*answer)
     finally:  # a lazy answer list ends its exchange here, not when it is collected
         if hasattr(answers, "close"):

@@ -249,12 +249,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineStats:
     """Execute the full pipeline and write ``cleaned.jsonl`` and
     ``manifest.json`` into the output directory.
 
-    On a stage failure the manifest is still written, marked incomplete, and
-    :class:`StageFailure` propagates with the stage name.
+    On any exit that is not a success the manifest is still written, marked
+    incomplete: a stage failure propagates as :class:`StageFailure` with the
+    stage name, anything else (``KeyboardInterrupt``) as itself.
     """
     stats = PipelineStats(seed=config.seed, config_digest=config.digest)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     stage = "ingest"
+    status = "incomplete"
     try:
         corpora = [
             ingest_jsonl(spec.path, spec.source, stats=stats) for spec in config.sources
@@ -285,12 +287,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineStats:
 
         stage = "write_output"
         write_corpus_jsonl(corpus, config.output_dir / "cleaned.jsonl")
+        status = "complete"
     except Exception as exc:
-        emit_manifest(stats, config.output_dir / "manifest.json", status="incomplete")
         doc_id = getattr(exc, "doc_id", None)
         raise StageFailure(getattr(exc, "stage", stage), str(exc), doc_id) from exc
-
-    emit_manifest(stats, config.output_dir / "manifest.json")
+    finally:
+        emit_manifest(stats, config.output_dir / "manifest.json", status=status)
     return stats
 
 

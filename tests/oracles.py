@@ -11,10 +11,14 @@ that the per-document counts of ``core.run_stage`` replaced.
 split and the per-sentence table lookup that the whole-text split and the
 set tests of ``bizcorpus.dedup`` replaced, built on the per-character
 ``split_line`` in place of the regex line split they once called.
+``dedup_documents`` is the document dedup that bucketed texts by a BLAKE2b
+fingerprint, narrowed to ``bits``, and confirmed a match with ``==``, before
+a set of seen texts replaced it.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from typing import Iterable
 
@@ -156,6 +160,31 @@ def dedup_sentences(
 
     outcomes = [step(doc) for doc in docs]
     return outcomes, detail["sentences_removed"]
+
+
+def document_fingerprint(doc: Document, *, bits: int = 64) -> int:
+    """BLAKE2b-64 (big-endian) of the UTF-8 text, narrowed to its low ``bits``."""
+    if not 1 <= bits <= 64:
+        raise ValueError("bits must be in 1..64")
+    digest = hashlib.blake2b(doc.text.encode("utf-8"), digest_size=8).digest()
+    fp = int.from_bytes(digest, "big")
+    return fp & ((1 << bits) - 1) if bits < 64 else fp
+
+
+def dedup_documents(docs: Iterable[Document], *, bits: int = 64) -> list[Document | str]:
+    """Each document's outcome (kept document or removal reason): texts are
+    bucketed by fingerprint, and a document is a duplicate only when its
+    bucket already holds an equal text."""
+    groups: dict[int, list[str]] = {}
+    outcomes: list[Document | str] = []
+    for doc in docs:
+        texts = groups.setdefault(document_fingerprint(doc, bits=bits), [])
+        if doc.text in texts:
+            outcomes.append("duplicate_document")
+            continue
+        texts.append(doc.text)
+        outcomes.append(doc)
+    return outcomes
 
 
 def source_counts(docs: Iterable[Document]) -> dict[str, int]:

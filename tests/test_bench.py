@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import bizcorpus
 from bizcorpus import bench
-from bizcorpus.backends import CommandModel, EchoModel, WireProtocolError
+from bizcorpus.backends import CommandModel, CommandSearch, EchoModel, WireProtocolError
 from bizcorpus.bench import (
     OUTPUT_MARKER,
     BenchmarkQuestion,
@@ -724,6 +724,43 @@ class TestWireModel:
             assert len(threaded) == 12
         finally:
             model.close()
+
+
+class TestWireSearch:
+    def test_command_search_roundtrip(self, tmp_path):
+        reply = json.dumps({"results": [{"url": "u", "body": "本文。"}, {"title": "t"}]})
+        script = tmp_path / "search.py"
+        script.write_text(f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n")
+        search = CommandSearch([sys.executable, str(script)])
+        try:
+            assert search.search("質問") == [SearchResult(url="u", body="本文。"), SearchResult(title="t")]
+        finally:
+            search.close()
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            ('{"results": [{"url": "u", "title": "t", "body": null}]}', "search reply has a non-string 'body'"),
+            ('{"results": [{"title": 5, "body": "本文。"}]}', "search reply has a non-string 'title'"),
+            ('{"results": null}', "search reply has a non-list 'results'"),
+            ('{"results": ["本文。"]}', "search reply has a non-object result"),
+        ],
+        ids=["null_body", "number_title", "null_results", "string_entry"],
+    )
+    def test_malformed_reply_skips_the_question(self, tmp_path, reply, message):
+        script = tmp_path / "search.py"
+        script.write_text(f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n")
+        search = CommandSearch([sys.executable, str(script)])
+        try:
+            with pytest.raises(WireProtocolError, match=message):
+                search.search("質問")
+            run_benchmark(AUTO, [q("q1")], ScriptedModel(), search=search, out_dir=tmp_path / "run")
+        finally:
+            search.close()
+        (path,) = (tmp_path / "run" / "responses").glob("*.json")
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["status"] == "skipped"
+        assert record["error"] == f"retrieval failed for question 'q1': {message}: {reply!r}"
 
 
 # Model child that appends its pid to argv[1] on start, then answers each

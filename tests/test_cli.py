@@ -399,12 +399,14 @@ class TestBenchWorkflow:
              .encode(), "missing field 'setting'"),
             (lambda raw: json.dumps({**json.loads(raw), "elapsed_ms": "5"}).encode(),
              "elapsed_ms must be a JSON integer, got '5'"),
+            (lambda raw: json.dumps({**json.loads(raw), "elapsed_ms": True}).encode(),
+             "elapsed_ms must be a JSON integer, got True"),
             (lambda raw: json.dumps({**json.loads(raw), "setting": "few_shot"}).encode(),
              "unknown setting 'few_shot'"),
             (lambda raw: json.dumps(list(json.loads(raw).values())).encode(),
              "record is not a JSON object"),
         ],
-        ids=["cut_to_40_bytes", "no_setting", "string_elapsed_ms", "unknown_setting", "array"],
+        ids=["cut_to_40_bytes", "no_setting", "string_elapsed_ms", "boolean_elapsed_ms", "unknown_setting", "array"],
     )
     def test_broken_record_stops_judge_and_resume(self, tmp_path, capsys, damage, reason):
         bench_run = self._bench_run(tmp_path, "--setting", "manual_rag", "--echo-model")

@@ -1,4 +1,4 @@
-"""Document fingerprints, sentence counting, and both dedup stages."""
+"""Sentence splitting and counting, and both dedup stages."""
 
 from __future__ import annotations
 
@@ -18,33 +18,10 @@ from bizcorpus.dedup import (
     count_sentences,
     dedup_documents,
     dedup_sentences,
-    document_fingerprint,
     split_sentences,
 )
 
 CFG = DedupConfig()
-
-
-class TestFingerprint:
-    def test_golden_value_stable_across_runs(self):
-        # BLAKE2b-64 (big-endian) of the UTF-8 text, recorded once from a
-        # fixed document; must never drift
-        d = doc("g", "最新の決算情報を公開しました。")
-        assert document_fingerprint(d) == 0x4C68463B9B4110B1
-
-    def test_equal_texts_equal_fingerprints(self):
-        assert document_fingerprint(doc("a", "同じ本文。")) == document_fingerprint(
-            doc("b", "同じ本文。")
-        )
-
-    def test_one_char_difference_changes_fingerprint(self):
-        assert document_fingerprint(doc("a", "本文です。")) != document_fingerprint(
-            doc("b", "本文です！")
-        )
-
-    def test_bits_out_of_range(self):
-        with pytest.raises(ValueError):
-            document_fingerprint(doc("a", "x"), bits=0)
 
 
 class TestDedupDocuments:
@@ -57,23 +34,6 @@ class TestDedupDocuments:
         corpus = Corpus([doc(f"d{i}", f"本文その{i}です。") for i in range(5)])
         out = dedup_documents(CFG, corpus)
         assert out.documents == corpus.documents
-
-    def test_fingerprint_collision_does_not_merge(self):
-        # pigeonhole: among 257 distinct texts, two must share an 8-bit
-        # fingerprint; both must survive because equality is byte-checked
-        texts = [f"ぶんしょbaseline{i}。" for i in range(257)]
-        by_fp: dict[int, str] = {}
-        pair = None
-        for text in texts:
-            fp = document_fingerprint(doc("x", text), bits=8)
-            if fp in by_fp and by_fp[fp] != text:
-                pair = (by_fp[fp], text)
-                break
-            by_fp[fp] = text
-        assert pair is not None
-        corpus = Corpus([doc("a", pair[0]), doc("b", pair[1])])
-        out = dedup_documents(CFG, corpus, fingerprint_bits=8)
-        assert len(out) == 2
 
     def test_no_byte_equal_pair_remains(self):
         # oracle: brute-force pairwise comparison

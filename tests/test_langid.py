@@ -214,6 +214,16 @@ class TestFilter:
         removed = Counter(f"lang:{v.lang}" for v in reference if v.lang != "ja")
         assert stats.stages[-1].doc_removals == removed == {"lang:en": 4, "lang:ru": 1}
 
+    def test_an_answer_too_many_fails_the_stage(self):
+        class Shifted:  # answers out of step by one
+            def classify_many(self, texts):
+                return [("en", 1.0), ("ja", 1.0), ("ja", 1.0)]
+
+        corpus = Corpus([doc("a", "にほんご。"), doc("b", "english")])
+        with pytest.raises(RuntimeError, match=r"^Shifted.classify_many gave more than 2 answers for 2 texts$") as failure:
+            filter_non_japanese(LangIdConfig(classifier=Shifted()), corpus)
+        assert failure.value.stage == "lang_id"
+
     @pytest.mark.parametrize("kept", [2, 1])
     def test_filter_closes_a_lazy_answer_list(self, kept):
         class Answers:  # a lazy classify_many answer list with a close method

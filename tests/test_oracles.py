@@ -1,7 +1,8 @@
 """The run-counting tokenizer and kana share test, the histogram script
 counts, the language fallback and the sentence split of one line against
 the per-character loops in ``oracles``; the whole-text sentence split and
-sentence dedup against the line-by-line versions there."""
+sentence dedup against the line-by-line versions there; document dedup
+against the fingerprint-bucketed loop there."""
 
 from __future__ import annotations
 
@@ -18,12 +19,20 @@ from hypothesis import strategies as st
 
 from synth import doc
 
-from bizcorpus.core import _CJK_RANGES, Corpus, Document, PipelineStats, WhitespaceCjkTokenizer
+from bizcorpus.core import (
+    _CJK_RANGES,
+    Corpus,
+    Document,
+    PipelineStats,
+    SourceTag,
+    WhitespaceCjkTokenizer,
+)
 from bizcorpus.dedup import (
     DedupConfig,
     SentenceFrequencyTable,
     TableMismatchError,
     count_sentences,
+    dedup_documents,
     dedup_sentences,
     split_sentences,
 )
@@ -259,6 +268,35 @@ def test_dedup_with_hand_built_table_matches_oracle(data):
     _assert_dedup_matches_oracle(config, corpus, SentenceFrequencyTable(counts))
     other = _draw_corpus(data, config)
     _assert_dedup_matches_oracle(config, corpus, count_sentences(config, other))
+
+
+# Few distinct texts and several sources, so texts repeat within and across
+# sources; at 1 bit nearly every pair of distinct texts shares a bucket.
+_doc_lists = st.lists(
+    st.tuples(
+        st.sampled_from(list(SourceTag)),
+        st.one_of(st.sampled_from(["", "本文。", "本文。 ", "本文！", "a", "A"]), st.text(max_size=3)),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64])
+@settings(max_examples=200, deadline=None)
+@given(_doc_lists)
+def test_dedup_documents_matches_oracle(bits, pairs):
+    corpus = Corpus([doc(f"d{i}", text, source) for i, (source, text) in enumerate(pairs)])
+    outcomes = oracles.dedup_documents(corpus, bits=bits)
+    stats = PipelineStats()
+    out = dedup_documents(CFG, corpus, stats=stats)
+    kept = [o for o in outcomes if isinstance(o, Document)]
+    assert len(out) == len(kept)
+    # the same document objects survive, in order
+    assert all(a is b for a, b in zip(out, kept))
+    entry = stats.stages[-1]
+    assert entry.doc_removals == {"duplicate_document": outcomes.count("duplicate_document")}
+    assert entry.docs_in == oracles.source_counts(corpus)
+    assert entry.docs_out == oracles.source_counts(kept)
 
 
 @pytest.mark.parametrize("boundary", _BOUNDARIES)

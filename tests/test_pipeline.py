@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 import synth
 
+from bizcorpus import core
 from bizcorpus import noise as noise_mod
 from bizcorpus.backends import SubprocessClassifier
 from bizcorpus.core import SourceTag, ingest_jsonl, read_corpus_jsonl
@@ -192,6 +193,31 @@ class TestRunPipeline:
             run_pipeline(config)
         manifest = _manifest(config.output_dir / "manifest.json")
         assert manifest["status"] == "incomplete"
+
+    def test_interrupted_write_keeps_old_output_and_marks_incomplete(self, tmp_path, monkeypatch):
+        records, _ = synth.make_records(n_core=20)
+        config = load_config(synth.write_pipeline_config(tmp_path, records))
+        run_pipeline(config)
+        cleaned = config.output_dir / "cleaned.jsonl"
+        before = cleaned.read_bytes()
+        assert _manifest(config.output_dir / "manifest.json")["status"] == "complete"
+
+        real = core.document_to_record
+        written = []
+
+        def _interrupt_third(doc):
+            written.append(doc)
+            if len(written) == 3:
+                raise KeyboardInterrupt
+            return real(doc)
+
+        monkeypatch.setattr(core, "document_to_record", _interrupt_third)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+        assert len(written) == 3
+        assert cleaned.read_bytes() == before
+        assert sorted(p.name for p in config.output_dir.iterdir()) == ["cleaned.jsonl", "manifest.json"]
+        assert _manifest(config.output_dir / "manifest.json")["status"] == "incomplete"
 
     def test_noise_step_runs_while_verdicts_are_still_coming(self, tmp_path, monkeypatch):
         records, _ = synth.make_records(n_core=20)
