@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Protocol, Sequence, TypeVar, get_args, get_type_hints
 
-from .core import ConfigError, read_json, read_jsonl, utcnow, write_json
+from .core import ConfigError, open_replacing, read_json, read_jsonl, utcnow, write_json
 
 TEMPLATE_VERSION = "v1"
 
@@ -76,6 +76,8 @@ class TaskSetting:
     truncation_chars: int = 1000
 
     def __post_init__(self) -> None:
+        if isinstance(self.truncation_chars, bool) or not isinstance(self.truncation_chars, int):
+            raise ConfigError(f"truncation_chars must be an integer, got {self.truncation_chars!r}")
         if self.truncation_chars < 1:
             raise ConfigError(f"truncation_chars must be at least 1, got {self.truncation_chars}")
 
@@ -485,7 +487,7 @@ def record_judgments(
     verdicts_path: Path | str,
     judge_id: str,
 ) -> list[Judgment]:
-    """Read a judge's verdict file against a run directory and append the
+    """Read a judge's verdict file against a run directory and add the
     resulting judgments to ``<run_dir>/judgments.jsonl``.
 
     Verdict records are line-delimited JSON:
@@ -494,7 +496,9 @@ def record_judgments(
     for a question without an ok response, or with a mistyped field, is an
     error naming the line, and so is a second judgment of one (question,
     setting, model, judge), whether already in ``judgments.jsonl`` or earlier
-    in the same file. On any error nothing is appended.
+    in the same file. On any error nothing is added: the file is rewritten
+    through :func:`~bizcorpus.core.open_replacing`, its earlier bytes plus
+    the new lines, so an interrupted write leaves it as it was.
     """
     run_dir = Path(run_dir)
     responses_dir = run_dir / "responses"
@@ -534,7 +538,9 @@ def record_judgments(
 
     judgments = read_jsonl(verdicts_path, parse)
 
-    with stored.open("a", encoding="utf-8") as fh:
+    previous = stored.read_bytes().decode("utf-8") if stored.exists() else ""
+    with open_replacing(stored) as fh:
+        fh.write(previous)
         for judgment in judgments:
             fh.write(json.dumps(judgment.to_dict(), ensure_ascii=False, sort_keys=True))
             fh.write("\n")

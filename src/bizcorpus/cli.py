@@ -14,6 +14,7 @@ import logging
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import __version__
 from .backends import CommandModel, CommandSearch, EchoModel, SubprocessClassifier
@@ -52,6 +53,8 @@ from .pipeline import ConfigError, StageFailure, emit_manifest, load_config, run
 
 log = logging.getLogger("bizcorpus")
 
+T = TypeVar("T")
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_STAGE = 2
@@ -64,6 +67,15 @@ def _print_stage_summary(stats: PipelineStats) -> None:
             reasons = ", ".join(f"{k}={v}" for k, v in sorted(stage.doc_removals.items()))
             print(f" (removed: {reasons})", end="")
         print()
+
+
+def _stage_config(cls: Callable[..., T], **settings: object) -> T:
+    """``cls(**settings)``, with a ``ValueError`` from its checks raised as
+    :class:`ConfigError` (exit 1); called before any input is read."""
+    try:
+        return cls(**settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -89,8 +101,8 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 
 def cmd_langid(args: argparse.Namespace) -> int:
-    config = LangIdConfig(
-        uncertainty_threshold=args.threshold, jp_script_ratio_threshold=args.jp_ratio
+    config = _stage_config(
+        LangIdConfig, uncertainty_threshold=args.threshold, jp_script_ratio_threshold=args.jp_ratio
     )
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
@@ -107,7 +119,7 @@ def cmd_langid(args: argparse.Namespace) -> int:
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    config = NoiseConfig(min_sentential_ratio=args.ratio)
+    config = _stage_config(NoiseConfig, min_sentential_ratio=args.ratio)
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
     out = denoise_corpus(config, corpus, stats=stats)
@@ -117,7 +129,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 
 def cmd_dedup(args: argparse.Namespace) -> int:
-    config = DedupConfig(sentence_frequency_threshold=args.threshold)
+    config = _stage_config(DedupConfig, sentence_frequency_threshold=args.threshold)
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
     corpus = dedup_documents(config, corpus, stats=stats)

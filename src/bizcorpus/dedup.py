@@ -25,15 +25,13 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .core import Corpus, Document, PipelineStats, StageStats, open_replacing, run_stage
-from .noise import DEFAULT_JP_TERMINATORS, DEFAULT_LATIN_TERMINATORS
+from .noise import DEFAULT_TERMINATORS
 
 
 @dataclass(frozen=True)
 class DedupConfig:
     sentence_frequency_threshold: int = 15
-    terminators: frozenset[str] = field(
-        default=DEFAULT_JP_TERMINATORS | DEFAULT_LATIN_TERMINATORS
-    )
+    terminators: frozenset[str] = DEFAULT_TERMINATORS
 
     def __post_init__(self) -> None:
         if self.sentence_frequency_threshold < 1:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .core import Corpus, SourceTag, derive_seed
+from .core import Corpus, SourceTag, derive_seed, open_replacing
 
 
 class MixtureConfigError(ValueError):
@@ -92,8 +92,11 @@ class SamplePlan:
         return counts
 
     def to_jsonl(self, path: Path | str) -> Path:
+        """Write one ``{"source", "id"}`` line per entry through
+        :func:`~bizcorpus.core.open_replacing`, so a killed write never
+        leaves a shorter plan that reads back as valid."""
         path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
+        with open_replacing(path) as fh:
             for entry in self.entries:
                 fh.write(json.dumps({"source": entry.source.value, "id": entry.doc_id}))
                 fh.write("\n")

@@ -4,7 +4,7 @@ Web-extracted Japanese text carries lines that are only a date, a bare URL,
 or menu/markup fragments; those lines are stripped. A document whose
 remaining lines mostly lack end-of-sentence punctuation is judged
 non-sentential and dropped entirely, except for languages that do not use
-punctuation (Thai by default).
+punctuation (Thai).
 """
 
 from __future__ import annotations
@@ -13,13 +13,17 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .core import Corpus, Document, PipelineStats, StageStats, run_stage
 
-DEFAULT_JP_TERMINATORS = frozenset("。！？")
-DEFAULT_LATIN_TERMINATORS = frozenset(".!?")
+DEFAULT_TERMINATORS = frozenset("。！？.!?")
+
+# Languages whose documents are never dropped as non-sentential. Inside
+# ``bizcorpus run`` only Japanese documents reach this stage, so the
+# exemption applies to standalone ``bizcorpus denoise`` on records that
+# carry ``lang``.
+PUNCTUATIONLESS_LANGUAGES = frozenset({"th"})
 
 
 class LineClass(str, Enum):
@@ -32,24 +36,18 @@ class LineClass(str, Enum):
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    jp_terminators: frozenset[str] = DEFAULT_JP_TERMINATORS
-    latin_terminators: frozenset[str] = DEFAULT_LATIN_TERMINATORS
+    terminators: frozenset[str] = DEFAULT_TERMINATORS
     min_sentential_ratio: float = 0.5
-    punctuationless_languages: frozenset[str] = frozenset({"th"})
 
     def __post_init__(self) -> None:
-        if not self.jp_terminators or not self.latin_terminators:
-            raise ValueError("terminator sets must be non-empty")
+        if not self.terminators:
+            raise ValueError("terminators must be non-empty")
         # a line's last character is what gets tested, so a longer entry never matches
         bad = sorted(repr(t) for t in self.terminators if len(t) != 1)
         if bad:
             raise ValueError(f"terminators must be single characters, got {', '.join(bad)}")
         if not 0.0 <= self.min_sentential_ratio <= 1.0:
             raise ValueError("min_sentential_ratio must be in [0, 1]")
-
-    @cached_property
-    def terminators(self) -> frozenset[str]:
-        return self.jp_terminators | self.latin_terminators
 
 
 # Date-only lines: ISO, slash, and Japanese year forms incl. era years
@@ -118,8 +116,7 @@ def _filter_with_reasons(
     if not kept:
         return None, "empty_after_strip", counts
 
-    exempt = lang is not None and lang in config.punctuationless_languages
-    if not exempt:
+    if lang not in PUNCTUATIONLESS_LANGUAGES:
         sentential = sum(1 for _, cls in kept if cls is LineClass.SENTENTIAL)
         if sentential / len(kept) < config.min_sentential_ratio:
             return None, "non_sentential", counts

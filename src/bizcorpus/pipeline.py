@@ -71,12 +71,7 @@ _SECTIONS: dict[str, dict[str, Callable[[str, object], object] | None]] = {
         "jp_script_ratio_threshold": _number,
         "classifier_cmd": None,
     },
-    "noise": {
-        "jp_terminators": _string_set,
-        "latin_terminators": _string_set,
-        "min_sentential_ratio": _number,
-        "punctuationless_languages": _string_set,
-    },
+    "noise": {"terminators": _string_set, "min_sentential_ratio": _number},
     "dedup": {"sentence_frequency_threshold": _integer},
 }
 _TOP_LEVEL_KEYS = frozenset(

@@ -90,6 +90,12 @@ class TestTruncation:
         assert out.encode("utf-8").decode("utf-8") == out
         assert out == page[:1000]
 
+    @pytest.mark.parametrize("value", [True, 2.5, "10"], ids=["bool", "float", "string"])
+    def test_non_integer_truncation_rejected(self, value):
+        # True used to cut a manual_rag page to one character
+        with pytest.raises(ConfigError, match=re.escape(f"truncation_chars must be an integer, got {value!r}")):
+            TaskSetting(SettingKind.MANUAL_RAG, truncation_chars=value)
+
     def test_not_applicable_to_no_context(self):
         with pytest.raises(ValueError):
             truncate_context(NO_CONTEXT, "text")
@@ -501,6 +507,38 @@ class TestJudgingWorkflow:
         assert len(record_judgments(tmp_path / "run", verdicts, judge_id="judge-a")) == 2
         assert len(record_judgments(tmp_path / "run", verdicts, judge_id="judge-b")) == 2
         assert len(load_judgments(tmp_path / "run" / "judgments.jsonl")) == 4
+
+    def test_failed_write_keeps_earlier_judgments(self, tmp_path, monkeypatch):
+        questions = _questions(2)
+        run_benchmark(NO_CONTEXT, questions, ScriptedModel(), out_dir=tmp_path / "run")
+        verdicts = tmp_path / "verdicts.jsonl"
+        lines = [
+            {"question_id": q.id, "content_faithful": True, "instruction_followed": True}
+            for q in questions
+        ]
+        verdicts.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        record_judgments(tmp_path / "run", verdicts, judge_id="judge-a")
+        stored = tmp_path / "run" / "judgments.jsonl"
+        before = stored.read_bytes()
+        to_dict = Judgment.to_dict
+        written = []
+
+        def fail_on_second(judgment):
+            if written:
+                raise OSError("No space left on device")
+            written.append(judgment)
+            return to_dict(judgment)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Judgment, "to_dict", fail_on_second)
+            with pytest.raises(OSError, match="No space left"):
+                record_judgments(tmp_path / "run", verdicts, judge_id="judge-b")
+        assert written  # the first new line was written before the error
+        assert stored.read_bytes() == before
+        assert not stored.with_name("judgments.jsonl.tmp").exists()
+        # nothing of judge-b was recorded, so the retry is not "already judged"
+        assert len(record_judgments(tmp_path / "run", verdicts, judge_id="judge-b")) == 2
+        assert len(load_judgments(stored)) == 4
 
     def test_verdict_for_unknown_question_is_error(self, tmp_path):
         run_benchmark(NO_CONTEXT, _questions(1), ScriptedModel(), out_dir=tmp_path / "run")

@@ -217,6 +217,29 @@ class TestStandaloneStages:
         assert f"error: {bad}:2: " in capsys.readouterr().err
 
 
+class TestStageFlags:
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["dedup", "--threshold", "0"], "sentence_frequency_threshold must be >= 1"),
+            (["denoise", "--ratio", "2"], "min_sentential_ratio must be in [0, 1]"),
+            (["langid", "--threshold", "1.5"], "uncertainty_threshold must be in [0, 1], got 1.5"),
+        ],
+        ids=["dedup_threshold", "denoise_ratio", "langid_threshold"],
+    )
+    def test_out_of_range_flag_exit_one(self, tmp_path, capsys, argv, message):
+        # these used to exit 2, as a stage failure
+        path, _ = _corpus_file(tmp_path, n_core=2)
+        out = tmp_path / "out.jsonl"
+        spawned = tmp_path / "spawned"
+        child = shlex.join([sys.executable, "-c", f"open({str(spawned)!r}, 'w')"])
+        extra = ["--classifier-cmd", child] if argv[0] == "langid" else []
+        assert main([*argv, "--in", str(path), "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert not spawned.exists()
+
+
 class TestFlagDefaults:
     @pytest.mark.parametrize(
         ("argv", "dest", "expected"),

@@ -232,6 +232,18 @@ class TestSamplePlanIO:
         back = read_jsonl(path, lambda obj: PlanEntry(SourceTag(obj["source"]), obj["id"]))
         assert back == plan.entries
 
+    def test_failed_write_keeps_earlier_plan(self, tmp_path):
+        path = SamplePlan([PlanEntry(SourceTag.MC4, "old")]).to_jsonl(tmp_path / "plan.jsonl")
+        before = path.read_bytes()
+        # the third id cannot be encoded, so the write raises after two lines
+        plan = SamplePlan(
+            [PlanEntry(SourceTag.MC4, "a"), PlanEntry(SourceTag.MC4, "b"), PlanEntry(SourceTag.MC4, object())]
+        )
+        with pytest.raises(TypeError):
+            plan.to_jsonl(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.jsonl"]
+
     def test_counts_sum_to_length(self):
         plan = SamplePlan(
             [PlanEntry(SourceTag.MC4, "a"), PlanEntry(SourceTag.MC4, "b"), PlanEntry(SourceTag.OTHER, "c")]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import synth
 
-from bizcorpus import core
+from bizcorpus import core, pipeline
 from bizcorpus import noise as noise_mod
 from bizcorpus.backends import SubprocessClassifier
 from bizcorpus.core import SourceTag, ingest_jsonl, read_corpus_jsonl
@@ -329,8 +329,14 @@ class TestRunPipeline:
             ),
             ({"lang_id": {"uncertainty_treshold": 0.5}}, "lang_id: unknown key(s) 'uncertainty_treshold'"),
             ({"sources": [{"path": "input.jsonl", "sorce": "patent"}]}, "sources[0]: unknown key(s) 'sorce'"),
+            # keys of older configs: the one terminators set replaced the two
+            # sets, and the exemption list is the fixed noise.PUNCTUATIONLESS_LANGUAGES
+            ({"noise": {"jp_terminators": ["。", "！", "？"]}}, "noise: unknown key(s) 'jp_terminators'"),
+            ({"noise": {"latin_terminators": [".", "!", "?"]}}, "noise: unknown key(s) 'latin_terminators'"),
+            ({"noise": {"punctuationless_languages": ["th"]}}, "noise: unknown key(s) 'punctuationless_languages'"),
         ],
-        ids=["dedupe_typo", "mixture_blocks", "lang_id_typo", "source_typo"],
+        ids=["dedupe_typo", "mixture_blocks", "lang_id_typo", "source_typo", "removed_jp_terminators",
+             "removed_latin_terminators", "removed_punctuationless_languages"],
     )
     def test_unknown_key_fails_validation(self, tmp_path, extra, message):
         records, _ = synth.make_records(n_core=2)
@@ -348,9 +354,8 @@ class TestRunPipeline:
             ({"seed": True}, "seed must be an integer, got True"),
             ({"seed": 1.9}, "seed must be an integer, got 1.9"),
             ({"seed": None}, "seed must be an integer, got None"),
-            ({"noise": {"punctuationless_languages": "th"}}, "punctuationless_languages must be a list of strings, got 'th'"),
-            ({"noise": {"jp_terminators": "。！"}}, "jp_terminators must be a list of strings, got '。！'"),
-            ({"noise": {"punctuationless_languages": ["th", 1]}}, "punctuationless_languages must be a list of strings, got ['th', 1]"),
+            ({"noise": {"terminators": "。！"}}, "terminators must be a list of strings, got '。！'"),
+            ({"noise": {"terminators": ["。", 1]}}, "terminators must be a list of strings, got ['。', 1]"),
             ({"dedup": {"sentence_frequency_threshold": 2.9}}, "sentence_frequency_threshold must be an integer, got 2.9"),
             ({"dedup": {"sentence_frequency_threshold": True}}, "sentence_frequency_threshold must be an integer, got True"),
             ({"lang_id": {"uncertainty_threshold": True}}, "uncertainty_threshold must be a number, got True"),
@@ -361,7 +366,7 @@ class TestRunPipeline:
         ],
         ids=[
             "freq_string", "freq_int", "freq_null", "seed_string", "seed_bool", "seed_float", "seed_null",
-            "languages_scalar", "terminators_string", "languages_number", "threshold_float", "threshold_bool",
+            "terminators_string", "terminators_number", "threshold_float", "threshold_bool",
             "uncertainty_bool", "uncertainty_string", "ratio_string", "workers_float", "workers_bool",
         ],
     )
@@ -398,12 +403,7 @@ class TestRunPipeline:
                 "jp_script_ratio_threshold": 0.2,
                 "classifier_cmd": [sys.executable, "-c", "import sys; sys.stdin.read()"],
             },
-            "noise": {
-                "jp_terminators": ["。"],
-                "latin_terminators": ["!"],
-                "min_sentential_ratio": 0.25,
-                "punctuationless_languages": ["th", "lo"],
-            },
+            "noise": {"terminators": ["。", "!"], "min_sentential_ratio": 0.25},
             "dedup": {"sentence_frequency_threshold": 4},
         }
         records, _ = synth.make_records(n_core=2)
@@ -434,13 +434,12 @@ class TestRunPipeline:
     @pytest.mark.parametrize(
         ("key", "value"),
         [
-            ("latin_terminators", []),
-            ("latin_terminators", None),
-            ("jp_terminators", ["。", "…。"]),
-            ("jp_terminators", [1, 2]),
-            ("punctuationless_languages", ["th", 7]),
+            ("terminators", []),
+            ("terminators", None),
+            ("terminators", ["。", "…。"]),
+            ("terminators", [1, 2]),
         ],
-        ids=["empty", "null", "two_characters", "numbers", "number_language"],
+        ids=["empty", "null", "two_characters", "numbers"],
     )
     def test_empty_terminator_list_fails_validation(self, tmp_path, key, value):
         records, _ = synth.make_records(n_core=2)
@@ -449,6 +448,25 @@ class TestRunPipeline:
         )
         with pytest.raises(ConfigError):
             load_config(config_path)
+
+    def test_japanese_only_terminators_accepted(self, tmp_path):
+        records, _ = synth.make_records(n_core=2)
+        config = load_config(
+            synth.write_pipeline_config(tmp_path, records, extra={"noise": {"terminators": ["。"]}})
+        )
+        assert config.noise.terminators == config.dedup.terminators == frozenset("。")
+        assert noise_mod.classify_line(config.noise, "Done.") is noise_mod.LineClass.NON_SENTENTIAL
+
+    def test_readme_config_table_lists_exactly_the_accepted_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | type | default |", 1)[1].split("\n\n", 1)[0]
+        documented = {
+            key for row in table.splitlines()[2:] for key in re.findall(r"`([^`]+)`", row.split("|")[1])
+        }
+        accepted = (pipeline._TOP_LEVEL_KEYS - pipeline._SECTIONS.keys()) | {
+            f"{name}.{key}" for name, keys in pipeline._SECTIONS.items() for key in keys
+        }
+        assert documented == accepted
 
     def test_workers_below_one_fails_validation(self, tmp_path):
         records, _ = synth.make_records(n_core=2)
