@@ -24,6 +24,7 @@ import threading
 from typing import Iterator
 
 from .bench import SearchResult
+from .core import ConfigError
 
 
 class WireProtocolError(RuntimeError):
@@ -49,20 +50,16 @@ def _parse_reply(reply: str | WireProtocolError) -> dict:
 _JSON_TYPES = {"string": str, "number": (int, float), "list": list}
 
 
-def _typed_fields(backend: str, obj: dict, reply: str, kinds: dict[str, str]) -> list:
-    """``obj``'s named fields, each a JSON value of its named type (a
+def _typed_fields(backend: str, reply: str | WireProtocolError, **kinds: str) -> list:
+    """The reply's named fields, each a JSON value of its named type (a
     boolean is never a number); an error quotes the whole ``reply``."""
+    obj = _parse_reply(reply)
     for key, kind in kinds.items():
         if key not in obj:
             raise WireProtocolError(f"{backend} reply has no {key!r}: {reply.strip()!r}")
         if not isinstance(obj[key], _JSON_TYPES[kind]) or isinstance(obj[key], bool):
             raise WireProtocolError(f"{backend} reply has a non-{kind} {key!r}: {reply.strip()!r}")
     return [obj[key] for key in kinds]
-
-
-def _reply_fields(backend: str, reply: str | WireProtocolError, **kinds: str) -> list:
-    """The reply's named fields, checked by :func:`_typed_fields`."""
-    return _typed_fields(backend, _parse_reply(reply), reply, kinds)
 
 
 class JsonLineProcess:
@@ -175,10 +172,7 @@ class SubprocessClassifier:
         with contextlib.closing(self._proc.exchange([{"text": text} for text in texts])) as replies:
             for reply in replies:
                 try:
-                    lang, confidence = _reply_fields(
-                        "classifier", reply, lang="string", confidence="number"
-                    )
-                    answer = lang, float(confidence)
+                    answer = tuple(_typed_fields("classifier", reply, lang="string", confidence="number"))
                 except WireProtocolError as exc:
                     answer = exc
                 yield answer
@@ -195,14 +189,11 @@ class CommandModel:
         self.model_id = model_id or " ".join(self._proc.cmd)
 
     def generate(self, prompt: str) -> str:
-        (response,) = _reply_fields("model", self._proc.call({"prompt": prompt}), response="string")
+        (response,) = _typed_fields("model", self._proc.call({"prompt": prompt}), response="string")
         return response
 
     def close(self) -> None:
         self._proc.close()
-
-
-_RESULT_FIELDS = {"url": "string", "title": "string", "body": "string"}
 
 
 class CommandSearch:
@@ -215,13 +206,15 @@ class CommandSearch:
         """The reply's ``results``, a list of objects whose ``url``, ``title``
         and ``body`` are strings where present and empty where absent."""
         reply = self._proc.call({"query": query})
-        (results,) = _reply_fields("search", reply, results="list")
+        (results,) = _typed_fields("search", reply, results="list")
         found = []
         for result in results:
             if not isinstance(result, dict):
                 raise WireProtocolError(f"search reply has a non-object result: {reply.strip()!r}")
-            fields = {"url": "", "title": "", "body": "", **result}
-            found.append(SearchResult(*_typed_fields("search", fields, reply, _RESULT_FIELDS)))
+            try:
+                found.append(SearchResult(*(result.get(key, "") for key in ("url", "title", "body"))))
+            except ConfigError as exc:
+                raise WireProtocolError(f"search reply has a result whose {exc}: {reply.strip()!r}") from exc
         return found
 
     def close(self) -> None:

@@ -25,9 +25,17 @@ from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Protocol, Sequence, TypeVar, get_args, get_type_hints
+from typing import Protocol, Sequence, TypeVar
 
-from .core import ConfigError, open_replacing, read_json, read_jsonl, utcnow, write_json
+from .core import (
+    ConfigError,
+    check_field_types,
+    open_replacing,
+    read_json,
+    read_jsonl,
+    utcnow,
+    write_json,
+)
 
 TEMPLATE_VERSION = "v1"
 
@@ -45,11 +53,6 @@ class SettingKind(str, Enum):
 
 _RAG_KINDS = (SettingKind.AUTO_RAG, SettingKind.MANUAL_RAG)
 
-_JSON_TYPE_NAMES = {str: "string", int: "integer", bool: "boolean"}
-
-# resolves the string annotations that ``from __future__ import annotations`` leaves
-_field_types = functools.cache(get_type_hints)
-
 R = TypeVar("R")
 
 
@@ -59,25 +62,13 @@ def _from_fields(cls: type[R], obj: dict) -> R:
     return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
-def _check_field_types(record: object) -> None:
-    """Raise ``ValueError`` unless each field holds the type its annotation
-    names; a boolean is never an integer."""
-    for name, kind in _field_types(type(record)).items():
-        value = getattr(record, name)
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            base = next(iter(get_args(kind)), kind)  # an optional field names its non-null type
-            expected = _JSON_TYPE_NAMES.get(base, base.__name__)
-            raise ValueError(f"{name} must be a JSON {expected}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TaskSetting:
     kind: SettingKind
     truncation_chars: int = 1000
 
     def __post_init__(self) -> None:
-        if isinstance(self.truncation_chars, bool) or not isinstance(self.truncation_chars, int):
-            raise ConfigError(f"truncation_chars must be an integer, got {self.truncation_chars!r}")
+        check_field_types(self)
         if self.truncation_chars < 1:
             raise ConfigError(f"truncation_chars must be at least 1, got {self.truncation_chars}")
 
@@ -92,7 +83,7 @@ class BenchmarkQuestion:
     question_set: str = "non_latest"
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        check_field_types(self)
         if not self.question:
             raise ValueError("question must be non-empty")
         if self.category not in CATEGORIES:
@@ -116,8 +107,7 @@ class Judgment:
     timestamp: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "setting", SettingKind(self.setting))
-        _check_field_types(self)
+        check_field_types(self)
         if self.correct != (self.content_faithful and self.instruction_followed):
             raise ValueError("correct must equal content_faithful AND instruction_followed")
 
@@ -149,6 +139,9 @@ class SearchResult:
     url: str = ""
     title: str = ""
     body: str = ""
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
 
 
 class SearchBackend(Protocol):
@@ -237,9 +230,10 @@ def retrieve_auto_context(backend: SearchBackend, q: BenchmarkQuestion) -> str:
 
 
 def load_questions(path: Path | str) -> list[BenchmarkQuestion]:
-    """Load benchmark questions from line-delimited JSON. Any invalid record,
-    such as a field that is not a JSON string, is a configuration error and
-    aborts the run."""
+    """Load benchmark questions from line-delimited JSON. The first invalid
+    record, such as one with a field that is not a JSON string, raises
+    ``ValueError`` naming the file and line, which stops ``bench-run`` with
+    exit 2 before any backend starts."""
     seen: set[str] = set()
 
     def parse(obj: dict) -> BenchmarkQuestion:
@@ -288,7 +282,7 @@ class RunRecord:
     elapsed_ms: int = 0
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        check_field_types(self)
         if self.setting not in {s.value for s in SettingKind}:
             raise ValueError(f"unknown setting {self.setting!r}")
 

@@ -14,7 +14,6 @@ import logging
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Callable, TypeVar
 
 from . import __version__
 from .backends import CommandModel, CommandSearch, EchoModel, SubprocessClassifier
@@ -29,6 +28,7 @@ from .bench import (
     run_benchmark,
 )
 from .core import (
+    ConfigError,
     PipelineStats,
     SourceTag,
     StageStats,
@@ -40,20 +40,11 @@ from .core import (
 from .curation import curate, load_rules
 from .dedup import DedupConfig, count_sentences, dedup_documents, dedup_sentences
 from .langid import LangIdConfig, filter_non_japanese
-from .mixture import (
-    MixtureConfigError,
-    MixtureSpec,
-    UpdateMixSpec,
-    plan_epoch,
-    sample_update_mix,
-    verify_plan,
-)
+from .mixture import MixtureSpec, UpdateMixSpec, plan_epoch, sample_update_mix, verify_plan
 from .noise import NoiseConfig, denoise_corpus
-from .pipeline import ConfigError, StageFailure, emit_manifest, load_config, run_pipeline
+from .pipeline import StageFailure, emit_manifest, load_config, run_pipeline
 
 log = logging.getLogger("bizcorpus")
-
-T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,15 +58,6 @@ def _print_stage_summary(stats: PipelineStats) -> None:
             reasons = ", ".join(f"{k}={v}" for k, v in sorted(stage.doc_removals.items()))
             print(f" (removed: {reasons})", end="")
         print()
-
-
-def _stage_config(cls: Callable[..., T], **settings: object) -> T:
-    """``cls(**settings)``, with a ``ValueError`` from its checks raised as
-    :class:`ConfigError` (exit 1); called before any input is read."""
-    try:
-        return cls(**settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -101,9 +83,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 
 def cmd_langid(args: argparse.Namespace) -> int:
-    config = _stage_config(
-        LangIdConfig, uncertainty_threshold=args.threshold, jp_script_ratio_threshold=args.jp_ratio
-    )
+    config = LangIdConfig(uncertainty_threshold=args.threshold, jp_script_ratio_threshold=args.jp_ratio)
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
     if args.classifier_cmd:
@@ -119,7 +99,7 @@ def cmd_langid(args: argparse.Namespace) -> int:
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    config = _stage_config(NoiseConfig, min_sentential_ratio=args.ratio)
+    config = NoiseConfig(min_sentential_ratio=args.ratio)
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
     out = denoise_corpus(config, corpus, stats=stats)
@@ -129,7 +109,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 
 def cmd_dedup(args: argparse.Namespace) -> int:
-    config = _stage_config(DedupConfig, sentence_frequency_threshold=args.threshold)
+    config = DedupConfig(sentence_frequency_threshold=args.threshold)
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
     corpus = dedup_documents(config, corpus, stats=stats)
@@ -321,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, MixtureConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StageFailure, ValueError, RuntimeError, OSError) as exc:

@@ -27,11 +27,14 @@ import logging
 import os
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO, TypeVar
+from types import UnionType
+from typing import Callable, Iterable, Iterator, Protocol, TextIO, TypeVar, Union
+from typing import get_args, get_origin, get_type_hints
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +42,56 @@ T = TypeVar("T")
 
 
 class ConfigError(ValueError):
-    """Configuration problem detected before any work starts (exit code 1)."""
+    """A value read from a file, a flag or a reply is of the wrong type or out of range."""
+
+
+_JSON_TYPE_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean"}
+
+# resolves the string annotations that ``from __future__ import annotations`` leaves
+_field_types = functools.cache(get_type_hints)
+
+
+def _conform(kind: object, value: object) -> object:
+    """``value`` as a field of type ``kind`` stores it; ``TypeError`` or ``ValueError`` if not one."""
+    if type(value) is kind:  # most values, and never a boolean for an int
+        return value
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (Union, UnionType):  # X | None
+        return None if value is None else _conform(args[0], value)
+    if origin is Mapping and isinstance(value, Mapping):
+        return {_conform(args[0], key): _conform(args[1], item) for key, item in value.items()}
+    if origin in (tuple, frozenset, list) and not isinstance(value, (str, Mapping)):
+        return origin(_conform(args[0], item) for item in value)  # never a bare string's characters
+    if origin is not None:
+        raise TypeError(value)
+    if kind is float and type(value) is int or issubclass(kind, Enum):
+        return kind(value)  # a float from an integer; an enum member from its value
+    if Protocol in kind.__mro__ or isinstance(value, kind) and type(value) is not bool:
+        return value  # a subclass instance, or anything for a protocol: a duck-typed plug point
+    raise TypeError(value)
+
+
+def _json_type(kind: object) -> str:
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is None:
+        return _JSON_TYPE_NAMES.get(kind, kind.__name__)
+    if origin is Mapping:
+        return f"object of {_json_type(args[0])} to {_json_type(args[1])}"
+    return _json_type(args[0]) if origin in (Union, UnionType) else f"list of {_json_type(args[0])}s"
+
+
+def check_field_types(record: object) -> None:
+    """Check each field of the dataclass ``record`` against its annotation and
+    store a value converted to it (a list to a ``frozenset[str]``); raise
+    ``ConfigError("<field> must be a JSON <type>, got <value!r>")`` otherwise."""
+    for name, kind in _field_types(type(record)).items():
+        value = getattr(record, name)
+        try:
+            stored = _conform(kind, value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name} must be a JSON {_json_type(kind)}, got {value!r}") from None
+        if stored is not value:
+            object.__setattr__(record, name, stored)  # past the freeze of a frozen dataclass
 
 
 class SourceTag(str, Enum):

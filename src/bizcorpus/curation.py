@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .core import Corpus, Document, PipelineStats, StageStats, run_stage
+from .core import ConfigError, Corpus, Document, PipelineStats, StageStats, check_field_types, run_stage
 
 _GLOB_CHARS = frozenset("*?[")
 
@@ -28,42 +28,38 @@ class CurationRuleSet:
     rule_set_version: str = "unversioned"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not self.url_patterns and not self.cue_words:
-            raise ValueError("rule set needs at least one URL pattern or cue word")
+            raise ConfigError("rule set needs at least one URL pattern or cue word")
         if any(not w for w in self.cue_words):
-            raise ValueError("cue_words must not contain empty strings")
+            raise ConfigError("cue_words must not contain empty strings")
         if any(not p for p in self.url_patterns):
-            raise ValueError("url_patterns must not contain empty strings")
+            raise ConfigError("url_patterns must not contain empty strings")
 
 
 def load_rules(path: Path | str) -> CurationRuleSet:
     """Load a rule set from a YAML (or JSON) file with keys
     ``url_patterns``, ``cue_words`` (lists of strings) and ``version`` (a
-    string, ``"unversioned"`` when absent); any other key is an error."""
+    string, ``"unversioned"`` when absent); anything else raises
+    :class:`~bizcorpus.core.ConfigError` naming the file."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh) or {}
         except yaml.YAMLError as exc:
-            raise ValueError(f"{path}: invalid YAML: {exc}") from exc
+            raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: rule file must contain a mapping")
+        raise ConfigError(f"{path}: rule file must contain a mapping")
     unknown = sorted(str(key) for key in raw.keys() - {"version", "url_patterns", "cue_words"})
     if unknown:
-        raise ValueError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
-    lists = {key: [] if raw.get(key) is None else raw[key] for key in ("url_patterns", "cue_words")}
-    for key, items in lists.items():
-        if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
-            raise ValueError(f"{path}: {key} must be a list of strings, got {items!r}")
-    version = raw.get("version", "unversioned")
-    if not isinstance(version, str):
-        # str() would read ``version: 1.10`` back as "1.1"
-        raise ValueError(f"{path}: version must be a string, got {version!r}")
-    return CurationRuleSet(
-        url_patterns=tuple(lists["url_patterns"]),
-        cue_words=tuple(lists["cue_words"]),
-        rule_set_version=version,
-    )
+        raise ConfigError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
+    version = raw.pop("version", "unversioned")
+    # a list left empty in YAML (``cue_words:``) reads as null
+    lists = {key: value for key, value in raw.items() if value is not None}
+    try:
+        return CurationRuleSet(**lists, rule_set_version=version)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def matches_url(rules: CurationRuleSet, url: str) -> bool:

@@ -24,8 +24,17 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import Corpus, Document, PipelineStats, StageStats, open_replacing, run_stage
-from .noise import DEFAULT_TERMINATORS
+from .core import (
+    ConfigError,
+    Corpus,
+    Document,
+    PipelineStats,
+    StageStats,
+    check_field_types,
+    open_replacing,
+    run_stage,
+)
+from .noise import DEFAULT_TERMINATORS, check_terminators
 
 
 @dataclass(frozen=True)
@@ -34,20 +43,20 @@ class DedupConfig:
     terminators: frozenset[str] = DEFAULT_TERMINATORS
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.sentence_frequency_threshold < 1:
-            raise ValueError("sentence_frequency_threshold must be >= 1")
-        if not self.terminators:
-            raise ValueError("terminators must be non-empty")
+            raise ConfigError("sentence_frequency_threshold must be >= 1")
+        check_terminators(self.terminators)
 
     @cached_property
     def sentence_ends(self) -> tuple[str, ...]:
-        """The terminators that can end a sentence: single characters only."""
-        return tuple(t for t in sorted(self.terminators) if len(t) == 1)
+        """The terminators in a fixed order, for :func:`split_sentences`."""
+        return tuple(sorted(self.terminators))
 
 
 def split_sentences(config: DedupConfig, text: str) -> list[str]:
     """Terminator-based sentence split, line by line: each line of
-    ``str.splitlines`` is cut after every single-character terminator.
+    ``str.splitlines`` is cut after every terminator.
     Sentences keep their terminator; a trailing fragment without one still
     counts as a sentence. A line break after each terminator makes every
     sentence a line of its own; a terminator that is itself a line boundary

@@ -21,7 +21,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Protocol
 
-from .core import Corpus, Document, PipelineStats, StageStats, code_point_class, run_stage
+from .core import (
+    ConfigError,
+    Corpus,
+    Document,
+    PipelineStats,
+    StageStats,
+    check_field_types,
+    code_point_class,
+    run_stage,
+)
 
 log = logging.getLogger(__name__)
 
@@ -41,8 +50,9 @@ class LangVerdict:
     stage: VerdictStage
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence out of range: {self.confidence}")
+            raise ConfigError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
 class ClassifierBackend(Protocol):
@@ -67,10 +77,11 @@ class LangIdConfig:
     classifier: ClassifierBackend | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("uncertainty_threshold", "jp_script_ratio_threshold"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+                raise ConfigError(f"{name} must be in [0, 1], got {value}")
 
 
 # Hiragana + Katakana blocks; the signal for Japanese even in Kanji-heavy text.
@@ -157,7 +168,8 @@ def _primary_answers(
 ) -> Iterator[LangVerdict | Exception | None]:
     """The backend's verdict for each text, in order, as it gives them, or the
     exception in its place: from one ``classify_many`` call if the backend
-    has it, else one ``classify`` call per text (with no backend, None)."""
+    has it, else one ``classify`` call per text (with no backend, None). A
+    pair that is no verdict, such as ``("ja", 7.5)``, gives its error."""
     backend = config.classifier
     if backend is None:
         yield from [None] * len(texts)
@@ -167,12 +179,17 @@ def _primary_answers(
     name, given, pending = type(backend).__name__, 0, iter(answers)
     try:
         for given, answer in enumerate(pending, 1):
-            if not isinstance(answer, (tuple, Exception)):
+            if isinstance(answer, tuple) and len(answer) == 2:
+                try:
+                    answer = LangVerdict(*answer, VerdictStage.PRIMARY)
+                except ConfigError as exc:
+                    answer = exc
+            elif not isinstance(answer, Exception):
                 raise TypeError(f"{name} gave {answer!r}, not a pair or an exception")
             # an answer after the last text's means the answers are out of step
             if given == len(texts) and next(pending, _NO_ANSWER) is not _NO_ANSWER:
                 raise RuntimeError(f"{name}.classify_many gave more than {given} answers for {given} texts")
-            yield answer if isinstance(answer, Exception) else _primary_verdict(*answer)
+            yield answer
     finally:  # a lazy answer list ends its exchange here, not when it is collected
         if hasattr(answers, "close"):
             answers.close()
@@ -189,10 +206,6 @@ def _classify_each(
         except Exception as exc:  # a failing backend leaves this text to the fallback
             answer = exc
         yield answer
-
-
-def _primary_verdict(lang: str, confidence: float) -> LangVerdict:
-    return LangVerdict(str(lang), min(1.0, max(0.0, float(confidence))), VerdictStage.PRIMARY)
 
 
 def classify_fallback(config: LangIdConfig, text: str) -> LangVerdict:

@@ -18,16 +18,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .core import Corpus, SourceTag, derive_seed, open_replacing
-
-
-class MixtureConfigError(ValueError):
-    """Invalid mixture configuration (bad ratio, missing pool or source)."""
+from .core import ConfigError, Corpus, SourceTag, check_field_types, derive_seed, open_replacing
 
 
 def _default_epoch_weights() -> dict[SourceTag, float]:
@@ -43,14 +39,10 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        normalized: dict[SourceTag, float] = {}
-        for tag, weight in dict(self.weights).items():
-            tag = SourceTag(tag)
-            weight = float(weight)
+        check_field_types(self)
+        for tag, weight in self.weights.items():
             if not 0 < weight < math.inf:
-                raise MixtureConfigError(f"weight for {tag.value} must be finite and > 0, got {weight}")
-            normalized[tag] = weight
-        object.__setattr__(self, "weights", normalized)
+                raise ConfigError(f"weight for {tag.value} must be finite and > 0, got {weight}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +55,11 @@ class UpdateMixSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 <= self.r <= 1.0:
-            raise MixtureConfigError(f"r must be in [0, 1], got {self.r}")
+            raise ConfigError(f"r must be in [0, 1], got {self.r}")
         if self.total < 1:
-            raise MixtureConfigError(f"total must be >= 1, got {self.total}")
+            raise ConfigError(f"total must be >= 1, got {self.total}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,7 @@ def plan_epoch(spec: MixtureSpec, corpus: Corpus) -> SamplePlan:
 
     for tag, weight in spec.weights.items():
         if weight != 1.0 and tag not in by_source:
-            raise MixtureConfigError(
+            raise ConfigError(
                 f"source {tag.value} has weight {weight} but no documents in the corpus"
             )
 
@@ -172,9 +165,9 @@ def sample_update_mix(
     n_non = non_latest_share(spec.r, spec.total)
     n_latest = spec.total - n_non
     if n_non > 0 and len(non_latest) == 0:
-        raise MixtureConfigError("non-latest pool is empty but its share is nonzero")
+        raise ConfigError("non-latest pool is empty but its share is nonzero")
     if n_latest > 0 and len(latest) == 0:
-        raise MixtureConfigError("latest pool is empty but its share is nonzero")
+        raise ConfigError("latest pool is empty but its share is nonzero")
 
     non_entries = [PlanEntry(d.source, d.id) for d in non_latest]
     latest_entries = [PlanEntry(d.source, d.id) for d in latest]
@@ -194,14 +187,7 @@ class PlanVerification:
     problems: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "expected_non_latest": self.expected_non_latest,
-            "realized_non_latest": self.realized_non_latest,
-            "total": self.total,
-            "histogram": dict(sorted(self.histogram.items())),
-            "problems": list(self.problems),
-        }
+        return {**asdict(self), "histogram": dict(sorted(self.histogram.items()))}
 
 
 def verify_plan(plan: SamplePlan, spec: UpdateMixSpec) -> PlanVerification:

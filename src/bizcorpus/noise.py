@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .core import Corpus, Document, PipelineStats, StageStats, run_stage
+from .core import ConfigError, Corpus, Document, PipelineStats, StageStats, check_field_types, run_stage
 
 DEFAULT_TERMINATORS = frozenset("。！？.!?")
 
@@ -34,20 +34,26 @@ class LineClass(str, Enum):
     NON_SENTENTIAL = "non_sentential"
 
 
+def check_terminators(terminators: frozenset[str]) -> None:
+    """Raise ``ConfigError`` unless ``terminators`` holds one or more single
+    characters: a longer entry would never match a line's last character."""
+    if not terminators:
+        raise ConfigError("terminators must be non-empty")
+    bad = sorted(repr(t) for t in terminators if len(t) != 1)
+    if bad:
+        raise ConfigError(f"terminators must be single characters, got {', '.join(bad)}")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     terminators: frozenset[str] = DEFAULT_TERMINATORS
     min_sentential_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.terminators:
-            raise ValueError("terminators must be non-empty")
-        # a line's last character is what gets tested, so a longer entry never matches
-        bad = sorted(repr(t) for t in self.terminators if len(t) != 1)
-        if bad:
-            raise ValueError(f"terminators must be single characters, got {', '.join(bad)}")
+        check_field_types(self)
+        check_terminators(self.terminators)
         if not 0.0 <= self.min_sentential_ratio <= 1.0:
-            raise ValueError("min_sentential_ratio must be in [0, 1]")
+            raise ConfigError("min_sentential_ratio must be in [0, 1]")
 
 
 # Date-only lines: ISO, slash, and Japanese year forms incl. era years

@@ -16,7 +16,7 @@ import logging
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Collection
+from typing import Collection
 
 import yaml
 
@@ -26,6 +26,7 @@ from .core import (
     Corpus,
     PipelineStats,
     SourceTag,
+    check_field_types,
     count_tokens,
     ingest_jsonl,
     utcnow,
@@ -43,36 +44,14 @@ MANIFEST_SCHEMA = "bizcorpus-manifest/1"
 ENV_OUTPUT_DIR = "BIZCORPUS_OUTPUT_DIR"
 
 
-def _string_set(key: str, value: object) -> frozenset[str]:
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ValueError(f"{key} must be a list of strings, got {value!r}")
-    return frozenset(value)
-
-
-def _number(key: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(key: str, value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-# Every key of each stage section, with the checker of its value's JSON type.
-# A key checked here sets the field of that name on the stage's config
-# dataclass; a key mapped to None is read by load_config itself.
-_SECTIONS: dict[str, dict[str, Callable[[str, object], object] | None]] = {
-    "curation": {"rules_file": None},
-    "lang_id": {
-        "uncertainty_threshold": _number,
-        "jp_script_ratio_threshold": _number,
-        "classifier_cmd": None,
-    },
-    "noise": {"terminators": _string_set, "min_sentential_ratio": _number},
-    "dedup": {"sentence_frequency_threshold": _integer},
+# Every key of each stage section. ``rules_file`` and ``classifier_cmd`` are
+# read by load_config itself; each other key sets the field of that name on
+# the stage's config dataclass, which checks its value.
+_SECTIONS: dict[str, frozenset[str]] = {
+    "curation": frozenset({"rules_file"}),
+    "lang_id": frozenset({"uncertainty_threshold", "jp_script_ratio_threshold", "classifier_cmd"}),
+    "noise": frozenset({"terminators", "min_sentential_ratio"}),
+    "dedup": frozenset({"sentence_frequency_threshold"}),
 }
 _TOP_LEVEL_KEYS = frozenset(
     {"seed", "output_dir", "workers", "sources", "dump_sentence_freq", *_SECTIONS}
@@ -110,6 +89,11 @@ class PipelineConfig:
     dump_sentence_freq: bool = False
     raw: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+
     @property
     def digest(self) -> str:
         # identifies the data-defining configuration; where outputs land and
@@ -131,18 +115,11 @@ def _check_keys(where: str, mapping: dict, allowed: Collection[str]) -> None:
 
 
 def _section(raw: dict, name: str) -> dict:
-    section = raw.get(name) or {}
+    section = {} if raw.get(name) is None else raw[name]
     if not isinstance(section, dict):
-        raise ConfigError(f"{name}: must be a mapping")
-    _check_keys(name, section, _SECTIONS[name].keys())
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    _check_keys(name, section, _SECTIONS[name])
     return section
-
-
-def _settings(sections: dict[str, dict], name: str) -> dict:
-    """The config dataclass fields that section ``name`` sets, each checked.
-    Absent keys are left out, so the dataclass's own defaults apply."""
-    check = _SECTIONS[name]
-    return {key: check[key](key, v) for key, v in sections[name].items() if check[key]}
 
 
 def load_config(path: Path | str) -> PipelineConfig:
@@ -169,7 +146,7 @@ def load_config(path: Path | str) -> PipelineConfig:
 
     def _resolve(key: str, value: object) -> Path:
         if not isinstance(value, str):
-            raise ConfigError(f"{path}: {key} must be a string, got {value!r}")
+            raise ConfigError(f"{path}: {key} must be a JSON string, got {value!r}")
         candidate = Path(value)
         return candidate if candidate.is_absolute() else base / candidate
 
@@ -177,8 +154,11 @@ def load_config(path: Path | str) -> PipelineConfig:
     output_dir = _resolve("output_dir", raw.get("output_dir", "out"))
     output_dir = Path(os.environ.get(ENV_OUTPUT_DIR) or output_dir)
 
+    entries = raw.get("sources") or []
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}: sources must be a JSON list, got {entries!r}")
     sources: list[SourceSpec] = []
-    for i, entry in enumerate(raw.get("sources") or []):
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "path" not in entry:
             raise ConfigError(f"sources[{i}]: each source needs a path")
         _check_keys(f"sources[{i}]", entry, _SOURCE_KEYS)
@@ -204,40 +184,30 @@ def load_config(path: Path | str) -> PipelineConfig:
         except ValueError as exc:
             raise ConfigError(f"bad rules file {rules_path}: {exc}") from exc
 
+    lang_id_settings = dict(sections["lang_id"])
+    classifier_cmd = lang_id_settings.pop("classifier_cmd", None)
     try:
-        lang_id = LangIdConfig(**_settings(sections, "lang_id"))
-        noise = NoiseConfig(**_settings(sections, "noise"))
-        dedup_cfg = dedup_mod.DedupConfig(
-            **_settings(sections, "dedup"), terminators=noise.terminators
+        noise = NoiseConfig(**sections["noise"])
+        config = PipelineConfig(
+            sources=sources,
+            output_dir=output_dir,
+            seed=raw.get("seed", 0),
+            rules=rules,
+            lang_id=LangIdConfig(**lang_id_settings),
+            noise=noise,
+            dedup=dedup_mod.DedupConfig(**sections["dedup"], terminators=noise.terminators),
+            workers=raw.get("workers", 1),
+            dump_sentence_freq=raw.get("dump_sentence_freq", False),
+            raw=raw,
         )
-        seed = _integer("seed", raw.get("seed", 0))
-        dump_sentence_freq = raw.get("dump_sentence_freq", False)
-        if not isinstance(dump_sentence_freq, bool):
-            raise ValueError(f"dump_sentence_freq must be true or false, got {dump_sentence_freq!r}")
-        workers = _integer("workers", raw.get("workers", 1))
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         # spawned last, so a config that fails validation leaves no child behind
-        classifier_cmd = sections["lang_id"].get("classifier_cmd")
         if classifier_cmd:
             from .backends import SubprocessClassifier
 
-            lang_id.classifier = SubprocessClassifier(classifier_cmd)
+            config.lang_id.classifier = SubprocessClassifier(classifier_cmd)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    return PipelineConfig(
-        sources=sources,
-        output_dir=output_dir,
-        seed=seed,
-        rules=rules,
-        lang_id=lang_id,
-        noise=noise,
-        dedup=dedup_cfg,
-        workers=workers,
-        dump_sentence_freq=dump_sentence_freq,
-        raw=raw,
-    )
+    return config
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineStats:

@@ -93,7 +93,7 @@ class TestTruncation:
     @pytest.mark.parametrize("value", [True, 2.5, "10"], ids=["bool", "float", "string"])
     def test_non_integer_truncation_rejected(self, value):
         # True used to cut a manual_rag page to one character
-        with pytest.raises(ConfigError, match=re.escape(f"truncation_chars must be an integer, got {value!r}")):
+        with pytest.raises(ConfigError, match=re.escape(f"truncation_chars must be a JSON integer, got {value!r}")):
             TaskSetting(SettingKind.MANUAL_RAG, truncation_chars=value)
 
     def test_not_applicable_to_no_context(self):
@@ -778,8 +778,8 @@ class TestWireSearch:
     @pytest.mark.parametrize(
         "reply, message",
         [
-            ('{"results": [{"url": "u", "title": "t", "body": null}]}', "search reply has a non-string 'body'"),
-            ('{"results": [{"title": 5, "body": "本文。"}]}', "search reply has a non-string 'title'"),
+            ('{"results": [{"url": "u", "title": "t", "body": null}]}', "search reply has a result whose body must be a JSON string, got None"),
+            ('{"results": [{"title": 5, "body": "本文。"}]}', "search reply has a result whose title must be a JSON string, got 5"),
             ('{"results": null}', "search reply has a non-list 'results'"),
             ('{"results": ["本文。"]}', "search reply has a non-object result"),
         ],

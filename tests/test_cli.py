@@ -66,13 +66,14 @@ class TestRun:
         assert f"error: bad rules file {rules}: {rules}: invalid YAML: " in capsys.readouterr().err
         corpus, _ = _corpus_file(tmp_path)
         curate = ["curate", "--rules", str(rules), "--in", str(corpus), "--out", str(tmp_path / "c.jsonl")]
-        assert main(curate) == 2
+        assert main(curate) == 1
         assert capsys.readouterr().err.startswith(f"error: {rules}: invalid YAML: ")
 
 
     def test_scalar_rule_list_stops_run_and_curate(self, tmp_path, capsys):
         self._bad_rules_stop_run_and_curate(
-            tmp_path, capsys, "url_patterns: https://biz.example.com/\n", "url_patterns must be a list"
+            tmp_path, capsys, "url_patterns: https://biz.example.com/\n",
+            "url_patterns must be a JSON list of strings, got 'https://biz.example.com/'",
         )
 
     def test_unknown_rule_key_stops_run_and_curate(self, tmp_path, capsys):
@@ -96,7 +97,7 @@ class TestRun:
         assert f"error: bad rules file {rules}: {rules}: {message}" in err
         corpus, _ = _corpus_file(tmp_path)
         curate = ["curate", "--rules", str(rules), "--in", str(corpus), "--out", str(tmp_path / "c.jsonl")]
-        assert main(curate) == 2
+        assert main(curate) == 1
         assert capsys.readouterr().err.startswith(f"error: {rules}: {message}")
 
     def test_id_reused_across_source_files_exit_two(self, tmp_path, capsys):
@@ -238,6 +239,40 @@ class TestStageFlags:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
         assert not spawned.exists()
+
+
+class TestExitCodes:
+    """Exit 1 for a value refused before any work starts, 2 for a bad input line."""
+
+    @pytest.mark.parametrize(
+        ("argv", "code"),
+        [
+            (["langid", "--threshold", "2", *STAGE_IO], 1),
+            (["denoise", "--ratio", "2", *STAGE_IO], 1),
+            (["dedup", "--threshold", "0", *STAGE_IO], 1),
+            (["mix", "update", "--latest", "in.jsonl", "--non-latest", "in.jsonl", "--out", "plan.jsonl",
+              "--r", "1.5", "--total", "4"], 1),
+            (["mix", "epoch", "--weight", "patent=0", *STAGE_IO], 1),
+            (["bench-run", "--questions", "questions.jsonl", "--setting", "manual_rag", "--echo-model",
+              "--truncation", "0", "--out", "run"], 1),
+            (["curate", "--rules", "rules.yaml", *STAGE_IO], 1),
+            (["stats", "--in", "missing.jsonl", "--out", "manifest.json"], 1),
+            (["stats", "--in", "bad.jsonl", "--out", "manifest.json"], 2),
+            (["bench-run", "--questions", "bad_questions.jsonl", "--setting", "manual_rag", "--echo-model",
+              "--out", "run"], 2),
+        ],
+        ids=["langid_threshold", "denoise_ratio", "dedup_threshold", "mix_update_r", "mix_epoch_weight",
+             "bench_run_truncation", "curate_bad_rules", "missing_input", "bad_corpus_line",
+             "bad_question_line"],
+    )
+    def test_exit_code(self, tmp_path, monkeypatch, argv, code):
+        monkeypatch.chdir(tmp_path)
+        _corpus_file(tmp_path, name="in.jsonl", n_core=2)
+        synth.write_jsonl(tmp_path / "questions.jsonl", QUESTIONS)
+        synth.write_jsonl(tmp_path / "bad_questions.jsonl", [*QUESTIONS[:1], {**QUESTIONS[1], "id": 7}])
+        (tmp_path / "bad.jsonl").write_text('{"id": "x", "source": "mc4", "text": 5}\n', encoding="utf-8")
+        (tmp_path / "rules.yaml").write_text("url_patterns: 5\n", encoding="utf-8")
+        assert main(argv) == code
 
 
 class TestFlagDefaults:

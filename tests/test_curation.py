@@ -56,7 +56,7 @@ class TestRuleSet:
     def test_rule_lists_must_hold_strings(self, tmp_path, body, key):
         path = tmp_path / "rules.yaml"
         path.write_text("version: r1\n" + body, encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"rules\.yaml: {key} must be a list of strings"):
+        with pytest.raises(ValueError, match=rf"rules\.yaml: {key} must be a JSON list of strings"):
             load_rules(path)
 
 
@@ -74,7 +74,7 @@ class TestRuleSet:
     def test_version_must_be_a_string(self, tmp_path, body, got):
         path = tmp_path / "rules.yaml"
         path.write_text(body + "cue_words: [決算]\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"rules.yaml: version must be a string, got {got}")):
+        with pytest.raises(ValueError, match=re.escape(f"rules.yaml: rule_set_version must be a JSON string, got {got}")):
             load_rules(path)
 
     def test_absent_version_is_unversioned(self, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from synth import doc
 
-from bizcorpus.core import Corpus, PipelineStats
+from bizcorpus.core import ConfigError, Corpus, PipelineStats
 from bizcorpus.dedup import (
     DedupConfig,
     SentenceFrequencyTable,
@@ -191,3 +191,9 @@ class TestPipelineProperties:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DedupConfig(sentence_frequency_threshold=0)
+
+    @pytest.mark.parametrize("terminators", [{"。。"}, {"。", ""}], ids=["two_characters", "empty"])
+    def test_terminator_of_other_than_one_character_refused(self, terminators):
+        # the split once dropped such an entry without a word
+        with pytest.raises(ConfigError, match="terminators must be single characters"):
+            DedupConfig(terminators=frozenset(terminators))

@@ -500,6 +500,44 @@ class TestPipelinedCalls:
             record.getMessage()
         )
 
+    @pytest.mark.parametrize(
+        "answer, cause",
+        [
+            # clamped to a confident primary verdict once
+            (("ja", 7.5), "ConfigError: confidence must be in [0, 1], got 7.5"),
+            # str() once made it the language "5"
+            ((5, 0.99), "ConfigError: lang must be a JSON string, got 5"),
+        ],
+        ids=["confidence_out_of_range", "number_lang"],
+    )
+    def test_in_process_pair_that_is_no_verdict_falls_back(self, caplog, answer, cause):
+        config = LangIdConfig(classifier=StubClassifier(*answer))
+        docs = [doc("d0", "にほんごのぶんしょうです。"), doc("d1", "plain english")]
+        assert identify(config, docs[1].text).stage is VerdictStage.FALLBACK
+        with caplog.at_level(logging.WARNING, logger="bizcorpus.langid"):
+            out = filter_non_japanese(config, Corpus(docs))
+        # the script fallback decides both: the Japanese document stays
+        assert out.documents == [docs[0].with_lang("ja")]
+        (record,) = caplog.records
+        assert "2 of 2 documents" in record.getMessage()
+        assert f"first cause: {cause}" in record.getMessage()
+
+    def test_wire_confidence_out_of_range_falls_back(self, tmp_path, caplog):
+        reply = '{"lang": "ja", "confidence": 7.5}'
+        script = tmp_path / "eager.py"
+        script.write_text(f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n")
+        backend = SubprocessClassifier([sys.executable, str(script)])
+        docs = [doc("d0", "にほんごのぶんしょうです。"), doc("d1", "plain english")]
+        try:
+            with caplog.at_level(logging.WARNING, logger="bizcorpus.langid"):
+                out = filter_non_japanese(LangIdConfig(classifier=backend), Corpus(docs))
+        finally:
+            backend.close()
+        assert out.documents == [docs[0].with_lang("ja")]
+        (record,) = caplog.records
+        assert "2 of 2 documents" in record.getMessage()
+        assert "first cause: ConfigError: confidence must be in [0, 1], got 7.5" in record.getMessage()
+
     def test_every_backend_shape_decides_alike(self, spawn, caplog):
         texts = ["にほんご。", "low english", "no confidence", "english", "low にほんご。"]
         docs = [doc(f"d{i}", text) for i, text in enumerate(texts + texts[:3])]

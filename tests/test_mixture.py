@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from synth import doc
 
-from bizcorpus.core import Corpus, SourceTag, count_tokens, read_jsonl
+from bizcorpus.core import ConfigError, Corpus, SourceTag, count_tokens, read_jsonl
 from bizcorpus.mixture import (
-    MixtureConfigError,
     MixtureSpec,
     PlanEntry,
     SamplePlan,
@@ -79,7 +78,7 @@ class TestPlanEpoch:
 
     def test_missing_weighted_source_is_fatal(self):
         corpus = _corpus(SourceTag.MC4, 10)
-        with pytest.raises(MixtureConfigError, match="wikipedia"):
+        with pytest.raises(ConfigError, match="wikipedia"):
             plan_epoch(MixtureSpec(seed=0), corpus)
 
     def test_deterministic_and_seed_changes_order_only(self):
@@ -92,7 +91,7 @@ class TestPlanEpoch:
         assert other.source_counts == again.source_counts
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(MixtureConfigError):
+        with pytest.raises(ConfigError):
             MixtureSpec(weights={SourceTag.MC4: 0.0})
 
 
@@ -174,17 +173,17 @@ class TestSampleUpdateMix:
         assert len(non_ids) == len(set(non_ids)) == 180
 
     def test_empty_pool_with_nonzero_share_fatal(self):
-        with pytest.raises(MixtureConfigError, match="non-latest"):
+        with pytest.raises(ConfigError, match="non-latest"):
             sample_update_mix(UpdateMixSpec(r=0.3, total=10, seed=0), self.LATEST, Corpus([]))
-        with pytest.raises(MixtureConfigError, match="latest"):
+        with pytest.raises(ConfigError, match="latest"):
             sample_update_mix(UpdateMixSpec(r=0.3, total=10, seed=0), Corpus([]), self.NON_LATEST)
 
     def test_r_out_of_range_fatal(self):
-        with pytest.raises(MixtureConfigError):
+        with pytest.raises(ConfigError):
             UpdateMixSpec(r=1.5, total=10)
-        with pytest.raises(MixtureConfigError):
+        with pytest.raises(ConfigError):
             UpdateMixSpec(r=-0.1, total=10)
-        with pytest.raises(MixtureConfigError):
+        with pytest.raises(ConfigError):
             UpdateMixSpec(r=0.5, total=0)
 
 

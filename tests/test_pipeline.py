@@ -347,27 +347,34 @@ class TestRunPipeline:
     @pytest.mark.parametrize(
         ("extra", "message"),
         [
-            ({"dump_sentence_freq": "false"}, "dump_sentence_freq must be true or false, got 'false'"),
-            ({"dump_sentence_freq": 1}, "dump_sentence_freq must be true or false, got 1"),
-            ({"dump_sentence_freq": None}, "dump_sentence_freq must be true or false, got None"),
-            ({"seed": "7"}, "seed must be an integer, got '7'"),
-            ({"seed": True}, "seed must be an integer, got True"),
-            ({"seed": 1.9}, "seed must be an integer, got 1.9"),
-            ({"seed": None}, "seed must be an integer, got None"),
-            ({"noise": {"terminators": "。！"}}, "terminators must be a list of strings, got '。！'"),
-            ({"noise": {"terminators": ["。", 1]}}, "terminators must be a list of strings, got ['。', 1]"),
-            ({"dedup": {"sentence_frequency_threshold": 2.9}}, "sentence_frequency_threshold must be an integer, got 2.9"),
-            ({"dedup": {"sentence_frequency_threshold": True}}, "sentence_frequency_threshold must be an integer, got True"),
-            ({"lang_id": {"uncertainty_threshold": True}}, "uncertainty_threshold must be a number, got True"),
-            ({"lang_id": {"uncertainty_threshold": "0.9"}}, "uncertainty_threshold must be a number, got '0.9'"),
-            ({"noise": {"min_sentential_ratio": "0.5"}}, "min_sentential_ratio must be a number, got '0.5'"),
-            ({"workers": 2.5}, "workers must be an integer, got 2.5"),
-            ({"workers": True}, "workers must be an integer, got True"),
+            ({"dump_sentence_freq": "false"}, "dump_sentence_freq must be a JSON boolean, got 'false'"),
+            ({"dump_sentence_freq": 1}, "dump_sentence_freq must be a JSON boolean, got 1"),
+            ({"dump_sentence_freq": None}, "dump_sentence_freq must be a JSON boolean, got None"),
+            ({"seed": "7"}, "seed must be a JSON integer, got '7'"),
+            ({"seed": True}, "seed must be a JSON integer, got True"),
+            ({"seed": 1.9}, "seed must be a JSON integer, got 1.9"),
+            ({"seed": None}, "seed must be a JSON integer, got None"),
+            ({"noise": {"terminators": "。！"}}, "terminators must be a JSON list of strings, got '。！'"),
+            ({"noise": {"terminators": ["。", 1]}}, "terminators must be a JSON list of strings, got ['。', 1]"),
+            ({"dedup": {"sentence_frequency_threshold": 2.9}}, "sentence_frequency_threshold must be a JSON integer, got 2.9"),
+            ({"dedup": {"sentence_frequency_threshold": True}}, "sentence_frequency_threshold must be a JSON integer, got True"),
+            ({"lang_id": {"uncertainty_threshold": True}}, "uncertainty_threshold must be a JSON number, got True"),
+            ({"lang_id": {"uncertainty_threshold": "0.9"}}, "uncertainty_threshold must be a JSON number, got '0.9'"),
+            ({"noise": {"min_sentential_ratio": "0.5"}}, "min_sentential_ratio must be a JSON number, got '0.5'"),
+            ({"workers": 2.5}, "workers must be a JSON integer, got 2.5"),
+            ({"workers": True}, "workers must be a JSON integer, got True"),
+            # iterating the number once crashed load_config with a TypeError
+            ({"sources": 5}, "sources must be a JSON list, got 5"),
+            # a falsy section was once read as an empty one
+            ({"noise": 0}, "noise must be a JSON object, got 0"),
+            ({"lang_id": False}, "lang_id must be a JSON object, got False"),
+            ({"dedup": []}, "dedup must be a JSON object, got []"),
         ],
         ids=[
             "freq_string", "freq_int", "freq_null", "seed_string", "seed_bool", "seed_float", "seed_null",
             "terminators_string", "terminators_number", "threshold_float", "threshold_bool",
             "uncertainty_bool", "uncertainty_string", "ratio_string", "workers_float", "workers_bool",
+            "sources_number", "noise_zero", "lang_id_false", "dedup_empty_list",
         ],
     )
     def test_mistyped_scalar_fails_validation(self, tmp_path, extra, message):
@@ -380,12 +387,12 @@ class TestRunPipeline:
         ("extra", "message"),
         [
             # str() used to turn this into a directory named "7"
-            ({"output_dir": 7}, "output_dir must be a string, got 7"),
-            ({"output_dir": None}, "output_dir must be a string, got None"),
-            ({"sources": [{"path": 7}]}, "sources[0].path must be a string, got 7"),
-            ({"sources": [{"path": ["input.jsonl"]}]}, "sources[0].path must be a string, got ['input.jsonl']"),
-            ({"curation": {"rules_file": 7}}, "curation.rules_file must be a string, got 7"),
-            ({"curation": {"rules_file": False}}, "curation.rules_file must be a string, got False"),
+            ({"output_dir": 7}, "output_dir must be a JSON string, got 7"),
+            ({"output_dir": None}, "output_dir must be a JSON string, got None"),
+            ({"sources": [{"path": 7}]}, "sources[0].path must be a JSON string, got 7"),
+            ({"sources": [{"path": ["input.jsonl"]}]}, "sources[0].path must be a JSON string, got ['input.jsonl']"),
+            ({"curation": {"rules_file": 7}}, "curation.rules_file must be a JSON string, got 7"),
+            ({"curation": {"rules_file": False}}, "curation.rules_file must be a JSON string, got False"),
         ],
         ids=["int_output_dir", "null_output_dir", "int_source_path", "list_source_path",
              "int_rules_file", "false_rules_file"],
