@@ -77,6 +77,9 @@ class JsonLineProcess:
 
     def __init__(self, cmd: str | list[str]):
         argv = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
+        if not argv or not all(isinstance(part, str) for part in argv):
+            # refused before Popen, which fails on an empty argv with an IndexError
+            raise ConfigError(f"backend command must be a program and its arguments, all strings, got {cmd!r}")
         self.cmd = argv
         self._lock = threading.Lock()
         self._procs = [self._spawn()]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import re
 import time
 from collections import Counter
@@ -30,11 +29,11 @@ from typing import Protocol, Sequence, TypeVar
 from .core import (
     ConfigError,
     check_field_types,
-    open_replacing,
     read_json,
     read_jsonl,
     utcnow,
     write_json,
+    write_jsonl,
 )
 
 TEMPLATE_VERSION = "v1"
@@ -490,9 +489,10 @@ def record_judgments(
     for a question without an ok response, or with a mistyped field, is an
     error naming the line, and so is a second judgment of one (question,
     setting, model, judge), whether already in ``judgments.jsonl`` or earlier
-    in the same file. On any error nothing is added: the file is rewritten
-    through :func:`~bizcorpus.core.open_replacing`, its earlier bytes plus
-    the new lines, so an interrupted write leaves it as it was.
+    in the same file. On any error nothing is added: the earlier judgments,
+    as read, and the new ones are written by
+    :func:`~bizcorpus.core.write_jsonl`, so an interrupted write leaves the
+    file as it was.
     """
     run_dir = Path(run_dir)
     responses_dir = run_dir / "responses"
@@ -501,7 +501,8 @@ def record_judgments(
         record = _read_record(path)
         records[record.question_id] = record
     stored = run_dir / "judgments.jsonl"
-    judged = {_judgment_key(j) for j in load_judgments(stored)} if stored.exists() else set()
+    earlier = load_judgments(stored) if stored.exists() else []
+    judged = {_judgment_key(j) for j in earlier}
 
     def parse(obj: dict) -> Judgment:
         qid = obj["question_id"]
@@ -532,12 +533,7 @@ def record_judgments(
 
     judgments = read_jsonl(verdicts_path, parse)
 
-    previous = stored.read_bytes().decode("utf-8") if stored.exists() else ""
-    with open_replacing(stored) as fh:
-        fh.write(previous)
-        for judgment in judgments:
-            fh.write(json.dumps(judgment.to_dict(), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(stored, (judgment.to_dict() for judgment in [*earlier, *judgments]))
     return judgments
 
 

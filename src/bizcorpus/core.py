@@ -33,7 +33,7 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Iterable, Iterator, Protocol, TextIO, TypeVar, Union
+from typing import Callable, Collection, Iterable, Iterator, Protocol, TextIO, TypeVar, Union
 from typing import get_args, get_origin, get_type_hints
 
 log = logging.getLogger(__name__)
@@ -43,6 +43,32 @@ T = TypeVar("T")
 
 class ConfigError(ValueError):
     """A value read from a file, a flag or a reply is of the wrong type or out of range."""
+
+
+def check_keys(where: str, mapping: object, allowed: Collection[str]) -> dict:
+    """``mapping``, if it is a dict whose keys are all in ``allowed``; raise
+    ``ConfigError`` naming ``where`` otherwise."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {mapping!r}")
+    unknown = sorted(str(key) for key in mapping.keys() - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    return mapping
+
+
+def read_yaml_mapping(path: Path | str, keys: Collection[str], where: str) -> dict:
+    """The mapping that the YAML (or JSON) file at ``path`` holds, checked by
+    :func:`check_keys`; an empty file holds ``{}``. Invalid YAML raises
+    ``ConfigError("<path>: invalid YAML: ...")``."""
+    import yaml  # here, so that importing the benchmark side loads no YAML
+
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    return check_keys(where, {} if raw is None else raw, keys)
 
 
 _JSON_TYPE_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean"}
@@ -365,6 +391,19 @@ def write_json(path: Path | str, obj: dict) -> None:
         fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
+def write_jsonl(path: Path | str, records: Iterable[dict]) -> Path:
+    """Write each record as one line of JSON, keys sorted and text as UTF-8
+    rather than ``\\u`` escapes, through :func:`open_replacing`: the one
+    JSON-lines format of every output file, and an interrupted write keeps
+    the old file."""
+    path = Path(path)
+    # json.dumps with options would build a new encoder for every line
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    with open_replacing(path) as fh:
+        fh.writelines(encode(record) + "\n" for record in records)
+    return path
+
+
 def parse_object(raw: bytes, parse: Callable[[dict], T], path: Path | str, lineno: int | None = None) -> T:
     """Decode ``raw`` as one UTF-8 JSON object and return ``parse(obj)``.
 
@@ -475,15 +514,9 @@ def document_to_record(doc: Document) -> dict:
 
 
 def write_corpus_jsonl(corpus: Corpus, path: Path | str) -> Path:
-    """Serialize a corpus as line-delimited JSON with stable key order,
-    so identical corpora produce byte-identical files. Written through
-    :func:`open_replacing`, so an interrupted write keeps the old file."""
-    path = Path(path)
-    with open_replacing(path) as fh:
-        for doc in corpus:
-            fh.write(json.dumps(document_to_record(doc), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-    return path
+    """Write one record per document with :func:`write_jsonl`, so identical
+    corpora produce byte-identical files."""
+    return write_jsonl(path, map(document_to_record, corpus))
 
 
 # ``date.fromisoformat`` also takes ``20230105`` and ``2023-W01-4`` from

@@ -14,9 +14,8 @@ import fnmatch
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
-from .core import ConfigError, Corpus, Document, PipelineStats, StageStats, check_field_types, run_stage
+from .core import ConfigError, Corpus, Document, PipelineStats, StageStats, check_field_types
+from .core import read_yaml_mapping, run_stage
 
 _GLOB_CHARS = frozenset("*?[")
 
@@ -40,19 +39,11 @@ class CurationRuleSet:
 def load_rules(path: Path | str) -> CurationRuleSet:
     """Load a rule set from a YAML (or JSON) file with keys
     ``url_patterns``, ``cue_words`` (lists of strings) and ``version`` (a
-    string, ``"unversioned"`` when absent); anything else raises
+    string, ``"unversioned"`` when absent). The file is read by
+    :func:`~bizcorpus.core.read_yaml_mapping`, the pipeline config's reader;
+    invalid YAML, an unknown key or a mistyped value raises
     :class:`~bizcorpus.core.ConfigError` naming the file."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: rule file must contain a mapping")
-    unknown = sorted(str(key) for key in raw.keys() - {"version", "url_patterns", "cue_words"})
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
+    raw = read_yaml_mapping(path, {"version", "url_patterns", "cue_words"}, str(path))
     version = raw.pop("version", "unversioned")
     # a list left empty in YAML (``cue_words:``) reads as null
     lists = {key: value for key, value in raw.items() if value is not None}

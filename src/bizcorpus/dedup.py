@@ -17,7 +17,6 @@ such a sentence are split again and rewritten.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,8 +30,8 @@ from .core import (
     PipelineStats,
     StageStats,
     check_field_types,
-    open_replacing,
     run_stage,
+    write_jsonl,
 )
 from .noise import DEFAULT_TERMINATORS, check_terminators
 
@@ -78,15 +77,11 @@ class SentenceFrequencyTable:
         return sum(self.counts.values())
 
     def dump_jsonl(self, path: Path | str) -> Path:
-        """Audit dump, most frequent first (ties broken by sentence), written
-        through :func:`~bizcorpus.core.open_replacing`."""
-        path = Path(path)
+        """Audit dump, one ``{"count", "sentence"}`` line per sentence, most
+        frequent first (ties broken by sentence), written by
+        :func:`~bizcorpus.core.write_jsonl`."""
         ordered = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        with open_replacing(path) as fh:
-            for sentence, count in ordered:
-                fh.write(json.dumps({"sentence": sentence, "count": count}, ensure_ascii=False))
-                fh.write("\n")
-        return path
+        return write_jsonl(path, ({"count": count, "sentence": sentence} for sentence, count in ordered))
 
 
 class TableMismatchError(RuntimeError):

@@ -15,7 +15,6 @@ seed streams derived from the spec seed.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -23,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .core import ConfigError, Corpus, SourceTag, check_field_types, derive_seed, open_replacing
+from .core import ConfigError, Corpus, SourceTag, check_field_types, derive_seed, write_jsonl
 
 
 def _default_epoch_weights() -> dict[SourceTag, float]:
@@ -85,15 +84,10 @@ class SamplePlan:
         return counts
 
     def to_jsonl(self, path: Path | str) -> Path:
-        """Write one ``{"source", "id"}`` line per entry through
-        :func:`~bizcorpus.core.open_replacing`, so a killed write never
-        leaves a shorter plan that reads back as valid."""
-        path = Path(path)
-        with open_replacing(path) as fh:
-            for entry in self.entries:
-                fh.write(json.dumps({"source": entry.source.value, "id": entry.doc_id}))
-                fh.write("\n")
-        return path
+        """Write one ``{"id", "source"}`` line per entry with
+        :func:`~bizcorpus.core.write_jsonl`, so a killed write never leaves a
+        shorter plan that reads back as valid."""
+        return write_jsonl(path, ({"id": e.doc_id, "source": e.source.value} for e in self.entries))
 
 
 def round_half_up(x: Fraction) -> int:

@@ -16,9 +16,6 @@ import logging
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Collection
-
-import yaml
 
 from . import dedup as dedup_mod
 from .core import (
@@ -27,8 +24,10 @@ from .core import (
     PipelineStats,
     SourceTag,
     check_field_types,
+    check_keys,
     count_tokens,
     ingest_jsonl,
+    read_yaml_mapping,
     utcnow,
     write_corpus_jsonl,
     write_json,
@@ -108,20 +107,6 @@ class PipelineConfig:
             self.lang_id.classifier.close()
 
 
-def _check_keys(where: str, mapping: dict, allowed: Collection[str]) -> None:
-    unknown = sorted(str(key) for key in mapping.keys() - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-
-
-def _section(raw: dict, name: str) -> dict:
-    section = {} if raw.get(name) is None else raw[name]
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
-    _check_keys(name, section, _SECTIONS[name])
-    return section
-
-
 def load_config(path: Path | str) -> PipelineConfig:
     """Load and validate the pipeline config. Referenced files must exist;
     any problem, including an unknown key, raises :class:`ConfigError`
@@ -133,15 +118,12 @@ def load_config(path: Path | str) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
-    _check_keys("top level", raw, _TOP_LEVEL_KEYS)
-    sections = {name: _section(raw, name) for name in _SECTIONS}
+    raw = read_yaml_mapping(path, _TOP_LEVEL_KEYS, f"{path}: top level")
+    # a section left empty (``noise:``) reads as null
+    sections = {
+        name: check_keys(name, {} if raw.get(name) is None else raw[name], keys)
+        for name, keys in _SECTIONS.items()
+    }
     base = path.parent
 
     def _resolve(key: str, value: object) -> Path:
@@ -161,7 +143,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "path" not in entry:
             raise ConfigError(f"sources[{i}]: each source needs a path")
-        _check_keys(f"sources[{i}]", entry, _SOURCE_KEYS)
+        check_keys(f"sources[{i}]", entry, _SOURCE_KEYS)
         src_path = _resolve(f"sources[{i}].path", entry["path"])
         if not src_path.exists():
             raise ConfigError(f"sources[{i}]: file not found: {src_path}")
@@ -186,6 +168,10 @@ def load_config(path: Path | str) -> PipelineConfig:
 
     lang_id_settings = dict(sections["lang_id"])
     classifier_cmd = lang_id_settings.pop("classifier_cmd", None)
+    parts = [classifier_cmd] if isinstance(classifier_cmd, str) else classifier_cmd
+    if parts is not None and not (isinstance(parts, list) and all(isinstance(p, str) for p in parts)):
+        raise ConfigError(f"{path}: lang_id.classifier_cmd must be a JSON string or list of strings, "
+                          f"got {classifier_cmd!r}")
     try:
         noise = NoiseConfig(**sections["noise"])
         config = PipelineConfig(
@@ -201,7 +187,7 @@ def load_config(path: Path | str) -> PipelineConfig:
             raw=raw,
         )
         # spawned last, so a config that fails validation leaves no child behind
-        if classifier_cmd:
+        if classifier_cmd is not None:
             from .backends import SubprocessClassifier
 
             config.lang_id.classifier = SubprocessClassifier(classifier_cmd)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import bizcorpus
 from bizcorpus import bench
-from bizcorpus.backends import CommandModel, CommandSearch, EchoModel, WireProtocolError
+from bizcorpus.backends import CommandModel, CommandSearch, EchoModel, JsonLineProcess, WireProtocolError
 from bizcorpus.bench import (
     OUTPUT_MARKER,
     BenchmarkQuestion,
@@ -533,7 +534,7 @@ class TestJudgingWorkflow:
             patch.setattr(Judgment, "to_dict", fail_on_second)
             with pytest.raises(OSError, match="No space left"):
                 record_judgments(tmp_path / "run", verdicts, judge_id="judge-b")
-        assert written  # the first new line was written before the error
+        assert written  # a line was written before the error
         assert stored.read_bytes() == before
         assert not stored.with_name("judgments.jsonl.tmp").exists()
         # nothing of judge-b was recorded, so the retry is not "already judged"
@@ -891,6 +892,38 @@ class TestModelPool:
         # q0 and q2 may be answered by live children while q1 kills its own
         assert status[1] == "error" and status[6:] == ["error"] * 3
         _assert_reaped(spawned)
+
+
+class TestJsonLineProcess:
+    @pytest.mark.parametrize(
+        "cmd", ["", "   ", [], ["python", 1]], ids=["empty", "blank", "empty_list", "number_part"]
+    )
+    def test_blank_or_mistyped_command_refused_before_spawning(self, monkeypatch, cmd):
+        # Popen([]) used to fail with an IndexError
+        monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: pytest.fail("a child was spawned"))
+        with pytest.raises(ConfigError, match="must be a program and its arguments, all strings"):
+            JsonLineProcess(cmd)
+
+    def test_close_kills_a_child_that_outlives_its_stdin(self, monkeypatch):
+        proc = JsonLineProcess([sys.executable, "-c", "import sys, time; sys.stdin.read(); time.sleep(30)"])
+        (child,) = proc._procs
+        wait = subprocess.Popen.wait
+        timeouts = []
+
+        def first_wait_times_out(self, timeout=None):
+            # stands for the child still running when close's bounded wait ends
+            if not timeouts:
+                timeouts.append(timeout)
+                raise subprocess.TimeoutExpired(self.args, timeout)
+            return wait(self, timeout)
+
+        monkeypatch.setattr(subprocess.Popen, "wait", first_wait_times_out)
+        start = time.monotonic()
+        proc.close()
+        assert time.monotonic() - start < 1
+        assert timeouts == [5]
+        assert child.returncode == -signal.SIGKILL
+        _assert_reaped([child.pid])
 
 
 def test_bench_side_loads_no_corpus_module():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -260,10 +261,23 @@ class TestExitCodes:
             (["stats", "--in", "bad.jsonl", "--out", "manifest.json"], 2),
             (["bench-run", "--questions", "bad_questions.jsonl", "--setting", "manual_rag", "--echo-model",
               "--out", "run"], 2),
+            # a blank or mistyped backend command once ended in an IndexError
+            # traceback, spawned a mapping's key or ran fallback-only
+            (["langid", *STAGE_IO, "--classifier-cmd", "   "], 1),
+            (["bench-run", "--questions", "questions.jsonl", "--setting", "no_context", "--model-cmd", "   ",
+              "--out", "run"], 1),
+            (["bench-run", "--questions", "questions.jsonl", "--setting", "auto_rag", "--echo-model",
+              "--search-cmd", " ", "--out", "run"], 1),
+            (["run", "--config", "classifier_blank.yaml"], 1),
+            (["run", "--config", "classifier_mapping.yaml"], 1),
+            (["run", "--config", "classifier_zero.yaml"], 1),
+            (["run", "--config", "classifier_empty_list.yaml"], 1),
         ],
         ids=["langid_threshold", "denoise_ratio", "dedup_threshold", "mix_update_r", "mix_epoch_weight",
              "bench_run_truncation", "curate_bad_rules", "missing_input", "bad_corpus_line",
-             "bad_question_line"],
+             "bad_question_line", "langid_blank_classifier", "bench_run_blank_model",
+             "bench_run_blank_search", "run_blank_classifier", "run_mapping_classifier",
+             "run_zero_classifier", "run_empty_list_classifier"],
     )
     def test_exit_code(self, tmp_path, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)
@@ -272,7 +286,18 @@ class TestExitCodes:
         synth.write_jsonl(tmp_path / "bad_questions.jsonl", [*QUESTIONS[:1], {**QUESTIONS[1], "id": 7}])
         (tmp_path / "bad.jsonl").write_text('{"id": "x", "source": "mc4", "text": 5}\n', encoding="utf-8")
         (tmp_path / "rules.yaml").write_text("url_patterns: 5\n", encoding="utf-8")
+        for name, cmd in (("blank", "   "), ("mapping", {"a": 1}), ("zero", 0), ("empty_list", [])):
+            config = {"sources": [{"path": "in.jsonl"}], "lang_id": {"classifier_cmd": cmd}}
+            (tmp_path / f"classifier_{name}.yaml").write_text(json.dumps(config), encoding="utf-8")
+        spawned = []
+
+        def no_child(argv, **kwargs):
+            spawned.append(argv)
+            raise OSError("no child may be spawned")
+
+        monkeypatch.setattr(subprocess, "Popen", no_child)
         assert main(argv) == code
+        assert spawned == []  # every case is refused before any work starts
 
 
 class TestFlagDefaults:

@@ -1,10 +1,11 @@
-"""Ingestion, token accounting and stats invariants."""
+"""Ingestion, token accounting, stats invariants and the JSON-lines writer."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import tempfile
+from collections import Counter
 from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
@@ -14,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from synth import corpus_of, doc
 
+from bizcorpus.backends import EchoModel
+from bizcorpus.bench import BenchmarkQuestion, SettingKind, TaskSetting, record_judgments, run_benchmark
 from bizcorpus.core import (
     Corpus,
     Document,
@@ -31,6 +34,8 @@ from bizcorpus.core import (
     run_stage,
     write_corpus_jsonl,
 )
+from bizcorpus.dedup import SentenceFrequencyTable
+from bizcorpus.mixture import PlanEntry, SamplePlan
 
 
 def _write(path, lines):
@@ -424,3 +429,85 @@ class TestDeriveSeed:
         assert derive_seed(42, "epoch:order") == derive_seed(42, "epoch:order")
         assert derive_seed(42, "epoch:order") != derive_seed(42, "mix:order")
         assert derive_seed(42, "x") != derive_seed(43, "x")
+
+
+# Each of the four JSON-lines writers, called as a run calls it, writing two
+# lines with Japanese text; ``judge`` names the judge of a judgments file.
+def _write_corpus(directory: Path, judge: str) -> Path:
+    corpus = Corpus([doc("決算-1", "決算を発表した。", url="https://例え.jp/"), doc("決算-2", "株主総会。")])
+    return write_corpus_jsonl(corpus, directory / "cleaned.jsonl")
+
+
+def _dump_sentence_freq(directory: Path, judge: str) -> Path:
+    table = SentenceFrequencyTable(Counter({"決算を発表した。": 3, "株主総会。": 1}))
+    return table.dump_jsonl(directory / "sentence_freq.jsonl")
+
+
+def _write_plan(directory: Path, judge: str) -> Path:
+    plan = SamplePlan([PlanEntry(SourceTag.LATEST_UPDATE, "最新-1"), PlanEntry(SourceTag.MC4, "旧-2")])
+    return plan.to_jsonl(directory / "plan.jsonl")
+
+
+def _record_judgments(directory: Path, judge: str) -> Path:
+    run_dir = directory / "run"
+    if not run_dir.exists():
+        questions = [BenchmarkQuestion(f"質問-{i}", f"決算とは{i}？", "trends") for i in range(2)]
+        run_benchmark(TaskSetting(SettingKind.NO_CONTEXT), questions, EchoModel(), out_dir=run_dir)
+        verdicts = [{"question_id": f"質問-{i}", "content_faithful": True, "instruction_followed": i == 0}
+                    for i in range(2)]
+        (directory / "verdicts.jsonl").write_text(
+            "".join(json.dumps(v) + "\n" for v in verdicts), encoding="utf-8"
+        )
+    record_judgments(run_dir, directory / "verdicts.jsonl", judge)
+    return run_dir / "judgments.jsonl"
+
+
+WRITERS = [_write_corpus, _dump_sentence_freq, _write_plan, _record_judgments]
+WRITER_IDS = ["corpus", "sentence_freq", "plan", "judgments"]
+
+
+class TestJsonLinesWriters:
+    """Every JSON-lines output is written by ``core.write_jsonl``."""
+
+    @pytest.mark.parametrize("write", WRITERS, ids=WRITER_IDS)
+    def test_sorted_keys_and_utf8_text(self, tmp_path, write):
+        path = write(tmp_path, "judge-a")
+        lines = path.read_bytes().decode("utf-8").splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line == json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True)
+            assert "\\u" not in line
+
+    def test_plan_with_japanese_id_is_utf8(self, tmp_path):
+        path = _write_plan(tmp_path, "")
+        assert path.read_bytes() == (
+            '{"id": "最新-1", "source": "latest_update"}\n{"id": "旧-2", "source": "mc4"}\n'.encode("utf-8")
+        )
+
+    def test_second_judge_leaves_first_judges_lines_as_they_were(self, tmp_path):
+        path = _record_judgments(tmp_path, "judge-a")
+        first = path.read_bytes()
+        _record_judgments(tmp_path, "judge-b")
+        after = path.read_bytes()
+        assert after.startswith(first)
+        assert [json.loads(line)["judge_id"] for line in after.splitlines()] == ["judge-a"] * 2 + ["judge-b"] * 2
+
+    @pytest.mark.parametrize("write", WRITERS, ids=WRITER_IDS)
+    def test_failed_write_leaves_the_file_as_it_was(self, tmp_path, monkeypatch, write):
+        path = write(tmp_path, "judge-a")
+        before = path.read_bytes()
+        encode = json.JSONEncoder.encode
+        encoded = []
+
+        def fail_on_second_line(self, obj):
+            encoded.append(obj)
+            if len(encoded) == 2:
+                raise OSError("No space left on device")
+            return encode(self, obj)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json.JSONEncoder, "encode", fail_on_second_line)
+            with pytest.raises(OSError, match="No space left"):
+                write(tmp_path, "judge-b")
+        assert path.read_bytes() == before
+        assert not path.with_name(path.name + ".tmp").exists()

@@ -369,12 +369,26 @@ class TestRunPipeline:
             ({"noise": 0}, "noise must be a JSON object, got 0"),
             ({"lang_id": False}, "lang_id must be a JSON object, got False"),
             ({"dedup": []}, "dedup must be a JSON object, got []"),
+            # a blank command once reached Popen([]) and its IndexError; a
+            # mapping spawned its first key; 0 or [] ran fallback-only
+            ({"lang_id": {"classifier_cmd": "   "}},
+             "backend command must be a program and its arguments, all strings, got '   '"),
+            ({"lang_id": {"classifier_cmd": []}},
+             "backend command must be a program and its arguments, all strings, got []"),
+            ({"lang_id": {"classifier_cmd": {"a": 1}}},
+             "lang_id.classifier_cmd must be a JSON string or list of strings, got {'a': 1}"),
+            ({"lang_id": {"classifier_cmd": 0}},
+             "lang_id.classifier_cmd must be a JSON string or list of strings, got 0"),
+            ({"lang_id": {"classifier_cmd": ["python", 1]}},
+             "lang_id.classifier_cmd must be a JSON string or list of strings, got ['python', 1]"),
         ],
         ids=[
             "freq_string", "freq_int", "freq_null", "seed_string", "seed_bool", "seed_float", "seed_null",
             "terminators_string", "terminators_number", "threshold_float", "threshold_bool",
             "uncertainty_bool", "uncertainty_string", "ratio_string", "workers_float", "workers_bool",
-            "sources_number", "noise_zero", "lang_id_false", "dedup_empty_list",
+            "sources_number", "noise_zero", "lang_id_false", "dedup_empty_list", "classifier_cmd_blank",
+            "classifier_cmd_empty_list", "classifier_cmd_mapping", "classifier_cmd_zero",
+            "classifier_cmd_number_part",
         ],
     )
     def test_mistyped_scalar_fails_validation(self, tmp_path, extra, message):
@@ -613,7 +627,7 @@ class TestGoldenOutputs:
     DIGESTS = {
         "cleaned.jsonl": "341dc724233a569494572b8fb9abd13acaa5babb6c7bb13a848b6d942d81fbb5",
         "manifest.json": "f8631125d3a27f51c2eb61df08327a4b2d9f8e616b9b6a531d63ae553d0aac01",
-        "sentence_freq.jsonl": "87f6f2e906d5153b3d86a3dbf2a10fb55505df9e6cd62d36d2663f880812a26f",
+        "sentence_freq.jsonl": "635186c343d04dd6062e475e60f29ae295f6c50eb815895943598755bbf954d4",
     }
 
     def test_output_digests(self, tmp_path):
@@ -639,7 +653,7 @@ class TestGoldenOutputs:
     CLASSIFIER_DIGESTS = {
         "cleaned.jsonl": "5188af1c8b2cf19ff24358c311ea9f18e40aea374ab7a95227e29dea444fff92",
         "manifest.json": "dc796cddabb248dff9da23b7911ed8887e2e99d7a211a9f01730a7004d6473ec",
-        "sentence_freq.jsonl": "4477135aeea6dc724bcbaa9a55f4b927d89776a0ed0b7c79d851cd6d7912b5ee",
+        "sentence_freq.jsonl": "b171bf56eae998ea992f76be49c6537735cba9729ec17f6deee2b07dceeabbe0",
     }
 
     def test_output_digests_with_wire_classifier(self, tmp_path):
@@ -666,3 +680,38 @@ def _output_digests(output_dir: Path) -> dict[str, str]:
             )
         digests[name] = hashlib.sha256(data).hexdigest()
     return digests
+
+
+class TestOneYamlReader:
+    """The pipeline config and a rules file are read by ``core.read_yaml_mapping``."""
+
+    @pytest.mark.parametrize(
+        ("body", "reason"),
+        [
+            ("- cue_words\n", " must be a JSON object, got ['cue_words']"),
+            # once read as an empty mapping
+            ("0\n", " must be a JSON object, got 0"),
+            ("bogus: 1\n", ": unknown key(s) 'bogus'"),
+        ],
+        ids=["list", "zero", "unknown_key"],
+    )
+    def test_config_and_rules_refused_alike(self, tmp_path, body, reason):
+        path = tmp_path / "file.yaml"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ConfigError) as config_error:
+            load_config(path)
+        with pytest.raises(ConfigError) as rules_error:
+            load_rules(path)
+        assert str(config_error.value) == f"{path}: top level{reason}"
+        assert str(rules_error.value) == f"{path}{reason}"
+
+    def test_invalid_yaml_reads_the_same_in_config_and_rules(self, tmp_path):
+        path = tmp_path / "file.yaml"
+        path.write_text("sources: [\n  - path: x\n", encoding="utf-8")
+        messages = set()
+        for load in (load_config, load_rules):
+            with pytest.raises(ConfigError) as error:
+                load(path)
+            messages.add(str(error.value))
+        (message,) = messages
+        assert message.startswith(f"{path}: invalid YAML: ")
