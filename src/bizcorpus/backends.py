@@ -21,10 +21,10 @@ import json
 import shlex
 import subprocess
 import threading
+from dataclasses import dataclass
 from typing import Iterator
 
-from .bench import SearchResult
-from .core import ConfigError
+from .core import ConfigError, check_field_types
 
 
 class WireProtocolError(RuntimeError):
@@ -197,6 +197,16 @@ class CommandModel:
 
     def close(self) -> None:
         self._proc.close()
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    url: str = ""
+    title: str = ""
+    body: str = ""
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
 
 
 class CommandSearch:

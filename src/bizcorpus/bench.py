@@ -26,6 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Protocol, Sequence, TypeVar
 
+from .backends import SearchResult
 from .core import (
     ConfigError,
     check_field_types,
@@ -131,16 +132,6 @@ class Judgment:
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    url: str = ""
-    title: str = ""
-    body: str = ""
-
-    def __post_init__(self) -> None:
-        check_field_types(self)
 
 
 class SearchBackend(Protocol):

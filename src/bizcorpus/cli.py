@@ -86,7 +86,7 @@ def cmd_langid(args: argparse.Namespace) -> int:
     config = LangIdConfig(uncertainty_threshold=args.threshold, jp_script_ratio_threshold=args.jp_ratio)
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
-    if args.classifier_cmd:
+    if args.classifier_cmd is not None:  # an empty command is refused, not ignored
         config.classifier = SubprocessClassifier(args.classifier_cmd)
     try:
         out = filter_non_japanese(config, corpus, stats=stats)
@@ -168,7 +168,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     questions = load_questions(args.questions)
     setting = TaskSetting(SettingKind(args.setting), truncation_chars=args.truncation)
     check_max_in_flight(args.max_in_flight)  # before any backend child is spawned
-    if args.model_cmd:
+    if args.model_cmd is not None:
         model = CommandModel(args.model_cmd, model_id=args.model_id)
     elif args.echo_model:
         model = EchoModel()
@@ -176,7 +176,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         raise ConfigError("bench-run needs --model-cmd or --echo-model")
     search = None
     try:
-        search = CommandSearch(args.search_cmd) if args.search_cmd else None
+        search = CommandSearch(args.search_cmd) if args.search_cmd is not None else None
         responses = run_benchmark(
             setting,
             questions,

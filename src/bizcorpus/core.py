@@ -57,15 +57,20 @@ def check_keys(where: str, mapping: object, allowed: Collection[str]) -> dict:
 
 
 def read_yaml_mapping(path: Path | str, keys: Collection[str], where: str) -> dict:
-    """The mapping that the YAML (or JSON) file at ``path`` holds, checked by
-    :func:`check_keys`; an empty file holds ``{}``. Invalid YAML raises
+    """The mapping that the file at ``path`` holds, checked by
+    :func:`check_keys`. Text that parses as JSON is read as JSON, whatever the
+    file's suffix; any other text is read as YAML, so PyYAML is imported only
+    for a YAML file. An empty file holds ``{}``. Invalid YAML raises
     ``ConfigError("<path>: invalid YAML: ...")``."""
-    import yaml  # here, so that importing the benchmark side loads no YAML
-
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    text = path.read_text(encoding="utf-8")
+    try:
+        raw = json.loads(text)  # PyYAML would read 5e-1 as a string
+    except json.JSONDecodeError:
+        import yaml  # here, so that a JSON config and the benchmark side load no YAML
+
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return check_keys(where, {} if raw is None else raw, keys)

@@ -37,12 +37,13 @@ class CurationRuleSet:
 
 
 def load_rules(path: Path | str) -> CurationRuleSet:
-    """Load a rule set from a YAML (or JSON) file with keys
+    """Load a rule set from a JSON or YAML file with keys
     ``url_patterns``, ``cue_words`` (lists of strings) and ``version`` (a
     string, ``"unversioned"`` when absent). The file is read by
-    :func:`~bizcorpus.core.read_yaml_mapping`, the pipeline config's reader;
-    invalid YAML, an unknown key or a mistyped value raises
-    :class:`~bizcorpus.core.ConfigError` naming the file."""
+    :func:`~bizcorpus.core.read_yaml_mapping`, the pipeline config's reader:
+    JSON text as JSON, any other text as YAML. Invalid YAML, an unknown key
+    or a mistyped value raises :class:`~bizcorpus.core.ConfigError` naming
+    the file."""
     raw = read_yaml_mapping(path, {"version", "url_patterns", "cue_words"}, str(path))
     version = raw.pop("version", "unversioned")
     # a list left empty in YAML (``cue_words:``) reads as null

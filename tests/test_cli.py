@@ -268,6 +268,12 @@ class TestExitCodes:
               "--out", "run"], 1),
             (["bench-run", "--questions", "questions.jsonl", "--setting", "auto_rag", "--echo-model",
               "--search-cmd", " ", "--out", "run"], 1),
+            # an empty command was once taken as no backend, and exited 0
+            (["langid", *STAGE_IO, "--classifier-cmd", ""], 1),
+            (["bench-run", "--questions", "questions.jsonl", "--setting", "no_context", "--model-cmd", "",
+              "--echo-model", "--out", "run"], 1),
+            (["bench-run", "--questions", "questions.jsonl", "--setting", "auto_rag", "--echo-model",
+              "--search-cmd", "", "--out", "run"], 1),
             (["run", "--config", "classifier_blank.yaml"], 1),
             (["run", "--config", "classifier_mapping.yaml"], 1),
             (["run", "--config", "classifier_zero.yaml"], 1),
@@ -276,7 +282,8 @@ class TestExitCodes:
         ids=["langid_threshold", "denoise_ratio", "dedup_threshold", "mix_update_r", "mix_epoch_weight",
              "bench_run_truncation", "curate_bad_rules", "missing_input", "bad_corpus_line",
              "bad_question_line", "langid_blank_classifier", "bench_run_blank_model",
-             "bench_run_blank_search", "run_blank_classifier", "run_mapping_classifier",
+             "bench_run_blank_search", "langid_empty_classifier", "bench_run_empty_model",
+             "bench_run_empty_search", "run_blank_classifier", "run_mapping_classifier",
              "run_zero_classifier", "run_empty_list_classifier"],
     )
     def test_exit_code(self, tmp_path, monkeypatch, argv, code):

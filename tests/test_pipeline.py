@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 import synth
+import yaml
 
 from bizcorpus import core, pipeline
 from bizcorpus import noise as noise_mod
@@ -28,6 +32,7 @@ from bizcorpus.pipeline import (
 )
 
 WIRE_CLASSIFIER = Path(__file__).with_name("wire_classifier.py")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SOURCE_LABELS = {
     "curated_business",
@@ -715,3 +720,55 @@ class TestOneYamlReader:
             messages.add(str(error.value))
         (message,) = messages
         assert message.startswith(f"{path}: invalid YAML: ")
+
+    # PyYAML reads 5e-1 and 1e2 as strings; JSON text is read as JSON
+    def test_json_exponent_in_config_is_a_number(self, tmp_path):
+        (tmp_path / "in.jsonl").write_text("", encoding="utf-8")
+        path = tmp_path / "pipeline.yaml"
+        path.write_text('{"sources": [{"path": "in.jsonl"}], "noise": {"min_sentential_ratio": 5e-1}}',
+                        encoding="utf-8")
+        assert load_config(path).noise.min_sentential_ratio == 0.5
+
+    def test_json_exponent_in_rules_is_refused_as_a_number(self, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text('{"cue_words": 1e2}', encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape("cue_words must be a JSON list of strings, got 100.0")):
+            load_rules(rules)
+
+    @pytest.mark.parametrize(
+        ("name", "load"),
+        [("pipeline.example.yaml", load_config), ("rules.example.yaml", load_rules)],
+        ids=["config", "rules"],
+    )
+    def test_example_reads_the_same_as_its_json_dump(self, tmp_path, name, load):
+        # copied, so that the paths in both files resolve alike
+        configs = shutil.copytree(CONFIGS, tmp_path / "configs")
+        dumped = configs / name.replace(".yaml", ".json")
+        dumped.write_text(json.dumps(yaml.safe_load((configs / name).read_text(encoding="utf-8"))),
+                          encoding="utf-8")
+        from_yaml, from_json = load(configs / name), load(dumped)
+        assert from_json == from_yaml
+        if load is load_config:
+            assert from_json.digest == from_yaml.digest
+
+
+def test_corpus_side_loads_no_yaml_nor_bench(tmp_path):
+    """A JSON config with a classifier child loads neither PyYAML nor the benchmark harness."""
+    (tmp_path / "in.jsonl").write_text("", encoding="utf-8")
+    config = {"sources": [{"path": "in.jsonl"}],
+              "lang_id": {"classifier_cmd": [sys.executable, str(WIRE_CLASSIFIER)]}}
+    (tmp_path / "pipeline.json").write_text(json.dumps(config), encoding="utf-8")
+    code = ("import sys\n"
+            "from bizcorpus.pipeline import load_config\n"
+            "load_config(sys.argv[1]).close()\n"
+            "print(*sys.modules)")
+    src = Path(pipeline.__file__).resolve().parents[1]
+    loaded = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "pipeline.json")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "bizcorpus.backends" in loaded  # the classifier child was started
+    assert {"yaml", "bizcorpus.bench"}.isdisjoint(loaded)
