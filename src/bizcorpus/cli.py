@@ -2,8 +2,8 @@
 
 ``bizcorpus run`` drives the whole pipeline from one config file; the other
 subcommands run individual stages, plan mixtures, and operate the benchmark
-(run / judge / score). Exit codes: 0 success, 1 validation error, 2 stage
-failure.
+(run / judge / score). Exit codes: 0 success, 1 usage or validation error
+(a missing, unknown or mistyped flag included), 2 stage failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import logging
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -72,62 +73,56 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_curate(args: argparse.Namespace) -> int:
-    rules = load_rules(args.rules)
+def _stage_command(args: argparse.Namespace, stage) -> int:
+    """Read ``--in``, run ``stage(corpus, stats=...)``, write ``--out`` and
+    print the summary; shared by the standalone stage commands."""
     corpus = read_corpus_jsonl(args.input)
     stats = PipelineStats()
-    out = curate(rules, corpus, stats=stats)
-    write_corpus_jsonl(out, args.output)
+    write_corpus_jsonl(stage(corpus, stats=stats), args.output)
     _print_stage_summary(stats)
     return EXIT_OK
+
+
+def cmd_curate(args: argparse.Namespace) -> int:
+    return _stage_command(args, partial(curate, load_rules(args.rules)))
 
 
 def cmd_langid(args: argparse.Namespace) -> int:
     config = LangIdConfig(uncertainty_threshold=args.threshold, jp_script_ratio_threshold=args.jp_ratio)
-    corpus = read_corpus_jsonl(args.input)
-    stats = PipelineStats()
-    if args.classifier_cmd is not None:  # an empty command is refused, not ignored
-        config.classifier = SubprocessClassifier(args.classifier_cmd)
-    try:
-        out = filter_non_japanese(config, corpus, stats=stats)
-    finally:
-        if config.classifier is not None:
-            config.classifier.close()
-    write_corpus_jsonl(out, args.output)
-    _print_stage_summary(stats)
-    return EXIT_OK
+
+    def stage(corpus, *, stats):  # the child starts once the input is read
+        if args.classifier_cmd is not None:  # an empty command is refused, not ignored
+            config.classifier = SubprocessClassifier(args.classifier_cmd)
+        try:
+            return filter_non_japanese(config, corpus, stats=stats)
+        finally:
+            if config.classifier is not None:
+                config.classifier.close()
+
+    return _stage_command(args, stage)
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    config = NoiseConfig(min_sentential_ratio=args.ratio)
-    corpus = read_corpus_jsonl(args.input)
-    stats = PipelineStats()
-    out = denoise_corpus(config, corpus, stats=stats)
-    write_corpus_jsonl(out, args.output)
-    _print_stage_summary(stats)
-    return EXIT_OK
+    return _stage_command(args, partial(denoise_corpus, NoiseConfig(min_sentential_ratio=args.ratio)))
 
 
 def cmd_dedup(args: argparse.Namespace) -> int:
     config = DedupConfig(sentence_frequency_threshold=args.threshold)
-    corpus = read_corpus_jsonl(args.input)
-    stats = PipelineStats()
-    corpus = dedup_documents(config, corpus, stats=stats)
-    table = count_sentences(config, corpus)
-    if args.dump_freq:
-        table.dump_jsonl(args.dump_freq)
-    out = dedup_sentences(config, corpus, table, stats=stats)
-    write_corpus_jsonl(out, args.output)
-    _print_stage_summary(stats)
-    return EXIT_OK
+
+    def stage(corpus, *, stats):
+        corpus = dedup_documents(config, corpus, stats=stats)
+        table = count_sentences(config, corpus)
+        if args.dump_freq:
+            table.dump_jsonl(args.dump_freq)
+        return dedup_sentences(config, corpus, table, stats=stats)
+
+    return _stage_command(args, stage)
 
 
 def cmd_mix(args: argparse.Namespace) -> int:
     if args.kind == "epoch":
-        if not args.input:
-            raise ConfigError("mix epoch requires --in")
         weights = {}
-        for item in args.weight or []:
+        for item in args.weight:
             tag, _, value = item.partition("=")
             try:
                 weights[SourceTag(tag)] = float(value)
@@ -137,10 +132,6 @@ def cmd_mix(args: argparse.Namespace) -> int:
         corpus = read_corpus_jsonl(args.input)
         plan = plan_epoch(spec, corpus)
     else:
-        if not (args.latest and args.non_latest):
-            raise ConfigError("mix update requires --latest and --non-latest")
-        if args.r is None or args.total is None:
-            raise ConfigError("mix update requires --r and --total")
         spec = UpdateMixSpec(r=args.r, total=args.total, seed=args.seed)
         latest = read_corpus_jsonl(args.latest)
         non_latest = read_corpus_jsonl(args.non_latest)
@@ -165,15 +156,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
+    if args.echo_model and args.model_id is not None:
+        raise ConfigError("--model-id names a --model-cmd model; the echo model's id is always 'echo'")
     questions = load_questions(args.questions)
     setting = TaskSetting(SettingKind(args.setting), truncation_chars=args.truncation)
     check_max_in_flight(args.max_in_flight)  # before any backend child is spawned
-    if args.model_cmd is not None:
-        model = CommandModel(args.model_cmd, model_id=args.model_id)
-    elif args.echo_model:
-        model = EchoModel()
-    else:
-        raise ConfigError("bench-run needs --model-cmd or --echo-model")
+    model = EchoModel() if args.echo_model else CommandModel(args.model_cmd, model_id=args.model_id)
     search = None
     try:
         search = CommandSearch(args.search_cmd) if args.search_cmd is not None else None
@@ -218,62 +206,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    corpus_in = argparse.ArgumentParser(add_help=False)
+    corpus_in.add_argument("--in", dest="input", required=True)
+    corpus_out = argparse.ArgumentParser(add_help=False)
+    corpus_out.add_argument("--out", dest="output", required=True)
+    corpus_io = [corpus_in, corpus_out]
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("curate", help="rule-based curation of a corpus file")
+    p = sub.add_parser("curate", parents=corpus_io, help="rule-based curation of a corpus file")
     p.add_argument("--rules", required=True)
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
     p.set_defaults(func=cmd_curate)
 
-    p = sub.add_parser("langid", help="drop non-Japanese documents")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
+    p = sub.add_parser("langid", parents=corpus_io, help="drop non-Japanese documents")
     p.add_argument("--threshold", type=float, default=LangIdConfig.uncertainty_threshold)
     p.add_argument("--jp-ratio", type=float, default=LangIdConfig.jp_script_ratio_threshold)
     p.add_argument("--classifier-cmd", default=None)
     p.set_defaults(func=cmd_langid)
 
-    p = sub.add_parser("denoise", help="strip noise lines / drop non-sentential docs")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
+    p = sub.add_parser("denoise", parents=corpus_io, help="strip noise lines / drop non-sentential docs")
     p.add_argument("--ratio", type=float, default=NoiseConfig.min_sentential_ratio)
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("dedup", help="document- and sentence-level dedup")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
+    p = sub.add_parser("dedup", parents=corpus_io, help="document- and sentence-level dedup")
     p.add_argument("--threshold", type=int, default=DedupConfig.sentence_frequency_threshold)
     p.add_argument("--dump-freq", default=None, help="dump sentence frequency table here")
     p.set_defaults(func=cmd_dedup)
 
     p = sub.add_parser("mix", help="plan an epoch or an update mix")
-    p.add_argument("kind", choices=["epoch", "update"])
-    p.add_argument("--in", dest="input", default=None, help="corpus for epoch plans")
-    p.add_argument("--latest", default=None)
-    p.add_argument("--non-latest", dest="non_latest", default=None)
-    p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weight", action="append", help="epoch weight as TAG=W, repeatable")
-    p.add_argument("--r", type=float, default=None, help="non-latest proportion")
-    p.add_argument("--total", type=int, default=None)
     p.set_defaults(func=cmd_mix)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("epoch", parents=corpus_io, help="repeat each source by its weight")
+    p.add_argument("--weight", action="append", default=[], help="epoch weight as TAG=W, repeatable")
+    p.add_argument("--seed", type=int, default=0)
+    p = kinds.add_parser("update", parents=[corpus_out], help="draw round(r * total) older instances")
+    p.add_argument("--latest", required=True)
+    p.add_argument("--non-latest", dest="non_latest", required=True)
+    p.add_argument("--r", type=float, required=True, help="non-latest proportion")
+    p.add_argument("--total", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("stats", help="token counts and manifest for a corpus file")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
+    p = sub.add_parser("stats", parents=corpus_io, help="token counts and manifest for a corpus file")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("bench-run", help="run one benchmark setting")
     p.add_argument("--questions", required=True)
     p.add_argument("--setting", required=True, choices=[k.value for k in SettingKind])
     p.add_argument("--out", required=True)
-    p.add_argument("--model-cmd", default=None)
-    p.add_argument("--model-id", default=None)
-    p.add_argument("--echo-model", action="store_true")
+    model = p.add_mutually_exclusive_group(required=True)
+    model.add_argument("--model-cmd")
+    model.add_argument("--echo-model", action="store_true")
+    p.add_argument("--model-id", default=None, help="with --model-cmd only")
     p.add_argument("--search-cmd", default=None)
     p.add_argument("--truncation", type=int, default=TaskSetting.truncation_chars)
     p.add_argument("--max-in-flight", type=int, default=1)
@@ -293,8 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help and --version exit 0, a usage error 1
+        return EXIT_CONFIG if exc.code else EXIT_OK
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",

@@ -243,7 +243,8 @@ class TestStageFlags:
 
 
 class TestExitCodes:
-    """Exit 1 for a value refused before any work starts, 2 for a bad input line."""
+    """Exit 1 for a flag or value refused before any work starts, 2 for a bad
+    input line, 0 for ``--help`` and ``--version``; none writes a file."""
 
     @pytest.mark.parametrize(
         ("argv", "code"),
@@ -278,13 +279,27 @@ class TestExitCodes:
             (["run", "--config", "classifier_mapping.yaml"], 1),
             (["run", "--config", "classifier_zero.yaml"], 1),
             (["run", "--config", "classifier_empty_list.yaml"], 1),
+            # usage errors once exited 2, or were accepted and the flag ignored
+            (["mix", "epoch", *STAGE_IO, "--weight", "curated_business=1", "--r", "0.5"], 1),
+            (["mix", "update", "--latest", "in.jsonl", "--non-latest", "in.jsonl", "--out", "plan.jsonl",
+              "--r", "0.5", "--total", "4", "--weight", "wikipedia=9"], 1),
+            (["bench-run", "--questions", "questions.jsonl", "--setting", "no_context", "--echo-model",
+              "--model-cmd", "cat", "--out", "run"], 1),
+            (["bench-run", "--questions", "questions.jsonl", "--setting", "no_context", "--echo-model",
+              "--model-id", "x", "--out", "run"], 1),
+            (["dedup", "--threshold", "abc", *STAGE_IO], 1),
+            (["curate", "--rules", "rules.yaml", "--in", "in.jsonl"], 1),
+            (["--help"], 0),
+            (["--version"], 0),
         ],
         ids=["langid_threshold", "denoise_ratio", "dedup_threshold", "mix_update_r", "mix_epoch_weight",
              "bench_run_truncation", "curate_bad_rules", "missing_input", "bad_corpus_line",
              "bad_question_line", "langid_blank_classifier", "bench_run_blank_model",
              "bench_run_blank_search", "langid_empty_classifier", "bench_run_empty_model",
              "bench_run_empty_search", "run_blank_classifier", "run_mapping_classifier",
-             "run_zero_classifier", "run_empty_list_classifier"],
+             "run_zero_classifier", "run_empty_list_classifier", "mix_epoch_update_flag",
+             "mix_update_epoch_flag", "bench_run_two_models", "bench_run_echo_model_id",
+             "dedup_threshold_not_int", "curate_without_out", "help", "version"],
     )
     def test_exit_code(self, tmp_path, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)
@@ -303,8 +318,10 @@ class TestExitCodes:
             raise OSError("no child may be spawned")
 
         monkeypatch.setattr(subprocess, "Popen", no_child)
+        before = sorted(tmp_path.rglob("*"))
         assert main(argv) == code
         assert spawned == []  # every case is refused before any work starts
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestFlagDefaults:
@@ -316,7 +333,8 @@ class TestFlagDefaults:
             (["denoise", *STAGE_IO], "ratio", NoiseConfig().min_sentential_ratio),
             (["dedup", *STAGE_IO], "threshold", DedupConfig().sentence_frequency_threshold),
             (
-                ["bench-run", "--questions", "q.jsonl", "--setting", "no_context", "--out", "run"],
+                ["bench-run", "--questions", "q.jsonl", "--setting", "no_context", "--echo-model",
+                 "--out", "run"],
                 "truncation",
                 TaskSetting(SettingKind.NO_CONTEXT).truncation_chars,
             ),
@@ -381,6 +399,20 @@ class TestMix:
         report = json.loads(capsys.readouterr().out.splitlines()[0])
         assert report["ok"] is True
         assert report["realized_non_latest"] == 30
+
+    def test_update_mix_failed_verification_exit_two(self, tmp_path, capsys):
+        # latest_update documents given as the older pool too: the plan fails verification
+        latest = synth.write_jsonl(tmp_path / "latest.jsonl", [
+            {"id": f"l{i}", "source": "latest_update", "text": f"さいしんのきじ{i}。"} for i in range(4)
+        ])
+        out = tmp_path / "plan.jsonl"
+        assert main(
+            ["mix", "update", "--latest", str(latest), "--non-latest", str(latest),
+             "--out", str(out), "--r", "0.5", "--total", "4"]
+        ) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False
+        assert not out.exists()
 
     def test_update_mix_bad_r_exit_one(self, tmp_path):
         latest = synth.write_jsonl(
