@@ -202,10 +202,11 @@ def cmd_bench_score(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bizcorpus", description=__doc__)
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(prog="bizcorpus", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
     corpus_in = argparse.ArgumentParser(add_help=False)
     corpus_in.add_argument("--in", dest="input", required=True)
     corpus_out = argparse.ArgumentParser(add_help=False)
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mix", help="plan an epoch or an update mix")
     p.set_defaults(func=cmd_mix)
-    kinds = p.add_subparsers(dest="kind", required=True)
+    kinds = p.add_subparsers(dest="kind", required=True, parser_class=strict)
     p = kinds.add_parser("epoch", parents=corpus_io, help="repeat each source by its weight")
     p.add_argument("--weight", action="append", default=[], help="epoch weight as TAG=W, repeatable")
     p.add_argument("--seed", type=int, default=0)

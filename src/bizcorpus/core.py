@@ -156,6 +156,10 @@ class Document:
         return Document(self.id, self.source, self.text, self.url, self.published_date, lang)
 
     def with_text(self, text: str) -> Document:
+        """This document with ``text`` in place of its own; the document
+        itself when the texts are equal, so "unchanged" is decided here only."""
+        if text == self.text:
+            return self
         return Document(self.id, self.source, text, self.url, self.published_date, self.lang)
 
 

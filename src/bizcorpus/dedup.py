@@ -8,11 +8,12 @@ sentences are boilerplate, so no copies are kept.
 
 Each text is split into sentences in C: a line break goes in after every
 terminator and ``str.splitlines`` cuts the result, so no sentence crosses a
-line. ``dedup_sentences`` splits each document, tests its sentences against
-the table and the over-threshold set without a Python loop, and returns a
-document holding no over-threshold sentence with only its line breaks
-normalised to ``\\n``; in the other documents only the lines that contain
-such a sentence are split again and rewritten.
+line. ``dedup_sentences`` splits each document once to check its sentences
+against the table, then runs one rewrite loop over its lines: only a line
+that contains an over-threshold sentence is split again and rewritten, so a
+document holding no such sentence gets only its line breaks normalised to
+``\\n``. A document whose text comes out unchanged is returned as itself
+(:meth:`~bizcorpus.core.Document.with_text` decides).
 """
 
 from __future__ import annotations
@@ -106,10 +107,7 @@ def count_sentences(
 
 
 def iter_unique_documents(
-    config: DedupConfig,
-    docs: Iterable[Document],
-    *,
-    stats: PipelineStats | None = None,
+    docs: Iterable[Document], *, stats: PipelineStats | None = None
 ) -> Iterator[Document]:
     """Drop documents whose text was seen before, as they come, keeping the
     first seen of each text."""
@@ -131,8 +129,9 @@ def dedup_documents(
     *,
     stats: PipelineStats | None = None,
 ) -> Corpus:
-    """:func:`iter_unique_documents` over a whole corpus."""
-    return Corpus(list(iter_unique_documents(config, corpus, stats=stats)))
+    """:func:`iter_unique_documents` over a whole corpus. ``config`` is not
+    read; it stays because ``cli.cmd_dedup`` and the benchmark harness pass it."""
+    return Corpus(list(iter_unique_documents(corpus, stats=stats)))
 
 
 def dedup_sentences(
@@ -156,9 +155,6 @@ def dedup_sentences(
         sentences = split_sentences(config, doc.text)
         if not all(map(counts.__contains__, sentences)):
             raise TableMismatchError(doc.id, next(s for s in sentences if s not in counts))
-        if over.isdisjoint(sentences):
-            text = "\n".join(doc.text.splitlines())
-            return doc if text == doc.text else doc.with_text(text)
         # Only a line containing an over-threshold sentence can change.
         present = over.intersection(sentences)
         sentences_removed = 0
@@ -175,7 +171,7 @@ def dedup_sentences(
             out_lines.append(line)
         detail["sentences_removed"] += sentences_removed
         text = "\n".join(out_lines)
-        if not text.strip():
+        if sentences_removed and not text.strip():  # a text that loses nothing stays, blank or not
             return "emptied_by_sentence_dedup"
         return doc.with_text(text)
 

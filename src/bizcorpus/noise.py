@@ -130,12 +130,6 @@ def _filter_with_reasons(
     return "\n".join(line for line, _ in kept), None, counts
 
 
-def _with_text(doc: Document, text: str | None) -> Document | None:
-    if text is None:
-        return None
-    return doc if text == doc.text else doc.with_text(text)
-
-
 def filter_document(config: NoiseConfig, doc: Document) -> Document | None:
     """Strip noise lines from one document; return None when the document as
     a whole is judged non-sentential (or nothing survives the strip).
@@ -143,7 +137,8 @@ def filter_document(config: NoiseConfig, doc: Document) -> Document | None:
     Expects ``doc.lang`` to be set (runs after language identification); an
     unset lang is treated as not exempt from the terminator rule.
     """
-    return _with_text(doc, _filter_with_reasons(config, doc.text, doc.lang)[0])
+    text = _filter_with_reasons(config, doc.text, doc.lang)[0]
+    return None if text is None else doc.with_text(text)
 
 
 def iter_denoised(
@@ -164,7 +159,7 @@ def iter_denoised(
         text, reason, counts = results[key]
         for name, value in counts.items():
             detail[name] = detail.get(name, 0) + value
-        return reason or _with_text(doc, text)
+        return reason or doc.with_text(text)
 
     return run_stage(stats, StageStats("noise_filter", detail=detail), docs, step)
 

@@ -200,12 +200,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineStats:
     """Execute the full pipeline and write ``cleaned.jsonl`` and
     ``manifest.json`` into the output directory.
 
-    On any exit that is not a success the manifest is still written, marked
-    incomplete: a stage failure propagates as :class:`StageFailure` with the
-    stage name, anything else (``KeyboardInterrupt``) as itself.
+    The manifest is written marked incomplete before any stage runs, and again
+    on every exit, complete only on success. A stage failure propagates as
+    :class:`StageFailure` naming the stage, anything else as itself.
     """
     stats = PipelineStats(seed=config.seed, config_digest=config.digest)
     config.output_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's complete manifest must not outlive the outputs replaced below
+    emit_manifest(stats, config.output_dir / "manifest.json", status="incomplete")
     stage = "ingest"
     status = "incomplete"
     try:
@@ -225,7 +227,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineStats:
         stage = "lang_id"
         with contextlib.closing(iter_japanese(config.lang_id, corpus, stats=stats)) as japanese:
             docs = iter_denoised(config.noise, japanese, stats=stats)
-            corpus = Corpus(list(dedup_mod.iter_unique_documents(config.dedup, docs, stats=stats)))
+            corpus = Corpus(list(dedup_mod.iter_unique_documents(docs, stats=stats)))
 
         stage = "dedup_sentences"
         table = dedup_mod.count_sentences(config.dedup, corpus)

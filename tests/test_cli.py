@@ -289,6 +289,10 @@ class TestExitCodes:
               "--model-id", "x", "--out", "run"], 1),
             (["dedup", "--threshold", "abc", *STAGE_IO], 1),
             (["curate", "--rules", "rules.yaml", "--in", "in.jsonl"], 1),
+            # an abbreviated flag was once taken for the full one: this ran as
+            # --threshold 3 --dump-freq f.jsonl and wrote both files
+            (["dedup", *STAGE_IO, "--thr", "3", "--dump", "f.jsonl"], 1),
+            (["mix", "epoch", *STAGE_IO, "--wei", "curated_business=2"], 1),
             (["--help"], 0),
             (["--version"], 0),
         ],
@@ -299,7 +303,8 @@ class TestExitCodes:
              "bench_run_empty_search", "run_blank_classifier", "run_mapping_classifier",
              "run_zero_classifier", "run_empty_list_classifier", "mix_epoch_update_flag",
              "mix_update_epoch_flag", "bench_run_two_models", "bench_run_echo_model_id",
-             "dedup_threshold_not_int", "curate_without_out", "help", "version"],
+             "dedup_threshold_not_int", "curate_without_out", "dedup_abbreviated_flags",
+             "mix_epoch_abbreviated_flag", "help", "version"],
     )
     def test_exit_code(self, tmp_path, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)

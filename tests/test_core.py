@@ -346,6 +346,11 @@ class TestCorpus:
         assert document.with_lang("ja") == replace(document, lang="ja")
         assert document.with_text("別の本文。") == replace(document, text="別の本文。")
 
+    def test_with_text_returns_the_document_itself_when_the_text_is_equal(self):
+        document = doc("d1", "本文。")
+        assert document.with_text("本文。") is document
+        assert document.with_text("本文。\n") is not document
+
 
 class TestTokenizer:
     @pytest.mark.parametrize(

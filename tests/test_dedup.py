@@ -150,6 +150,14 @@ class TestDedupSentences:
         out = dedup_sentences(CFG, corpus, table)
         assert out[0].text == "スペース付き。 そのままです。"
 
+    def test_document_without_sentences_comes_back_as_itself(self):
+        # no sentence is removed from a blank text, so it is kept, not "emptied"
+        corpus = Corpus([doc("a", "   "), doc("b", ""), doc("c", "ぶん。")])
+        stats = PipelineStats()
+        out = dedup_sentences(CFG, corpus, count_sentences(CFG, corpus), stats=stats)
+        assert [d is c for d, c in zip(out, corpus)] == [True, True, True]
+        assert stats.stages[-1].doc_removals == {}
+
 
 class TestPipelineProperties:
     def _full_dedup(self, corpus: Corpus) -> Corpus:

@@ -9,11 +9,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import synth
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bizcorpus import core, pipeline
 from bizcorpus import noise as noise_mod
@@ -223,6 +226,32 @@ class TestRunPipeline:
         assert cleaned.read_bytes() == before
         assert sorted(p.name for p in config.output_dir.iterdir()) == ["cleaned.jsonl", "manifest.json"]
         assert _manifest(config.output_dir / "manifest.json")["status"] == "incomplete"
+
+    def test_failed_final_manifest_write_leaves_no_complete_manifest(self, tmp_path, monkeypatch):
+        # run 2 retags its source and replaces cleaned.jsonl, then its last
+        # manifest write fails: run 1's complete manifest, which lists the
+        # documents under curated_business, must not be left beside it
+        records, _ = synth.make_records(n_core=3)
+        config = load_config(synth.write_pipeline_config(tmp_path, records))
+        run_pipeline(config)
+        assert _manifest(config.output_dir / "manifest.json")["status"] == "complete"
+        synth.write_jsonl(config.sources[0].path, synth.make_records(n_core=3, source="other")[0])
+        real = pipeline.emit_manifest
+
+        def fail_complete(stats, path, *, status="complete"):
+            if status == "complete":
+                raise OSError("induced failure of the final manifest write")
+            return real(stats, path, status=status)
+
+        monkeypatch.setattr(pipeline, "emit_manifest", fail_complete)
+        with pytest.raises(OSError, match="final manifest write"):
+            run_pipeline(config)
+        cleaned = read_corpus_jsonl(config.output_dir / "cleaned.jsonl")
+        assert {d.source for d in cleaned} == {SourceTag.OTHER}
+        manifest = _manifest(config.output_dir / "manifest.json")
+        assert manifest["status"] == "incomplete"
+        assert manifest["stages"] == []
+        assert all(row["documents"] == 0 for row in manifest["sources"].values())
 
     def test_noise_step_runs_while_verdicts_are_still_coming(self, tmp_path, monkeypatch):
         records, _ = synth.make_records(n_core=20)
@@ -685,6 +714,79 @@ def _output_digests(output_dir: Path) -> dict[str, str]:
             )
         digests[name] = hashlib.sha256(data).hexdigest()
     return digests
+
+
+# synth corpora in any order: core documents survive every stage, and the
+# boilerplate frequencies straddle the sentence threshold (15)
+_synth_corpora = st.fixed_dictionaries(
+    {
+        "n_core": st.integers(1, 8),
+        "n_off_domain": st.integers(0, 2),
+        "n_non_japanese": st.integers(0, 2),
+        "n_noise_carriers": st.integers(0, 6),
+        "n_terminatorless": st.integers(0, 2),
+        "n_duplicate_copies": st.integers(0, 3),
+        "boiler_frequencies": st.lists(st.integers(14, 17), max_size=2).map(tuple),
+    }
+).flatmap(lambda kwargs: st.permutations(synth.make_records(**kwargs)[0]))
+
+
+def _run_on_files(root: Path, files: list[list[dict]], classifier: bool):
+    """``run_pipeline`` over one curated_business input file per entry of
+    ``files``, with or without the wire classifier child: the bytes of
+    ``cleaned.jsonl`` and the stats."""
+    root.mkdir()
+    sources = [
+        {"path": str(synth.write_jsonl(root / f"part{i}.jsonl", records)), "source": "curated_business"}
+        for i, records in enumerate(files)
+    ]
+    config = load_config(synth.write_pipeline_config(root, [], extra={"sources": sources}))
+    if classifier:
+        config.lang_id.classifier = SubprocessClassifier([sys.executable, str(WIRE_CLASSIFIER)])
+    try:
+        stats = run_pipeline(config)
+    finally:
+        config.close()
+    return (config.output_dir / "cleaned.jsonl").read_bytes(), stats
+
+
+@pytest.mark.parametrize("classifier", [False, True], ids=["fallback", "wire_classifier"])
+class TestRunProperties:
+    """Metamorphic relations of the whole run: an input edit whose effect on
+    the outputs is known without running the old path."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(records=_synth_corpora, data=st.data())
+    def test_exact_copy_after_its_original_counts_only_as_a_duplicate(self, classifier, records, data):
+        # doc dedup runs before sentence counting, so the copy never counts
+        with tempfile.TemporaryDirectory() as tmp:
+            cleaned, stats = _run_on_files(Path(tmp) / "base", [records], classifier)
+            survivors = [json.loads(line)["id"] for line in cleaned.splitlines()]
+            original = data.draw(st.sampled_from(survivors), label="original")
+            i = next(k for k, record in enumerate(records) if record["id"] == original)
+            at = data.draw(st.integers(i + 1, len(records)), label="copy at")
+            copied = [*records[:at], {**records[i], "id": f"copy-of-{original}"}, *records[at:]]
+            cleaned_copied, stats_copied = _run_on_files(Path(tmp) / "copied", [copied], classifier)
+        assert cleaned_copied == cleaned
+        removals = {s.stage: dict(s.doc_removals) for s in stats.stages}
+        removals["dedup_documents"]["duplicate_document"] += 1
+        assert {s.stage: s.doc_removals for s in stats_copied.stages} == removals
+        assert _stage(stats_copied, "dedup_sentences") == _stage(stats, "dedup_sentences")
+
+    @settings(max_examples=15, deadline=None)
+    @given(records=_synth_corpora, data=st.data())
+    def test_splitting_the_input_changes_no_stage_after_ingest(self, classifier, records, data):
+        # every synth record carries its id, so no id depends on the file it is in
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=2), label="cuts"))
+        bounds = [0, *cuts, len(records)]
+        files = [records[a:b] for a, b in zip(bounds, bounds[1:])]
+        with tempfile.TemporaryDirectory() as tmp:
+            cleaned, stats = _run_on_files(Path(tmp) / "one", [records], classifier)
+            cleaned_split, stats_split = _run_on_files(Path(tmp) / "split", files, classifier)
+        assert cleaned_split == cleaned
+        ingests = [f"ingest:part{i}.jsonl" for i in range(len(files))]
+        assert [s.stage for s in stats_split.stages[:len(files)]] == ingests
+        assert stats_split.stages[len(files):] == stats.stages[1:]
 
 
 class TestOneYamlReader:
