@@ -62,6 +62,17 @@ def _typed_fields(backend: str, reply: str | WireProtocolError, **kinds: str) ->
     return [obj[key] for key in kinds]
 
 
+def command_argv(cmd: str | list[str]) -> list[str]:
+    """The argv of a backend command, a shell-style string or a list; a
+    command that names no program or has a part that is not a string raises
+    ``ConfigError``, before any child is started."""
+    argv = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
+    if not argv or not all(isinstance(part, str) for part in argv):
+        # refused before Popen, which fails on an empty argv with an IndexError
+        raise ConfigError(f"backend command must be a program and its arguments, all strings, got {cmd!r}")
+    return argv
+
+
 class JsonLineProcess:
     """Client for identical child processes exchanging one JSON object per line.
 
@@ -76,11 +87,7 @@ class JsonLineProcess:
     WINDOW = 32  # unread replies wait in the pipe: 32 verdicts of ~40 bytes fit any buffer
 
     def __init__(self, cmd: str | list[str]):
-        argv = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
-        if not argv or not all(isinstance(part, str) for part in argv):
-            # refused before Popen, which fails on an empty argv with an IndexError
-            raise ConfigError(f"backend command must be a program and its arguments, all strings, got {cmd!r}")
-        self.cmd = argv
+        self.cmd = command_argv(cmd)
         self._lock = threading.Lock()
         self._procs = [self._spawn()]
         self._idle = list(self._procs)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-``bizcorpus run`` drives the whole pipeline from one config file; the other
-subcommands run individual stages, plan mixtures, and operate the benchmark
+``bizcorpus run`` drives the whole pipeline from one config file; the stage
+commands run one stage of it, with that config's settings, over a corpus
+file; the other subcommands plan mixtures and operate the benchmark
 (run / judge / score). Exit codes: 0 success, 1 usage or validation error
 (a missing, unknown or mistyped flag included), 2 stage failure.
 """
@@ -17,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .backends import CommandModel, CommandSearch, EchoModel, SubprocessClassifier
+from .backends import CommandModel, CommandSearch, EchoModel
 from .bench import (
     SettingKind,
     TaskSetting,
@@ -36,14 +37,9 @@ from .core import (
     count_tokens,
     read_corpus_jsonl,
     run_stage,
-    write_corpus_jsonl,
 )
-from .curation import curate, load_rules
-from .dedup import DedupConfig, count_sentences, dedup_documents, dedup_sentences
-from .langid import LangIdConfig, filter_non_japanese
 from .mixture import MixtureSpec, UpdateMixSpec, plan_epoch, sample_update_mix, verify_plan
-from .noise import NoiseConfig, denoise_corpus
-from .pipeline import StageFailure, emit_manifest, load_config, run_pipeline
+from .pipeline import STAGES, StageFailure, emit_manifest, load_config, run_pipeline
 
 log = logging.getLogger("bizcorpus")
 
@@ -62,61 +58,23 @@ def _print_stage_summary(stats: PipelineStats) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    """``run``, or a stage command: ``args.stages`` over the config's sources,
+    or over the corpus file ``--in`` with the outputs in directory ``--out``."""
+    config = load_config(args.config, start_classifier="lang_id" in args.stages)
     try:
-        stats = run_pipeline(config)
+        corpus = None
+        if args.command != "run":
+            if "curate" in args.stages and config.rules is None:
+                raise ConfigError(f"{args.config}: curate needs curation.rules_file")
+            corpus = read_corpus_jsonl(args.input)
+            config.output_dir = Path(args.output)
+        stats = run_pipeline(config, args.stages, corpus=corpus)
     finally:
         config.close()
     _print_stage_summary(stats)
     print(f"total tokens: {stats.total_tokens}")
     print(f"wrote {config.output_dir / 'cleaned.jsonl'} and {config.output_dir / 'manifest.json'}")
     return EXIT_OK
-
-
-def _stage_command(args: argparse.Namespace, stage) -> int:
-    """Read ``--in``, run ``stage(corpus, stats=...)``, write ``--out`` and
-    print the summary; shared by the standalone stage commands."""
-    corpus = read_corpus_jsonl(args.input)
-    stats = PipelineStats()
-    write_corpus_jsonl(stage(corpus, stats=stats), args.output)
-    _print_stage_summary(stats)
-    return EXIT_OK
-
-
-def cmd_curate(args: argparse.Namespace) -> int:
-    return _stage_command(args, partial(curate, load_rules(args.rules)))
-
-
-def cmd_langid(args: argparse.Namespace) -> int:
-    config = LangIdConfig(uncertainty_threshold=args.threshold, jp_script_ratio_threshold=args.jp_ratio)
-
-    def stage(corpus, *, stats):  # the child starts once the input is read
-        if args.classifier_cmd is not None:  # an empty command is refused, not ignored
-            config.classifier = SubprocessClassifier(args.classifier_cmd)
-        try:
-            return filter_non_japanese(config, corpus, stats=stats)
-        finally:
-            if config.classifier is not None:
-                config.classifier.close()
-
-    return _stage_command(args, stage)
-
-
-def cmd_denoise(args: argparse.Namespace) -> int:
-    return _stage_command(args, partial(denoise_corpus, NoiseConfig(min_sentential_ratio=args.ratio)))
-
-
-def cmd_dedup(args: argparse.Namespace) -> int:
-    config = DedupConfig(sentence_frequency_threshold=args.threshold)
-
-    def stage(corpus, *, stats):
-        corpus = dedup_documents(config, corpus, stats=stats)
-        table = count_sentences(config, corpus)
-        if args.dump_freq:
-            table.dump_jsonl(args.dump_freq)
-        return dedup_sentences(config, corpus, table, stats=stats)
-
-    return _stage_command(args, stage)
 
 
 def cmd_mix(args: argparse.Namespace) -> int:
@@ -160,6 +118,10 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         raise ConfigError("--model-id names a --model-cmd model; the echo model's id is always 'echo'")
     questions = load_questions(args.questions)
     setting = TaskSetting(SettingKind(args.setting), truncation_chars=args.truncation)
+    if setting.kind is SettingKind.AUTO_RAG and args.search_cmd is None:
+        unsearched = next((q.id for q in questions if not q.auto_context), None)
+        if unsearched is not None:
+            raise ConfigError(f"question {unsearched!r} has no auto_context, so auto_rag needs --search-cmd")
     check_max_in_flight(args.max_in_flight)  # before any backend child is spawned
     model = EchoModel() if args.echo_model else CommandModel(args.model_cmd, model_id=args.model_id)
     search = None
@@ -213,28 +175,20 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_out.add_argument("--out", dest="output", required=True)
     corpus_io = [corpus_in, corpus_out]
 
-    p = sub.add_parser("run", help="run the full pipeline from a config file")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_run)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
 
-    p = sub.add_parser("curate", parents=corpus_io, help="rule-based curation of a corpus file")
-    p.add_argument("--rules", required=True)
-    p.set_defaults(func=cmd_curate)
-
-    p = sub.add_parser("langid", parents=corpus_io, help="drop non-Japanese documents")
-    p.add_argument("--threshold", type=float, default=LangIdConfig.uncertainty_threshold)
-    p.add_argument("--jp-ratio", type=float, default=LangIdConfig.jp_script_ratio_threshold)
-    p.add_argument("--classifier-cmd", default=None)
-    p.set_defaults(func=cmd_langid)
-
-    p = sub.add_parser("denoise", parents=corpus_io, help="strip noise lines / drop non-sentential docs")
-    p.add_argument("--ratio", type=float, default=NoiseConfig.min_sentential_ratio)
-    p.set_defaults(func=cmd_denoise)
-
-    p = sub.add_parser("dedup", parents=corpus_io, help="document- and sentence-level dedup")
-    p.add_argument("--threshold", type=int, default=DedupConfig.sentence_frequency_threshold)
-    p.add_argument("--dump-freq", default=None, help="dump sentence frequency table here")
-    p.set_defaults(func=cmd_dedup)
+    p = sub.add_parser("run", parents=[config], help="run the full pipeline from a config file")
+    p.set_defaults(func=cmd_run, stages=tuple(STAGES))
+    for command, stages, text in (
+        ("curate", ("curate",), "rule-based curation"),
+        ("langid", ("lang_id",), "drop non-Japanese documents"),
+        ("denoise", ("noise_filter",), "strip noise lines / drop non-sentential docs"),
+        ("dedup", ("dedup_documents", "dedup_sentences"), "document- and sentence-level dedup"),
+    ):
+        help_text = f"{text} of --in, as run does it, into directory --out"
+        p = sub.add_parser(command, parents=[config, *corpus_io], help=help_text)
+        p.set_defaults(func=cmd_run, stages=stages)
 
     p = sub.add_parser("mix", help="plan an epoch or an update mix")
     p.set_defaults(func=cmd_mix)

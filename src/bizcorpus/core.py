@@ -546,7 +546,9 @@ def _record_to_document(obj: dict) -> Document:
         raise ValueError(f"field 'url' must be a string, got {url!r}")
     if lang is not None and not isinstance(lang, str):
         raise ValueError(f"field 'lang' must be a string, got {lang!r}")
-    if isinstance(day, str) and day and not _ISO_DAY.fullmatch(day):
+    if day is not None and not isinstance(day, str):
+        raise ValueError(f"field 'date' must be a string, got {day!r}")
+    if day and not _ISO_DAY.fullmatch(day):
         raise ValueError(f"field 'date' must be YYYY-MM-DD, got {day!r}")
     return Document(
         id=doc_id,

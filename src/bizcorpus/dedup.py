@@ -130,7 +130,7 @@ def dedup_documents(
     stats: PipelineStats | None = None,
 ) -> Corpus:
     """:func:`iter_unique_documents` over a whole corpus. ``config`` is not
-    read; it stays because ``cli.cmd_dedup`` and the benchmark harness pass it."""
+    read; it stays because the benchmark harness passes it."""
     return Corpus(list(iter_unique_documents(corpus, stats=stats)))
 
 

@@ -1,10 +1,11 @@
 """End-to-end pipeline driver.
 
 Loads a single declarative config, validates it up front, then runs the
-fixed stage order — curation, language filtering, noise removal, document
-dedup, sentence dedup, token counting — and writes the cleaned corpus plus
-a manifest mirroring the per-source token table. Every stage can also run
-standalone through the CLI subcommands.
+fixed stage order of :data:`STAGES` — curation, language filtering, noise
+removal, document dedup, sentence dedup — counts tokens, and writes the
+cleaned corpus plus a manifest mirroring the per-source token table. A
+stage command of the CLI runs a slice of :data:`STAGES` through the same
+:func:`run_pipeline`, over one corpus file in place of the config's sources.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import logging
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 from . import dedup as dedup_mod
 from .core import (
     ConfigError,
     Corpus,
+    Document,
     PipelineStats,
     SourceTag,
     check_field_types,
@@ -107,11 +110,13 @@ class PipelineConfig:
             self.lang_id.classifier.close()
 
 
-def load_config(path: Path | str) -> PipelineConfig:
+def load_config(path: Path | str, *, start_classifier: bool = True) -> PipelineConfig:
     """Load and validate the pipeline config. Referenced files must exist;
     any problem, including an unknown key, raises :class:`ConfigError`
     before work starts. The caller owns the classifier child process the
-    config may start and stops it with :meth:`PipelineConfig.close`.
+    config may start and stops it with :meth:`PipelineConfig.close`; with
+    ``start_classifier`` false, ``lang_id.classifier_cmd`` is checked alike
+    but no child is started.
 
     ``BIZCORPUS_OUTPUT_DIR`` overrides the config's ``output_dir``.
     """
@@ -188,21 +193,55 @@ def load_config(path: Path | str) -> PipelineConfig:
         )
         # spawned last, so a config that fails validation leaves no child behind
         if classifier_cmd is not None:
-            from .backends import SubprocessClassifier
+            from .backends import SubprocessClassifier, command_argv
 
-            config.lang_id.classifier = SubprocessClassifier(classifier_cmd)
+            if start_classifier:
+                config.lang_id.classifier = SubprocessClassifier(classifier_cmd)
+            else:
+                command_argv(classifier_cmd)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineStats:
-    """Execute the full pipeline and write ``cleaned.jsonl`` and
-    ``manifest.json`` into the output directory.
+def _curate(config: PipelineConfig, docs: Iterable[Document], stats: PipelineStats) -> Iterable[Document]:
+    return docs if config.rules is None else curate(config.rules, docs, stats=stats)
+
+
+def _sentence_dedup(config: PipelineConfig, docs: Iterable[Document], stats: PipelineStats) -> Corpus:
+    corpus = Corpus(list(docs))
+    table = dedup_mod.count_sentences(config.dedup, corpus)
+    corpus = dedup_mod.dedup_sentences(config.dedup, corpus, table, stats=stats)
+    if config.dump_sentence_freq:
+        table.dump_jsonl(config.output_dir / "sentence_freq.jsonl")
+    return corpus
+
+
+# The stages of a run, in their fixed order, by the name each records.
+# ``curate`` and sentence dedup return whole corpora, and lang_id, which sends
+# the classifier every distinct text up front, takes one. lang_id, noise_filter
+# and dedup_documents return streams, which run as one: each document goes on
+# as soon as the classifier has answered for it.
+STAGES: dict[str, Callable[[PipelineConfig, Iterable[Document], PipelineStats], Iterable[Document]]] = {
+    "curate": _curate,
+    "lang_id": lambda config, docs, stats: iter_japanese(config.lang_id, docs, stats=stats),
+    "noise_filter": lambda config, docs, stats: iter_denoised(config.noise, docs, stats=stats),
+    "dedup_documents": lambda config, docs, stats: dedup_mod.iter_unique_documents(docs, stats=stats),
+    "dedup_sentences": _sentence_dedup,
+}
+
+
+def run_pipeline(
+    config: PipelineConfig, stages: Sequence[str] = tuple(STAGES), *, corpus: Corpus | None = None
+) -> PipelineStats:
+    """Run ``stages``, a slice of :data:`STAGES`, over ``corpus`` or, when it
+    is None, over the config's ingested sources; count tokens; and write
+    ``cleaned.jsonl`` and ``manifest.json`` into the output directory.
 
     The manifest is written marked incomplete before any stage runs, and again
     on every exit, complete only on success. A stage failure propagates as
-    :class:`StageFailure` naming the stage, anything else as itself.
+    :class:`StageFailure` naming the stage, anything else as itself; a step
+    that raises mid-stream names its own stage.
     """
     stats = PipelineStats(seed=config.seed, config_digest=config.digest)
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -211,29 +250,22 @@ def run_pipeline(config: PipelineConfig) -> PipelineStats:
     stage = "ingest"
     status = "incomplete"
     try:
-        corpora = [
-            ingest_jsonl(spec.path, spec.source, stats=stats) for spec in config.sources
-        ]
-        corpus = Corpus([doc for c in corpora for doc in c])
-        log.info("ingested %d documents from %d source file(s)", len(corpus), len(corpora))
+        if corpus is None:
+            corpora = [
+                ingest_jsonl(spec.path, spec.source, stats=stats) for spec in config.sources
+            ]
+            corpus = Corpus([doc for c in corpora for doc in c])
+            log.info("ingested %d documents from %d source file(s)", len(corpus), len(corpora))
 
-        if config.rules is not None:
-            stage = "curate"
-            corpus = curate(config.rules, corpus, stats=stats)
-
-        # lang_id, noise_filter and dedup_documents run as one stream: each
-        # document goes on as soon as the classifier has answered for it, and
-        # a step that raises names its own stage
-        stage = "lang_id"
-        with contextlib.closing(iter_japanese(config.lang_id, corpus, stats=stats)) as japanese:
-            docs = iter_denoised(config.noise, japanese, stats=stats)
-            corpus = Corpus(list(dedup_mod.iter_unique_documents(docs, stats=stats)))
-
-        stage = "dedup_sentences"
-        table = dedup_mod.count_sentences(config.dedup, corpus)
-        corpus = dedup_mod.dedup_sentences(config.dedup, corpus, table, stats=stats)
-        if config.dump_sentence_freq:
-            table.dump_jsonl(config.output_dir / "sentence_freq.jsonl")
+        docs: Iterable[Document] = corpus
+        # a stream left unfinished by a failure is closed, which abandons
+        # the classifier exchange
+        with contextlib.ExitStack() as streams:
+            for stage in stages:
+                docs = STAGES[stage](config, docs, stats)
+                if not isinstance(docs, Corpus):
+                    streams.enter_context(contextlib.closing(docs))
+            corpus = docs if isinstance(docs, Corpus) else Corpus(list(docs))
 
         stage = "count_tokens"
         count_tokens(corpus, stats=stats)

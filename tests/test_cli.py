@@ -15,9 +15,6 @@ import synth
 from bizcorpus.bench import SettingKind, TaskSetting
 from bizcorpus.cli import build_parser, main
 from bizcorpus.core import SourceTag, read_corpus_jsonl, read_jsonl
-from bizcorpus.dedup import DedupConfig
-from bizcorpus.langid import LangIdConfig
-from bizcorpus.noise import NoiseConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STAGE_IO = ["--in", "in.jsonl", "--out", "out.jsonl"]
@@ -63,12 +60,11 @@ class TestRun:
         raw = json.loads(config.read_text(encoding="utf-8"))
         raw["curation"]["rules_file"] = str(rules)
         config.write_text(json.dumps(raw), encoding="utf-8")
-        assert main(["run", "--config", str(config)]) == 1
-        assert f"error: bad rules file {rules}: {rules}: invalid YAML: " in capsys.readouterr().err
         corpus, _ = _corpus_file(tmp_path)
-        curate = ["curate", "--rules", str(rules), "--in", str(corpus), "--out", str(tmp_path / "c.jsonl")]
-        assert main(curate) == 1
-        assert capsys.readouterr().err.startswith(f"error: {rules}: invalid YAML: ")
+        curate = ["curate", "--config", str(config), "--in", str(corpus), "--out", str(tmp_path / "c")]
+        for argv in (["run", "--config", str(config)], curate):
+            assert main(argv) == 1
+            assert f"error: bad rules file {rules}: {rules}: invalid YAML: " in capsys.readouterr().err
 
 
     def test_scalar_rule_list_stops_run_and_curate(self, tmp_path, capsys):
@@ -93,13 +89,11 @@ class TestRun:
         raw = json.loads(config.read_text(encoding="utf-8"))
         raw["curation"]["rules_file"] = str(rules)
         config.write_text(json.dumps(raw), encoding="utf-8")
-        assert main(["run", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert f"error: bad rules file {rules}: {rules}: {message}" in err
         corpus, _ = _corpus_file(tmp_path)
-        curate = ["curate", "--rules", str(rules), "--in", str(corpus), "--out", str(tmp_path / "c.jsonl")]
-        assert main(curate) == 1
-        assert capsys.readouterr().err.startswith(f"error: {rules}: {message}")
+        curate = ["curate", "--config", str(config), "--in", str(corpus), "--out", str(tmp_path / "c")]
+        for argv in (["run", "--config", str(config)], curate):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: bad rules file {rules}: {rules}: {message}\n"
 
     def test_id_reused_across_source_files_exit_two(self, tmp_path, capsys):
         config = synth.write_pipeline_config(tmp_path, [{"id": "x", "text": "一つ目。"}])
@@ -143,15 +137,13 @@ class TestClassifierChild:
         pid_file = tmp_path / "classifier.pid"
         classifier_cmd = shlex.join([sys.executable, str(script), str(pid_file)])
         records, _ = synth.make_records(n_core=3)
-        if command == "run":
-            config = synth.write_pipeline_config(
-                tmp_path, records, extra={"lang_id": {"classifier_cmd": classifier_cmd}}
-            )
-            argv = ["run", "--config", str(config)]
-        else:
-            raw = synth.write_jsonl(tmp_path / "raw.jsonl", records)
-            argv = ["langid", "--in", str(raw), "--out", str(tmp_path / "ja.jsonl"),
-                    "--classifier-cmd", classifier_cmd]
+        config = synth.write_pipeline_config(
+            tmp_path, records, extra={"lang_id": {"classifier_cmd": classifier_cmd}}
+        )
+        argv = ["run", "--config", str(config)]
+        if command == "langid":
+            argv = ["langid", "--config", str(config), "--in", str(tmp_path / "input.jsonl"),
+                    "--out", str(tmp_path / "ja")]
         assert main(argv) == 0
         pid = int(pid_file.read_text(encoding="utf-8"))
         # ChildProcessError: no such child left to wait for, i.e. main already reaped it
@@ -170,25 +162,25 @@ class TestStandaloneStages:
             n_duplicate_copies=2,
             boiler_frequencies=(16,),
         )
-        raw = tmp_path / "raw.jsonl"
-        synth.write_jsonl(raw, records)
-        rules = synth.write_rules(tmp_path / "rules.yaml")
+        config = synth.write_pipeline_config(tmp_path, records, extra={"dump_sentence_freq": True})
+        stage_in = tmp_path / "input.jsonl"
+        for command in ("curate", "langid", "denoise", "dedup"):
+            out = tmp_path / command
+            assert main([command, "--config", str(config), "--in", str(stage_in), "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["status"] == "complete"
+            stage_in = out / "cleaned.jsonl"
 
-        stage1 = tmp_path / "curated.jsonl"
-        assert main(["curate", "--rules", str(rules), "--in", str(raw), "--out", str(stage1)]) == 0
-        stage2 = tmp_path / "ja.jsonl"
-        assert main(["langid", "--in", str(stage1), "--out", str(stage2)]) == 0
-        stage3 = tmp_path / "clean.jsonl"
-        assert main(["denoise", "--in", str(stage2), "--out", str(stage3)]) == 0
-        stage4 = tmp_path / "deduped.jsonl"
-        freq = tmp_path / "freq.jsonl"
-        assert main(
-            ["dedup", "--in", str(stage3), "--out", str(stage4), "--dump-freq", str(freq)]
-        ) == 0
-
-        final = read_corpus_jsonl(stage4)
+        final = read_corpus_jsonl(stage_in)
         assert [d.id for d in final] == truth.survivor_ids
-        assert freq.exists()
+        assert (tmp_path / "dedup" / "sentence_freq.jsonl").exists()
+
+    def test_curate_without_rules_exit_one_before_reading(self, tmp_path, capsys):
+        config = synth.write_pipeline_config(tmp_path, [], extra={"curation": None})
+        out = tmp_path / "curated"
+        argv = ["curate", "--config", str(config), "--in", str(tmp_path / "missing.jsonl"), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {config}: curate needs curation.rules_file\n"
+        assert not out.exists()
 
     def test_stats_manifest(self, tmp_path):
         path, _ = _corpus_file(tmp_path, n_core=3)
@@ -200,44 +192,54 @@ class TestStandaloneStages:
     def test_broken_input_exit_two(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "x"}\n', encoding="utf-8")  # record missing text
-        out = tmp_path / "out.jsonl"
-        assert main(["denoise", "--in", str(bad), "--out", str(out)]) == 2
+        config = synth.write_pipeline_config(tmp_path, [])
+        out = tmp_path / "denoised"
+        assert main(["denoise", "--config", str(config), "--in", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()  # the input is read before anything is written
 
     @pytest.mark.parametrize(
-        "record",
+        ("record", "message"),
         [
-            {"id": "x", "source": "mc4", "text": 5},
-            {"id": "x", "source": "blog", "text": "本文。"},
-            {"id": "x", "source": "mc4", "text": "本文。", "date": "2023-02-30"},
+            ({"id": "x", "source": "mc4", "text": 5}, "field 'text' must be a string, got 5"),
+            ({"id": "x", "source": "blog", "text": "本文。"}, "'blog' is not a valid SourceTag"),
+            ({"id": "x", "source": "mc4", "text": "本文。", "date": "2023-02-30"}, "day is out of range"),
+            # once Python's "fromisoformat: argument must be str"
+            ({"id": "x", "source": "mc4", "text": "本文。", "date": 20240101},
+             "field 'date' must be a string, got 20240101"),
         ],
-        ids=["int_text", "bad_source", "bad_date"],
+        ids=["int_text", "bad_source", "bad_date", "int_date"],
     )
-    def test_bad_record_exit_two_names_file_and_line(self, tmp_path, capsys, record):
+    def test_bad_record_exit_two_names_file_and_line(self, tmp_path, capsys, record, message):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n" + json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
         assert main(["stats", "--in", str(bad), "--out", str(tmp_path / "manifest.json")]) == 2
-        assert f"error: {bad}:2: " in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: {message}")
 
 
 class TestStageFlags:
+    """A stage's settings, once flags of its command, are read from the
+    config: a value it refuses exits 1 before any input is read or any
+    classifier child is started."""
+
     @pytest.mark.parametrize(
-        ("argv", "message"),
+        ("command", "section", "message"),
         [
-            (["dedup", "--threshold", "0"], "sentence_frequency_threshold must be >= 1"),
-            (["denoise", "--ratio", "2"], "min_sentential_ratio must be in [0, 1]"),
-            (["langid", "--threshold", "1.5"], "uncertainty_threshold must be in [0, 1], got 1.5"),
+            ("dedup", {"dedup": {"sentence_frequency_threshold": 0}}, "sentence_frequency_threshold must be >= 1"),
+            ("denoise", {"noise": {"min_sentential_ratio": 2}}, "min_sentential_ratio must be in [0, 1]"),
+            ("langid", {"lang_id": {"uncertainty_threshold": 1.5}}, "uncertainty_threshold must be in [0, 1], got 1.5"),
         ],
         ids=["dedup_threshold", "denoise_ratio", "langid_threshold"],
     )
-    def test_out_of_range_flag_exit_one(self, tmp_path, capsys, argv, message):
+    def test_out_of_range_flag_exit_one(self, tmp_path, capsys, command, section, message):
         # these used to exit 2, as a stage failure
         path, _ = _corpus_file(tmp_path, n_core=2)
-        out = tmp_path / "out.jsonl"
+        out = tmp_path / "out"
         spawned = tmp_path / "spawned"
         child = shlex.join([sys.executable, "-c", f"open({str(spawned)!r}, 'w')"])
-        extra = ["--classifier-cmd", child] if argv[0] == "langid" else []
-        assert main([*argv, "--in", str(path), "--out", str(out), *extra]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        lang_id = {**section.get("lang_id", {}), "classifier_cmd": child}
+        config = synth.write_pipeline_config(tmp_path, [], extra={**section, "lang_id": lang_id})
+        assert main([command, "--config", str(config), "--in", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
         assert not out.exists()
         assert not spawned.exists()
 
@@ -249,30 +251,36 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         ("argv", "code"),
         [
-            (["langid", "--threshold", "2", *STAGE_IO], 1),
-            (["denoise", "--ratio", "2", *STAGE_IO], 1),
-            (["dedup", "--threshold", "0", *STAGE_IO], 1),
+            (["langid", "--config", "langid_threshold.yaml", *STAGE_IO], 1),
+            (["denoise", "--config", "denoise_ratio.yaml", *STAGE_IO], 1),
+            (["dedup", "--config", "dedup_threshold.yaml", *STAGE_IO], 1),
             (["mix", "update", "--latest", "in.jsonl", "--non-latest", "in.jsonl", "--out", "plan.jsonl",
               "--r", "1.5", "--total", "4"], 1),
             (["mix", "epoch", "--weight", "patent=0", *STAGE_IO], 1),
             (["bench-run", "--questions", "questions.jsonl", "--setting", "manual_rag", "--echo-model",
               "--truncation", "0", "--out", "run"], 1),
-            (["curate", "--rules", "rules.yaml", *STAGE_IO], 1),
+            (["curate", "--config", "bad_rules.yaml", *STAGE_IO], 1),
             (["stats", "--in", "missing.jsonl", "--out", "manifest.json"], 1),
             (["stats", "--in", "bad.jsonl", "--out", "manifest.json"], 2),
+            # a stage command reads its input before it writes anything
+            (["denoise", "--config", "pipeline.yaml", "--in", "missing.jsonl", "--out", "out"], 1),
+            (["denoise", "--config", "pipeline.yaml", "--in", "bad.jsonl", "--out", "out"], 2),
+            (["curate", "--config", "pipeline.yaml", *STAGE_IO], 1),
             (["bench-run", "--questions", "bad_questions.jsonl", "--setting", "manual_rag", "--echo-model",
               "--out", "run"], 2),
             # a blank or mistyped backend command once ended in an IndexError
             # traceback, spawned a mapping's key or ran fallback-only
-            (["langid", *STAGE_IO, "--classifier-cmd", "   "], 1),
+            (["langid", "--config", "classifier_blank.yaml", *STAGE_IO], 1),
+            # refused alike by a stage command that starts no classifier
+            (["denoise", "--config", "classifier_blank.yaml", *STAGE_IO], 1),
             (["bench-run", "--questions", "questions.jsonl", "--setting", "no_context", "--model-cmd", "   ",
               "--out", "run"], 1),
             (["bench-run", "--questions", "questions.jsonl", "--setting", "auto_rag", "--echo-model",
               "--search-cmd", " ", "--out", "run"], 1),
             # an empty command was once taken as no backend, and exited 0
-            (["langid", *STAGE_IO, "--classifier-cmd", ""], 1),
+            (["langid", "--config", "classifier_empty.yaml", *STAGE_IO], 1),
             (["bench-run", "--questions", "questions.jsonl", "--setting", "no_context", "--model-cmd", "",
-              "--echo-model", "--out", "run"], 1),
+              "--out", "run"], 1),
             (["bench-run", "--questions", "questions.jsonl", "--setting", "auto_rag", "--echo-model",
               "--search-cmd", "", "--out", "run"], 1),
             (["run", "--config", "classifier_blank.yaml"], 1),
@@ -287,24 +295,28 @@ class TestExitCodes:
               "--model-cmd", "cat", "--out", "run"], 1),
             (["bench-run", "--questions", "questions.jsonl", "--setting", "no_context", "--echo-model",
               "--model-id", "x", "--out", "run"], 1),
-            (["dedup", "--threshold", "abc", *STAGE_IO], 1),
-            (["curate", "--rules", "rules.yaml", "--in", "in.jsonl"], 1),
-            # an abbreviated flag was once taken for the full one: this ran as
-            # --threshold 3 --dump-freq f.jsonl and wrote both files
-            (["dedup", *STAGE_IO, "--thr", "3", "--dump", "f.jsonl"], 1),
+            (["dedup", "--config", "dedup_threshold_not_int.yaml", *STAGE_IO], 1),
+            (["curate", "--config", "pipeline.yaml", "--in", "in.jsonl"], 1),
+            # an abbreviated flag was once taken for the full one
+            (["dedup", "--conf", "pipeline.yaml", *STAGE_IO], 1),
             (["mix", "epoch", *STAGE_IO, "--wei", "curated_business=2"], 1),
+            # once every question was recorded skipped, and the run exited 0
+            (["bench-run", "--questions", "questions.jsonl", "--setting", "auto_rag", "--echo-model",
+              "--out", "run"], 1),
             (["--help"], 0),
             (["--version"], 0),
         ],
         ids=["langid_threshold", "denoise_ratio", "dedup_threshold", "mix_update_r", "mix_epoch_weight",
              "bench_run_truncation", "curate_bad_rules", "missing_input", "bad_corpus_line",
-             "bad_question_line", "langid_blank_classifier", "bench_run_blank_model",
-             "bench_run_blank_search", "langid_empty_classifier", "bench_run_empty_model",
-             "bench_run_empty_search", "run_blank_classifier", "run_mapping_classifier",
-             "run_zero_classifier", "run_empty_list_classifier", "mix_epoch_update_flag",
-             "mix_update_epoch_flag", "bench_run_two_models", "bench_run_echo_model_id",
-             "dedup_threshold_not_int", "curate_without_out", "dedup_abbreviated_flags",
-             "mix_epoch_abbreviated_flag", "help", "version"],
+             "stage_missing_input", "stage_bad_corpus_line", "curate_without_rules",
+             "bad_question_line", "langid_blank_classifier", "denoise_blank_classifier",
+             "bench_run_blank_model", "bench_run_blank_search", "langid_empty_classifier",
+             "bench_run_empty_model", "bench_run_empty_search", "run_blank_classifier",
+             "run_mapping_classifier", "run_zero_classifier", "run_empty_list_classifier",
+             "mix_epoch_update_flag", "mix_update_epoch_flag", "bench_run_two_models",
+             "bench_run_echo_model_id", "dedup_threshold_not_int", "curate_without_out",
+             "dedup_abbreviated_flags", "mix_epoch_abbreviated_flag", "auto_rag_without_search",
+             "help", "version"],
     )
     def test_exit_code(self, tmp_path, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)
@@ -313,9 +325,20 @@ class TestExitCodes:
         synth.write_jsonl(tmp_path / "bad_questions.jsonl", [*QUESTIONS[:1], {**QUESTIONS[1], "id": 7}])
         (tmp_path / "bad.jsonl").write_text('{"id": "x", "source": "mc4", "text": 5}\n', encoding="utf-8")
         (tmp_path / "rules.yaml").write_text("url_patterns: 5\n", encoding="utf-8")
-        for name, cmd in (("blank", "   "), ("mapping", {"a": 1}), ("zero", 0), ("empty_list", [])):
-            config = {"sources": [{"path": "in.jsonl"}], "lang_id": {"classifier_cmd": cmd}}
-            (tmp_path / f"classifier_{name}.yaml").write_text(json.dumps(config), encoding="utf-8")
+        configs = {
+            "pipeline": {},
+            "bad_rules": {"curation": {"rules_file": "rules.yaml"}},
+            "langid_threshold": {"lang_id": {"uncertainty_threshold": 2}},
+            "denoise_ratio": {"noise": {"min_sentential_ratio": 2}},
+            "dedup_threshold": {"dedup": {"sentence_frequency_threshold": 0}},
+            "dedup_threshold_not_int": {"dedup": {"sentence_frequency_threshold": "abc"}},
+            **{f"classifier_{name}": {"lang_id": {"classifier_cmd": cmd}}
+               for name, cmd in (("blank", "   "), ("empty", ""), ("mapping", {"a": 1}), ("zero", 0),
+                                 ("empty_list", []))},
+        }
+        for name, section in configs.items():
+            config = {"sources": [{"path": "in.jsonl"}], **section}
+            (tmp_path / f"{name}.yaml").write_text(json.dumps(config), encoding="utf-8")
         spawned = []
 
         def no_child(argv, **kwargs):
@@ -333,10 +356,6 @@ class TestFlagDefaults:
     @pytest.mark.parametrize(
         ("argv", "dest", "expected"),
         [
-            (["langid", *STAGE_IO], "threshold", LangIdConfig().uncertainty_threshold),
-            (["langid", *STAGE_IO], "jp_ratio", LangIdConfig().jp_script_ratio_threshold),
-            (["denoise", *STAGE_IO], "ratio", NoiseConfig().min_sentential_ratio),
-            (["dedup", *STAGE_IO], "threshold", DedupConfig().sentence_frequency_threshold),
             (
                 ["bench-run", "--questions", "q.jsonl", "--setting", "no_context", "--echo-model",
                  "--out", "run"],
@@ -344,8 +363,7 @@ class TestFlagDefaults:
                 TaskSetting(SettingKind.NO_CONTEXT).truncation_chars,
             ),
         ],
-        ids=["langid_threshold", "langid_jp_ratio", "denoise_ratio", "dedup_threshold",
-             "bench_run_truncation"],
+        ids=["bench_run_truncation"],
     )
     def test_flag_default_equals_dataclass_default(self, argv, dest, expected):
         args = build_parser().parse_args(argv)
@@ -684,6 +702,25 @@ class TestBenchWorkflow:
         assert "max_in_flight must be at least 1, got 0" in capsys.readouterr().err
         assert not pid_file.exists()
         assert not (tmp_path / "run").exists()
+
+    def test_auto_rag_without_search_exit_one_before_any_spawn(self, tmp_path, capsys):
+        script = tmp_path / "model.py"
+        script.write_text(PID_RECORDING_MODEL, encoding="utf-8")
+        pid_file = tmp_path / "model.pids"
+        bench_run = self._bench_run(tmp_path, "--setting", "auto_rag", "--model-cmd",
+                                    shlex.join([sys.executable, str(script), str(pid_file)]))
+        questions = [{**q, "auto_context": q["manual_context"]} for q in QUESTIONS]
+        synth.write_jsonl(tmp_path / "questions.jsonl", [questions[0], QUESTIONS[1], QUESTIONS[2]])
+        assert main(bench_run) == 1
+        assert capsys.readouterr().err == (
+            "error: question 'q2' has no auto_context, so auto_rag needs --search-cmd\n"
+        )
+        assert not pid_file.exists()
+        assert not (tmp_path / "run").exists()
+        # with a page for every question, no search backend is needed
+        synth.write_jsonl(tmp_path / "questions.jsonl", questions)
+        assert main(bench_run) == 0
+        assert "3/3 responses" in capsys.readouterr().out
 
     def test_bench_run_without_model_exit_one(self, tmp_path):
         questions = tmp_path / "questions.jsonl"

@@ -183,15 +183,19 @@ BAD_RECORDS = [
     ('{"id": "d1", "source": "mc4", "text": "x", "url": 5}', "field 'url' must be a string"),
     ('{"id": "d1", "source": "blog", "text": "x"}', "'blog' is not a valid SourceTag"),
     ('{"id": "d1", "source": "mc4", "text": "x", "date": "2023-13-01"}', "month must be in 1..12"),
-    ('{"id": "d1", "source": "mc4", "text": "x", "date": 20230101}', "must be str"),
-    ('{"id": "d1", "source": "mc4", "text": "x", "date": false}', "must be str"),
+    # once Python's "fromisoformat: argument must be str", naming no field
+    ('{"id": "d1", "source": "mc4", "text": "x", "date": 20230101}', "field 'date' must be a string, got 20230101"),
+    ('{"id": "d1", "source": "mc4", "text": "x", "date": false}', "field 'date' must be a string, got False"),
+    ('{"id": "d1", "source": "mc4", "text": "x", "date": ["2024-01-01"]}',
+     "field 'date' must be a string, got ['2024-01-01']"),
     # Python 3.11's date.fromisoformat reads both as 2023-01-05
     ('{"id": "d1", "source": "mc4", "text": "x", "date": "20230105"}', "field 'date' must be YYYY-MM-DD"),
     ('{"id": "d1", "source": "mc4", "text": "x", "date": "2023-W01-4"}', "field 'date' must be YYYY-MM-DD"),
 ]
 BAD_RECORD_IDS = [
     "broken_json", "array", "missing_text", "int_text", "int_lang", "int_id", "bool_id",
-    "int_url", "bad_source", "bad_date", "int_date", "false_date", "basic_format_date", "week_date",
+    "int_url", "bad_source", "bad_date", "int_date", "false_date", "list_date", "basic_format_date",
+    "week_date",
 ]
 
 

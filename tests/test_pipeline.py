@@ -10,17 +10,19 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import synth
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bizcorpus import core, pipeline
 from bizcorpus import noise as noise_mod
 from bizcorpus.backends import SubprocessClassifier
+from bizcorpus.cli import main
 from bizcorpus.core import SourceTag, ingest_jsonl, read_corpus_jsonl
 from bizcorpus.curation import curate, load_rules
 from bizcorpus.dedup import DedupConfig, count_sentences, dedup_documents, dedup_sentences
@@ -35,6 +37,7 @@ from bizcorpus.pipeline import (
 )
 
 WIRE_CLASSIFIER = Path(__file__).with_name("wire_classifier.py")
+_WIRE_CMD = [sys.executable, str(WIRE_CLASSIFIER)]
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SOURCE_LABELS = {
@@ -750,6 +753,39 @@ def _run_on_files(root: Path, files: list[list[dict]], classifier: bool):
     return (config.output_dir / "cleaned.jsonl").read_bytes(), stats
 
 
+# valid stage settings: any terminators, thresholds and sentential ratio
+_stage_settings = st.fixed_dictionaries(
+    {
+        "lang_id": st.fixed_dictionaries(
+            {"uncertainty_threshold": st.sampled_from([0.0, 0.6, 0.9, 1.0])}
+        ),
+        "noise": st.fixed_dictionaries(
+            {
+                "terminators": st.sets(st.sampled_from("。！？.!?、"), min_size=1).map(sorted),
+                "min_sentential_ratio": st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+            }
+        ),
+        "dedup": st.fixed_dictionaries({"sentence_frequency_threshold": st.integers(1, 20)}),
+        "dump_sentence_freq": st.booleans(),
+    }
+)
+
+# A document whose lines end in "!": with only "。" as a terminator, run
+# drops it as non_sentential, and a stage command that split on the default
+# terminators would keep it.
+_BANG = {
+    "id": "bang",
+    "url": f"{synth.BIZ_URL}bang",
+    "source": "curated_business",
+    "text": "株式会社のけいえいについてほうこくします!\nらいねんもがんばります!",
+}
+_BANG_RECORDS = [*synth.make_records(n_core=2, n_non_japanese=0, n_duplicate_copies=0)[0], _BANG]
+
+# Texts with no kana and no Han, so that neither the script fallback nor
+# tests/wire_classifier.py reads them as Japanese.
+_non_japanese_texts = st.text(alphabet="abcXYZ рынок시장0. !\n", max_size=40)
+
+
 @pytest.mark.parametrize("classifier", [False, True], ids=["fallback", "wire_classifier"])
 class TestRunProperties:
     """Metamorphic relations of the whole run: an input edit whose effect on
@@ -787,6 +823,53 @@ class TestRunProperties:
         ingests = [f"ingest:part{i}.jsonl" for i in range(len(files))]
         assert [s.stage for s in stats_split.stages[:len(files)]] == ingests
         assert stats_split.stages[len(files):] == stats.stages[1:]
+
+    @settings(max_examples=15, deadline=None)
+    @given(records=_synth_corpora, text=_non_japanese_texts)
+    def test_appended_non_japanese_document_counts_only_in_lang_id(self, classifier, records, text):
+        # its URL passes curation, so lang_id is the first stage to see it
+        appended = {"id": "appended", "url": f"{synth.BIZ_URL}appended", "source": "curated_business",
+                    "text": text}
+        with tempfile.TemporaryDirectory() as tmp:
+            cleaned, stats = _run_on_files(Path(tmp) / "base", [records], classifier)
+            cleaned_appended, stats_appended = _run_on_files(
+                Path(tmp) / "appended", [[*records, appended]], classifier
+            )
+        assert cleaned_appended == cleaned
+        removals = {s.stage: Counter(s.doc_removals) for s in stats.stages}
+        removals_appended = {s.stage: Counter(s.doc_removals) for s in stats_appended.stages}
+        lang_id, lang_id_appended = removals.pop("lang_id"), removals_appended.pop("lang_id")
+        assert (lang_id_appended - lang_id).total() == 1
+        assert not lang_id - lang_id_appended
+        assert removals_appended == removals
+        for name in ("noise_filter", "dedup_documents", "dedup_sentences"):
+            assert _stage(stats_appended, name) == _stage(stats, name)
+
+    @settings(max_examples=15, deadline=None)
+    @given(records=_synth_corpora, stage_settings=_stage_settings)
+    @example(records=_BANG_RECORDS, stage_settings={"noise": {"terminators": ["。"]}})
+    def test_stage_commands_chained_equal_run(self, classifier, records, stage_settings):
+        if classifier:
+            lang_id = stage_settings.get("lang_id", {})
+            stage_settings = {**stage_settings, "lang_id": {**lang_id, "classifier_cmd": _WIRE_CMD}}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            config = str(synth.write_pipeline_config(root, records, extra=stage_settings))
+            assert main(["run", "--config", config]) == 0
+            stage_in = root / "input.jsonl"
+            for command in ("curate", "langid", "denoise", "dedup"):
+                out = root / command
+                assert main([command, "--config", config, "--in", str(stage_in), "--out", str(out)]) == 0
+                stage_in = out / "cleaned.jsonl"
+            run_stages = _manifest(root / "out" / "manifest.json")["stages"][1:]  # after ingest
+            chain_stages = [entry for command in ("curate", "langid", "denoise", "dedup")
+                            for entry in _manifest(root / command / "manifest.json")["stages"]]
+            outputs, chained = (
+                {p.name: p.read_bytes() for p in (root / d).iterdir() if p.name != "manifest.json"}
+                for d in ("out", "dedup")
+            )
+        assert chained == outputs
+        assert chain_stages == run_stages
 
 
 class TestOneYamlReader:
