@@ -62,15 +62,15 @@ def _typed_fields(backend: str, reply: str | WireProtocolError, **kinds: str) ->
     return [obj[key] for key in kinds]
 
 
-def command_argv(cmd: str | list[str]) -> list[str]:
-    """The argv of a backend command, a shell-style string or a list; a
-    command that names no program or has a part that is not a string raises
+def command_argv(cmd: object) -> list[str]:
+    """The argv of a backend command, a shell-style string or a list of
+    strings. Anything else, or a command that names no program, raises
     ``ConfigError``, before any child is started."""
-    argv = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
-    if not argv or not all(isinstance(part, str) for part in argv):
+    argv = shlex.split(cmd) if isinstance(cmd, str) else cmd
+    if not (isinstance(argv, list) and argv and all(isinstance(part, str) for part in argv)):
         # refused before Popen, which fails on an empty argv with an IndexError
         raise ConfigError(f"backend command must be a program and its arguments, all strings, got {cmd!r}")
-    return argv
+    return list(argv)
 
 
 class JsonLineProcess:

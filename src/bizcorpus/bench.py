@@ -275,13 +275,8 @@ class RunRecord:
         check_field_types(self)
         if self.setting not in {s.value for s in SettingKind}:
             raise ValueError(f"unknown setting {self.setting!r}")
-
-    def run_fields(self) -> dict:
-        """What every record of one run, and its manifest, has in common."""
-        return {
-            name: getattr(self, name)
-            for name in ("setting", "truncation_chars", "model_id", "template_version")
-        }
+        if self.status not in ("ok", "error", "skipped"):
+            raise ValueError(f"unknown status {self.status!r}")
 
 
 def _read_record(path: Path) -> RunRecord:
@@ -293,27 +288,22 @@ def _read_record(path: Path) -> RunRecord:
     return read_json(path, functools.partial(_from_fields, RunRecord))
 
 
+def _check_stored(path: Path, stored: dict, expected: dict) -> None:
+    """Refuse a stored manifest or record, read from ``path``, whose value of
+    any ``expected`` field differs from this run's."""
+    for name, value in expected.items():
+        if stored.get(name) != value:
+            raise ConfigError(
+                f"{path}: {name} is {stored.get(name)!r}, this run has {value!r}; "
+                "resume with the options and questions of the stored run or use another --out"
+            )
+
+
 def _resume(path: Path, expected: dict) -> RunRecord:
     """The stored record of a question, refused when it belongs to another run."""
     record = _read_record(path)
-    for name, value in expected.items():
-        stored = getattr(record, name)
-        if stored != value:
-            raise ConfigError(
-                f"{path}: {name} is {stored!r}, this run has {value!r}; "
-                "resume with the options of the stored run or use another --out"
-            )
+    _check_stored(path, asdict(record), expected)
     return record
-
-
-def _check_stored_questions(path: Path, digest: str) -> None:
-    """Refuse to resume a finished run whose manifest records another question set."""
-    stored = read_json(path).get("questions_digest")
-    if stored != digest:
-        raise ConfigError(
-            f"{path}: questions_digest is {stored!r}, this run has {digest!r}; "
-            "resume with the stored question set or use another --out"
-        )
 
 
 def _retrieve(search: SearchBackend, q: BenchmarkQuestion) -> tuple[str, float]:
@@ -324,16 +314,15 @@ def _retrieve(search: SearchBackend, q: BenchmarkQuestion) -> tuple[str, float]:
 
 
 def _run_one(
-    blank: RunRecord,
+    run: dict,
     setting: TaskSetting,
     q: BenchmarkQuestion,
     model: ModelBackend,
     page: Future[tuple[str, float]] | None,
 ) -> RunRecord:
     """Answer ``q``, waiting first for its retrieved ``page`` if one was
-    searched for; return ``blank``, which holds the run's fields, with ``q``'s
-    id and the outcome."""
-    outcome = functools.partial(replace, blank, question_id=q.id)
+    searched for; return its record, with the ``run`` fields and the outcome."""
+    outcome = functools.partial(RunRecord, question_id=q.id, **run)
     searched_s = 0.0
     if page is not None:
         try:
@@ -341,8 +330,6 @@ def _run_one(
         except RetrievalError as exc:
             return outcome(status="skipped", error=str(exc))
         q = replace(q, auto_context=body)
-    elif setting.kind is SettingKind.AUTO_RAG and not q.auto_context:
-        return outcome(status="skipped", error="no retrieved page for auto_rag")
     start = time.monotonic()
     try:
         prompt = build_prompt(setting, q)
@@ -356,8 +343,20 @@ def _run_one(
     return outcome(status="ok", prompt=prompt, response=response, elapsed_ms=elapsed_ms)
 
 
-def check_max_in_flight(max_in_flight: int) -> None:
-    """Raise ``ConfigError`` unless at least one question may wait on the model."""
+def check_run(
+    setting: TaskSetting,
+    questions: Sequence[BenchmarkQuestion],
+    *,
+    searching: bool,
+    max_in_flight: int,
+) -> None:
+    """Raise ``ConfigError`` for a run that cannot start: ``auto_rag``
+    without search while a question has no ``auto_context``, or no question
+    allowed to wait on the model."""
+    if setting.kind is SettingKind.AUTO_RAG and not searching:
+        unsearched = next((q.id for q in questions if not q.auto_context), None)
+        if unsearched is not None:
+            raise ConfigError(f"question {unsearched!r} has no auto_context, so auto_rag needs --search-cmd")
     if max_in_flight < 1:
         raise ConfigError(f"max_in_flight must be at least 1, got {max_in_flight}")
 
@@ -367,20 +366,26 @@ def run_benchmark(
     questions: Sequence[BenchmarkQuestion],
     model: ModelBackend,
     *,
+    out_dir: Path | str,
     search: SearchBackend | None = None,
-    out_dir: Path | str | None = None,
     max_in_flight: int = 1,
 ) -> list[tuple[str, str]]:
-    """Run one setting over the questions and return (question id, response)
-    pairs for every runnable question.
+    """Run one setting over the questions into the run directory ``out_dir``
+    and return (question id, response) pairs for every answered question.
 
-    Per-question backend failures are recorded and the run continues; only
-    configuration errors abort the whole run. With ``out_dir`` set, each
-    question gets its own record file under ``responses/`` plus a run
-    manifest. An interrupted run resumes: it keeps the stored ``ok`` and
-    ``skipped`` records and asks the other questions, ``error`` ones
-    included, again. A run directory whose manifest records another question
-    set is refused.
+    :func:`check_run` refuses a run that cannot start before anything is
+    read. Each question gets its own record file under ``responses/``. Per-
+    question backend failures are recorded and the run continues; only
+    configuration errors abort the whole run.
+
+    A run directory is resumed: it keeps the stored ``ok`` and ``skipped``
+    records and asks the other questions, ``error`` ones included, again.
+    The stored ``manifest.json`` and every stored record are read and checked
+    first; one from another run (another setting, truncation, model id,
+    template version or, for the manifest, question set) raises
+    ``ConfigError`` and leaves the directory as it was. Then, before the
+    first search or model call, the manifest is written with ``status``
+    ``incomplete``; it says ``complete`` once every record is written.
 
     At most ``max_in_flight`` (at least 1) questions wait on the model at
     once, and at most as many on ``search``. The ``auto_rag`` searches are
@@ -391,33 +396,33 @@ def run_benchmark(
     On any exception the queued questions and searches are cancelled, and
     the call returns once the running ones have finished.
     """
-    check_max_in_flight(max_in_flight)
-    blank = RunRecord(
-        question_id="",
-        setting=setting.kind.value,
-        truncation_chars=setting.truncation_chars,
-        model_id=getattr(model, "model_id", model.__class__.__name__),
-        template_version=TEMPLATE_VERSION,
-        status="",
-    )
-    started_at = utcnow()
+    check_run(setting, questions, searching=search is not None, max_in_flight=max_in_flight)
+    run = {
+        "setting": setting.kind.value,
+        "truncation_chars": setting.truncation_chars,
+        "model_id": getattr(model, "model_id", model.__class__.__name__),
+        "template_version": TEMPLATE_VERSION,
+    }
+    identity = {**run, "questions_digest": _questions_digest(questions)}
+    manifest = {
+        "schema": "bizcorpus-bench-run/1",
+        **identity,
+        "num_questions": len(questions),
+        "started_at": utcnow(),
+    }
     t0 = time.monotonic()
 
-    paths: list[Path | None] = [None] * len(questions)
-    records: list[RunRecord | None] = [None] * len(questions)
-    if out_dir is not None:
-        digest = _questions_digest(questions)
-        manifest_path = Path(out_dir) / "manifest.json"
-        if manifest_path.exists():
-            _check_stored_questions(manifest_path, digest)
-        responses_dir = Path(out_dir) / "responses"
-        responses_dir.mkdir(parents=True, exist_ok=True)
-        paths = [responses_dir / f"{_safe_name(q.id)}.json" for q in questions]
-        # every stored record is checked before the first model call
-        records = [
-            _resume(path, {"question_id": q.id, **blank.run_fields()}) if path.exists() else None
-            for q, path in zip(questions, paths)
-        ]
+    manifest_path = Path(out_dir) / "manifest.json"
+    if manifest_path.exists():
+        _check_stored(manifest_path, read_json(manifest_path), identity)
+    responses_dir = Path(out_dir) / "responses"
+    paths = [responses_dir / f"{_safe_name(q.id)}.json" for q in questions]
+    records = [
+        _resume(path, {"question_id": q.id, **run}) if path.exists() else None
+        for q, path in zip(questions, paths)
+    ]
+    responses_dir.mkdir(parents=True, exist_ok=True)
+    write_json(manifest_path, {**manifest, "status": "incomplete"})
 
     todo = [i for i, record in enumerate(records) if record is None or record.status == "error"]
     with (
@@ -425,39 +430,30 @@ def run_benchmark(
         ThreadPoolExecutor(max_in_flight, thread_name_prefix="bench-model") as slots,
     ):
         try:
+            # check_run saw to it that these have a search backend
             pages = {
                 i: searches.submit(_retrieve, search, questions[i])
                 for i in todo
-                if search is not None
-                and setting.kind is SettingKind.AUTO_RAG
-                and not questions[i].auto_context
+                if setting.kind is SettingKind.AUTO_RAG and not questions[i].auto_context
             }
-            answers = slots.map(
-                lambda i: _run_one(blank, setting, questions[i], model, pages.get(i)), todo
-            )
+            answers = slots.map(lambda i: _run_one(run, setting, questions[i], model, pages.get(i)), todo)
             for i, record in zip(todo, answers):
-                if paths[i] is not None:
-                    write_json(paths[i], asdict(record))
+                write_json(paths[i], asdict(record))
                 records[i] = record
         except BaseException:  # Ctrl-C, a failed write: stop what has not started
             for pool in (slots, searches):
                 pool.shutdown(wait=False, cancel_futures=True)
             raise
 
-    if out_dir is not None:
-        write_json(
-            manifest_path,
-            {
-                "schema": "bizcorpus-bench-run/1",
-                **blank.run_fields(),
-                "questions_digest": digest,
-                "num_questions": len(questions),
-                "status_counts": Counter(record.status for record in records),
-                "started_at": started_at,
-                "duration_s": round(time.monotonic() - t0, 3),
-            },
-        )
-
+    write_json(
+        manifest_path,
+        {
+            **manifest,
+            "status": "complete",
+            "status_counts": Counter(record.status for record in records),
+            "duration_s": round(time.monotonic() - t0, 3),
+        },
+    )
     return [(r.question_id, r.response) for r in records if r.status == "ok"]
 
 

@@ -22,7 +22,7 @@ from .backends import CommandModel, CommandSearch, EchoModel
 from .bench import (
     SettingKind,
     TaskSetting,
-    check_max_in_flight,
+    check_run,
     compute_accuracy,
     load_judgments,
     load_questions,
@@ -40,8 +40,6 @@ from .core import (
 )
 from .mixture import MixtureSpec, UpdateMixSpec, plan_epoch, sample_update_mix, verify_plan
 from .pipeline import STAGES, StageFailure, emit_manifest, load_config, run_pipeline
-
-log = logging.getLogger("bizcorpus")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -118,11 +116,8 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         raise ConfigError("--model-id names a --model-cmd model; the echo model's id is always 'echo'")
     questions = load_questions(args.questions)
     setting = TaskSetting(SettingKind(args.setting), truncation_chars=args.truncation)
-    if setting.kind is SettingKind.AUTO_RAG and args.search_cmd is None:
-        unsearched = next((q.id for q in questions if not q.auto_context), None)
-        if unsearched is not None:
-            raise ConfigError(f"question {unsearched!r} has no auto_context, so auto_rag needs --search-cmd")
-    check_max_in_flight(args.max_in_flight)  # before any backend child is spawned
+    # before any backend child is spawned
+    check_run(setting, questions, searching=args.search_cmd is not None, max_in_flight=args.max_in_flight)
     model = EchoModel() if args.echo_model else CommandModel(args.model_cmd, model_id=args.model_id)
     search = None
     try:
@@ -167,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     strict = partial(argparse.ArgumentParser, allow_abbrev=False)
     parser = strict(prog="bizcorpus", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
     corpus_in = argparse.ArgumentParser(add_help=False)
     corpus_in.add_argument("--in", dest="input", required=True)
@@ -237,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help and --version exit 0, a usage error 1
         return EXIT_CONFIG if exc.code else EXIT_OK
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -63,8 +63,12 @@ class UpdateMixSpec:
 
 @dataclass(frozen=True)
 class PlanEntry:
+    """One plan instance. ``pool`` is the pool of an update mix it was drawn
+    from, ``latest`` or ``non_latest``; it is not written to the plan file."""
+
     source: SourceTag
     doc_id: str
+    pool: str = ""
 
 
 @dataclass
@@ -155,7 +159,8 @@ def sample_update_mix(
 ) -> SamplePlan:
     """Draw ``round(r * total)`` instances from the non-latest corpus and the
     remainder from the latest corpus, then shuffle. Either pool may be empty
-    only when its share is zero."""
+    only when its share is zero. Pools that share a document id raise
+    ``ValueError`` naming the first shared id of the latest pool."""
     n_non = non_latest_share(spec.r, spec.total)
     n_latest = spec.total - n_non
     if n_non > 0 and len(non_latest) == 0:
@@ -163,8 +168,12 @@ def sample_update_mix(
     if n_latest > 0 and len(latest) == 0:
         raise ConfigError("latest pool is empty but its share is nonzero")
 
-    non_entries = [PlanEntry(d.source, d.id) for d in non_latest]
-    latest_entries = [PlanEntry(d.source, d.id) for d in latest]
+    non_entries = [PlanEntry(d.source, d.id, "non_latest") for d in non_latest]
+    non_ids = {e.doc_id for e in non_entries}
+    shared = next((d.id for d in latest if d.id in non_ids), None)
+    if shared is not None:
+        raise ValueError(f"the latest and non-latest pools share document id {shared!r}")
+    latest_entries = [PlanEntry(d.source, d.id, "latest") for d in latest]
     entries = _draw(non_entries, n_non, spec.seed, "mix:non_latest")
     entries += _draw(latest_entries, n_latest, spec.seed, "mix:latest")
     random.Random(derive_seed(spec.seed, "mix:order")).shuffle(entries)
@@ -185,13 +194,10 @@ class PlanVerification:
 
 
 def verify_plan(plan: SamplePlan, spec: UpdateMixSpec) -> PlanVerification:
-    """Check an update-mix plan against its spec.
-
-    By convention the latest pool carries the ``latest_update`` source tag;
-    every other tag counts as non-latest.
-    """
+    """Check an update-mix plan against its spec, counting each entry for
+    the pool it was drawn from, whatever its source tag."""
     expected = non_latest_share(spec.r, spec.total)
-    realized = sum(1 for e in plan.entries if e.source is not SourceTag.LATEST_UPDATE)
+    realized = sum(1 for e in plan.entries if e.pool == "non_latest")
     problems: list[str] = []
     if len(plan.entries) != spec.total:
         problems.append(f"plan has {len(plan.entries)} entries, spec.total is {spec.total}")

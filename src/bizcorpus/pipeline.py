@@ -173,10 +173,13 @@ def load_config(path: Path | str, *, start_classifier: bool = True) -> PipelineC
 
     lang_id_settings = dict(sections["lang_id"])
     classifier_cmd = lang_id_settings.pop("classifier_cmd", None)
-    parts = [classifier_cmd] if isinstance(classifier_cmd, str) else classifier_cmd
-    if parts is not None and not (isinstance(parts, list) and all(isinstance(p, str) for p in parts)):
-        raise ConfigError(f"{path}: lang_id.classifier_cmd must be a JSON string or list of strings, "
-                          f"got {classifier_cmd!r}")
+    if classifier_cmd is not None:
+        from .backends import command_argv
+
+        try:
+            classifier_cmd = command_argv(classifier_cmd)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: lang_id.classifier_cmd: {exc}") from None
     try:
         noise = NoiseConfig(**sections["noise"])
         config = PipelineConfig(
@@ -192,13 +195,10 @@ def load_config(path: Path | str, *, start_classifier: bool = True) -> PipelineC
             raw=raw,
         )
         # spawned last, so a config that fails validation leaves no child behind
-        if classifier_cmd is not None:
-            from .backends import SubprocessClassifier, command_argv
+        if classifier_cmd is not None and start_classifier:
+            from .backends import SubprocessClassifier
 
-            if start_classifier:
-                config.lang_id.classifier = SubprocessClassifier(classifier_cmd)
-            else:
-                command_argv(classifier_cmd)
+            config.lang_id.classifier = SubprocessClassifier(classifier_cmd)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config

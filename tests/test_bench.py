@@ -207,12 +207,17 @@ class TestRunBenchmark:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["status_counts"] == {"error": 1, "ok": 49}
 
-    def test_missing_auto_context_marked_skipped(self, tmp_path):
+    def test_auto_rag_without_search_refused_before_any_model_call(self, tmp_path):
+        # the question without a page was once recorded skipped, and the run went on
         questions = [q("has", auto_context="ページ。"), q("missing")]
-        responses = run_benchmark(AUTO, questions, ScriptedModel(), out_dir=tmp_path / "run")
+        model = CountingModel()
+        with pytest.raises(ConfigError, match="question 'missing' has no auto_context, so auto_rag needs --search-cmd"):
+            run_benchmark(AUTO, questions, model, out_dir=tmp_path / "run")
+        assert model.calls == 0
+        assert not (tmp_path / "run").exists()
+        # with a page for every question, no search backend is needed
+        responses = run_benchmark(AUTO, questions[:1], model, out_dir=tmp_path / "run")
         assert [qid for qid, _ in responses] == ["has"]
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["status_counts"] == {"ok": 1, "skipped": 1}
 
     def test_rerun_is_byte_identical_modulo_timing(self, tmp_path):
         questions = _questions(12)
@@ -225,7 +230,7 @@ class TestRunBenchmark:
         model = CountingModel()
         run_benchmark(NO_CONTEXT, questions[:3], model, out_dir=tmp_path / "run")
         assert model.calls == 3
-        # a run interrupted before its manifest was written
+        # records with no manifest beside them are checked one by one
         (tmp_path / "run" / "manifest.json").unlink()
         responses = run_benchmark(NO_CONTEXT, questions, model, out_dir=tmp_path / "run")
         assert model.calls == 6  # only the 3 new questions hit the model
@@ -263,6 +268,8 @@ class TestRunBenchmark:
         edited = [*questions[:3], q(questions[3].id, question="別の質問ですか？")]
 
         class NoModel:
+            model_id = "scripted"
+
             def generate(self, prompt):
                 raise AssertionError("the model was called")
 
@@ -272,8 +279,8 @@ class TestRunBenchmark:
 
     def test_concurrent_dispatch_preserves_order_and_results(self, tmp_path):
         questions = _questions(20)
-        serial = run_benchmark(NO_CONTEXT, questions, ScriptedModel())
-        threaded = run_benchmark(NO_CONTEXT, questions, ScriptedModel(), max_in_flight=5)
+        serial = run_benchmark(NO_CONTEXT, questions, ScriptedModel(), out_dir=tmp_path / "1")
+        threaded = run_benchmark(NO_CONTEXT, questions, ScriptedModel(), out_dir=tmp_path / "5", max_in_flight=5)
         assert serial == threaded
 
 
@@ -290,7 +297,7 @@ class PageSearch:
 
 
 class TestPipelinedRun:
-    def test_search_runs_while_the_model_answers(self):
+    def test_search_runs_while_the_model_answers(self, tmp_path):
         # one question in flight: question 0's model call waits for question 1's search
         searched = threading.Event()
 
@@ -307,7 +314,9 @@ class TestPipelinedRun:
                 return super().generate(prompt)
 
         questions = _questions(3)
-        responses = run_benchmark(AUTO, questions, WaitingModel(), search=SignallingSearch(), max_in_flight=1)
+        responses = run_benchmark(
+            AUTO, questions, WaitingModel(), search=SignallingSearch(), out_dir=tmp_path / "run", max_in_flight=1
+        )
         assert [qid for qid, _ in responses] == [x.id for x in questions]
 
     def test_failed_write_stops_both_backends(self, tmp_path, monkeypatch):
@@ -331,6 +340,8 @@ class TestPipelinedRun:
                 return super().generate(prompt)
 
         def write_json(path, obj):
+            if path.name == "manifest.json":  # written once before the records and once after
+                return
             if len(written) == 2:
                 timer.start()
                 raise OSError("disk full")
@@ -757,8 +768,8 @@ class TestWireModel:
         model = CommandModel([sys.executable, str(script)], model_id="wire")
         try:
             questions = [q(f"q{i}", question=f"質問{i}です。") for i in range(12)]
-            serial = run_benchmark(NO_CONTEXT, questions, model)
-            threaded = run_benchmark(NO_CONTEXT, questions, model, max_in_flight=4)
+            serial = run_benchmark(NO_CONTEXT, questions, model, out_dir=tmp_path / "1")
+            threaded = run_benchmark(NO_CONTEXT, questions, model, out_dir=tmp_path / "4", max_in_flight=4)
             assert serial == threaded
             assert len(threaded) == 12
         finally:
@@ -837,13 +848,13 @@ class TestModelPool:
         pid_file = tmp_path / "model.pids"
         return CommandModel([sys.executable, str(script), str(pid_file)], model_id="slow"), pid_file
 
-    def test_concurrent_callers_each_get_a_child(self, slow_model):
+    def test_concurrent_callers_each_get_a_child(self, slow_model, tmp_path):
         model, pid_file = slow_model
         questions = [q(f"q{i}", question=f"質問{i}です。") for i in range(8)]
         try:
-            run_benchmark(NO_CONTEXT, questions, model, max_in_flight=4)  # grows the pool
+            run_benchmark(NO_CONTEXT, questions, model, out_dir=tmp_path / "warm", max_in_flight=4)  # grows the pool
             start = time.monotonic()
-            answers = run_benchmark(NO_CONTEXT, questions, model, max_in_flight=4)
+            answers = run_benchmark(NO_CONTEXT, questions, model, out_dir=tmp_path / "run", max_in_flight=4)
             elapsed = time.monotonic() - start
         finally:
             model.close()
@@ -873,7 +884,7 @@ class TestModelPool:
         try:
             # start every child first: q1's then dies at once, long before the
             # others' 50 ms answers, instead of after an interpreter start-up
-            run_benchmark(NO_CONTEXT, questions[2:5], model, max_in_flight=max_in_flight)
+            run_benchmark(NO_CONTEXT, questions[2:5], model, out_dir=tmp_path / "warm", max_in_flight=max_in_flight)
             run_benchmark(
                 NO_CONTEXT, questions, model, out_dir=tmp_path / "run", max_in_flight=max_in_flight
             )
@@ -896,7 +907,10 @@ class TestModelPool:
 
 class TestJsonLineProcess:
     @pytest.mark.parametrize(
-        "cmd", ["", "   ", [], ["python", 1]], ids=["empty", "blank", "empty_list", "number_part"]
+        "cmd",
+        ["", "   ", [], ["python", 1], {"python": 1}, 0],
+        # a mapping once ran its first key, and a number raised a bare TypeError
+        ids=["empty", "blank", "empty_list", "number_part", "mapping", "number"],
     )
     def test_blank_or_mistyped_command_refused_before_spawning(self, monkeypatch, cmd):
         # Popen([]) used to fail with an IndexError

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 import synth
 
+from bizcorpus.backends import EchoModel
 from bizcorpus.bench import SettingKind, TaskSetting
 from bizcorpus.cli import build_parser, main
 from bizcorpus.core import SourceTag, read_corpus_jsonl, read_jsonl
@@ -303,6 +304,8 @@ class TestExitCodes:
             # once every question was recorded skipped, and the run exited 0
             (["bench-run", "--questions", "questions.jsonl", "--setting", "auto_rag", "--echo-model",
               "--out", "run"], 1),
+            # -v once set a DEBUG level that no message used
+            (["-v", "stats", "--in", "in.jsonl", "--out", "manifest.json"], 1),
             (["--help"], 0),
             (["--version"], 0),
         ],
@@ -316,7 +319,7 @@ class TestExitCodes:
              "mix_epoch_update_flag", "mix_update_epoch_flag", "bench_run_two_models",
              "bench_run_echo_model_id", "dedup_threshold_not_int", "curate_without_out",
              "dedup_abbreviated_flags", "mix_epoch_abbreviated_flag", "auto_rag_without_search",
-             "help", "version"],
+             "verbose_flag", "help", "version"],
     )
     def test_exit_code(self, tmp_path, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)
@@ -424,7 +427,7 @@ class TestMix:
         assert report["realized_non_latest"] == 30
 
     def test_update_mix_failed_verification_exit_two(self, tmp_path, capsys):
-        # latest_update documents given as the older pool too: the plan fails verification
+        # one file given as both pools: they share every document, and no plan is drawn
         latest = synth.write_jsonl(tmp_path / "latest.jsonl", [
             {"id": f"l{i}", "source": "latest_update", "text": f"さいしんのきじ{i}。"} for i in range(4)
         ])
@@ -433,9 +436,29 @@ class TestMix:
             ["mix", "update", "--latest", str(latest), "--non-latest", str(latest),
              "--out", str(out), "--r", "0.5", "--total", "4"]
         ) == 2
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is False
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the latest and non-latest pools share document id 'l0'\n"
         assert not out.exists()
+
+    def test_update_mix_verified_by_pool_not_tag(self, tmp_path, capsys):
+        # counted by tag, all 4 entries were non-latest: exit 2 and no plan
+        latest = synth.write_jsonl(tmp_path / "latest.jsonl", [
+            {"id": f"l{i}", "source": "curated_business", "text": f"さいしんのきじ{i}。"} for i in range(4)
+        ])
+        older = synth.write_jsonl(tmp_path / "older.jsonl", [
+            {"id": f"o{i}", "source": "wikipedia", "text": f"ふるいきじ{i}。"} for i in range(4)
+        ])
+        out = tmp_path / "plan.jsonl"
+        assert main(
+            ["mix", "update", "--latest", str(latest), "--non-latest", str(older),
+             "--out", str(out), "--r", "0.5", "--total", "4"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert (report["ok"], report["realized_non_latest"]) == (True, 2)
+        plan = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert sorted(entry["id"][0] for entry in plan) == ["l", "l", "o", "o"]
+        assert all(set(entry) == {"id", "source"} for entry in plan)
 
     def test_update_mix_bad_r_exit_one(self, tmp_path):
         latest = synth.write_jsonl(
@@ -550,8 +573,12 @@ class TestBenchWorkflow:
              "unknown setting 'few_shot'"),
             (lambda raw: json.dumps(list(json.loads(raw).values())).encode(),
              "record is not a JSON object"),
+            # once kept on resume, never asked again, and counted apart from "ok"
+            (lambda raw: json.dumps({**json.loads(raw), "status": "OK"}).encode(),
+             "unknown status 'OK'"),
         ],
-        ids=["cut_to_40_bytes", "no_setting", "string_elapsed_ms", "boolean_elapsed_ms", "unknown_setting", "array"],
+        ids=["cut_to_40_bytes", "no_setting", "string_elapsed_ms", "boolean_elapsed_ms", "unknown_setting", "array",
+             "unknown_status"],
     )
     def test_broken_record_stops_judge_and_resume(self, tmp_path, capsys, damage, reason):
         bench_run = self._bench_run(tmp_path, "--setting", "manual_rag", "--echo-model")
@@ -589,9 +616,38 @@ class TestBenchWorkflow:
         capsys.readouterr()
         assert main(self._bench_run(tmp_path, *options, "--echo-model")) == 1
         err = capsys.readouterr().err
-        assert f"error: {run_dir / 'responses'}{os.sep}" in err
-        assert message in err
+        assert f"error: {run_dir / 'manifest.json'}: {message}" in err
         assert {p: p.read_bytes() for p in sorted(run_dir.rglob("*.json"))} == before
+
+    def test_resume_of_interrupted_run_with_an_edited_question_exit_one(self, tmp_path, capsys, monkeypatch):
+        # interrupted at q2, the run leaves q1's record and its first manifest;
+        # that manifest was once written only at the end, so resuming with q1
+        # edited kept the answer to the old q1
+        bench_run = self._bench_run(tmp_path, "--setting", "no_context", "--echo-model")
+
+        def interrupted_at_q2(self, prompt):
+            if QUESTIONS[1]["question"] in prompt:
+                raise KeyboardInterrupt
+            return prompt.splitlines()[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EchoModel, "generate", interrupted_at_q2)
+            with pytest.raises(KeyboardInterrupt):
+                main(bench_run)
+        run_dir = tmp_path / "run"
+        manifest = run_dir / "manifest.json"
+        assert json.loads(manifest.read_text(encoding="utf-8"))["status"] == "incomplete"
+        assert len(list((run_dir / "responses").glob("*.json"))) == 1
+
+        def files() -> dict:
+            return {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+        before = files()
+        synth.write_jsonl(tmp_path / "questions.jsonl", [{**QUESTIONS[0], "question": "脱炭素とは？"}, *QUESTIONS[1:]])
+        capsys.readouterr()
+        assert main(bench_run) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: questions_digest is ")
+        assert files() == before
 
     @pytest.mark.parametrize(
         ("damage", "reason"),

@@ -190,8 +190,8 @@ class TestSampleUpdateMix:
 class TestVerifyPlan:
     def _hand_plan(self, non_latest: int, latest: int) -> SamplePlan:
         entries = [
-            PlanEntry(SourceTag.CURATED_BUSINESS, f"n{i}") for i in range(non_latest)
-        ] + [PlanEntry(SourceTag.LATEST_UPDATE, f"l{i}") for i in range(latest)]
+            PlanEntry(SourceTag.CURATED_BUSINESS, f"n{i}", "non_latest") for i in range(non_latest)
+        ] + [PlanEntry(SourceTag.LATEST_UPDATE, f"l{i}", "latest") for i in range(latest)]
         return SamplePlan(entries)
 
     def test_constructed_plan_passes(self):
@@ -204,6 +204,21 @@ class TestVerifyPlan:
         report = verify_plan(plan, spec)
         assert report.ok
         assert (report.realized_non_latest, report.expected_non_latest) == (300, 300)
+
+    def test_counts_by_pool_whatever_the_source_tag(self):
+        # counted by tag, every entry here once counted as non-latest
+        spec = UpdateMixSpec(r=0.5, total=4)
+        plan = sample_update_mix(
+            spec, _corpus(SourceTag.CURATED_BUSINESS, 3), _corpus(SourceTag.WIKIPEDIA, 3)
+        )
+        report = verify_plan(plan, spec)
+        assert report.ok
+        assert report.realized_non_latest == 2
+
+    def test_pools_sharing_an_id_refused(self):
+        latest = _corpus(SourceTag.LATEST_UPDATE, 3)
+        with pytest.raises(ValueError, match="the latest and non-latest pools share document id 'latest_update-0'"):
+            sample_update_mix(UpdateMixSpec(r=0.5, total=4), latest, latest)
 
     def test_off_by_one_fails_with_both_counts(self):
         report = verify_plan(self._hand_plan(299, 701), UpdateMixSpec(r=0.3, total=1000))

@@ -409,15 +409,15 @@ class TestRunPipeline:
             # a blank command once reached Popen([]) and its IndexError; a
             # mapping spawned its first key; 0 or [] ran fallback-only
             ({"lang_id": {"classifier_cmd": "   "}},
-             "backend command must be a program and its arguments, all strings, got '   '"),
+             "lang_id.classifier_cmd: backend command must be a program and its arguments, all strings, got '   '"),
             ({"lang_id": {"classifier_cmd": []}},
-             "backend command must be a program and its arguments, all strings, got []"),
+             "lang_id.classifier_cmd: backend command must be a program and its arguments, all strings, got []"),
             ({"lang_id": {"classifier_cmd": {"a": 1}}},
-             "lang_id.classifier_cmd must be a JSON string or list of strings, got {'a': 1}"),
+             "lang_id.classifier_cmd: backend command must be a program and its arguments, all strings, got {'a': 1}"),
             ({"lang_id": {"classifier_cmd": 0}},
-             "lang_id.classifier_cmd must be a JSON string or list of strings, got 0"),
+             "lang_id.classifier_cmd: backend command must be a program and its arguments, all strings, got 0"),
             ({"lang_id": {"classifier_cmd": ["python", 1]}},
-             "lang_id.classifier_cmd must be a JSON string or list of strings, got ['python', 1]"),
+             "lang_id.classifier_cmd: backend command must be a program and its arguments, all strings, got ['python', 1]"),
         ],
         ids=[
             "freq_string", "freq_int", "freq_null", "seed_string", "seed_bool", "seed_float", "seed_null",
