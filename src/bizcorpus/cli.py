@@ -4,7 +4,7 @@
 commands run one stage of it, with that config's settings, over a corpus
 file; the other subcommands plan mixtures and operate the benchmark
 (run / judge / score). Exit codes: 0 success, 1 usage or validation error
-(a missing, unknown or mistyped flag included), 2 stage failure.
+(a bad flag, a missing file or a path of the wrong kind), 2 stage failure.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StageFailure, ValueError, RuntimeError, OSError) as exc:

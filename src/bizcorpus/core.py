@@ -560,8 +560,12 @@ def _record_to_document(obj: dict) -> Document:
     )
 
 
+_RECORD_KEYS = frozenset({"id", "url", "source", "date", "text", "lang"})
+
+
 def read_corpus_jsonl(path: Path | str) -> Corpus:
-    """Strict reader for pipeline-produced corpora: every record must be
-    valid as :func:`_record_to_document` defines it. Raises ``ValueError``
-    naming the first bad line."""
-    return Corpus(read_jsonl(path, _record_to_document))
+    """Strict reader for pipeline-produced corpora: every record must hold
+    only the keys a written record has, and be valid as
+    :func:`_record_to_document` defines it. Raises ``ValueError`` naming the
+    first bad line."""
+    return Corpus(read_jsonl(path, lambda obj: _record_to_document(check_keys("record", obj, _RECORD_KEYS))))

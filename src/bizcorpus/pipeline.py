@@ -76,11 +76,16 @@ class SourceSpec:
     path: Path
     source: SourceTag
 
+    def __post_init__(self) -> None:
+        check_field_types(self)
+
 
 @dataclass
 class PipelineConfig:
     sources: list[SourceSpec]
     output_dir: Path
+    # identifies the data-defining configuration (see load_config)
+    digest: str
     seed: int = 0
     rules: CurationRuleSet | None = None
     lang_id: LangIdConfig = field(default_factory=LangIdConfig)
@@ -89,20 +94,13 @@ class PipelineConfig:
     # validated but not used: every stage runs in one thread
     workers: int = 1
     dump_sentence_freq: bool = False
-    raw: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        if not self.sources:
+            raise ConfigError("sources must list at least one file")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-
-    @property
-    def digest(self) -> str:
-        # identifies the data-defining configuration; where outputs land and
-        # the workers setting do not change what gets produced
-        significant = {k: v for k, v in self.raw.items() if k not in ("output_dir", "workers")}
-        canonical = json.dumps(significant, sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def close(self) -> None:
         """Stop the classifier child process that :func:`load_config` started."""
@@ -111,96 +109,93 @@ class PipelineConfig:
 
 
 def load_config(path: Path | str, *, start_classifier: bool = True) -> PipelineConfig:
-    """Load and validate the pipeline config. Referenced files must exist;
-    any problem, including an unknown key, raises :class:`ConfigError`
-    before work starts. The caller owns the classifier child process the
-    config may start and stops it with :meth:`PipelineConfig.close`; with
-    ``start_classifier`` false, ``lang_id.classifier_cmd`` is checked alike
-    but no child is started.
+    """Load and validate the pipeline config. Any problem, an unknown key
+    included, raises :class:`ConfigError` before work starts, worded
+    ``<config>: <key path> ...`` with the key path written as in the README's
+    config table (``sources[0].path``, ``noise.min_sentential_ratio``). A
+    path is read relative to the config's directory, and an input path (a
+    source, the rules file) must name a file. ``BIZCORPUS_OUTPUT_DIR``
+    overrides the config's ``output_dir``.
 
-    ``BIZCORPUS_OUTPUT_DIR`` overrides the config's ``output_dir``.
+    The caller owns the classifier child process the config may start and
+    stops it with :meth:`PipelineConfig.close`; with ``start_classifier``
+    false, ``lang_id.classifier_cmd`` is checked alike but no child is
+    started.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     raw = read_yaml_mapping(path, _TOP_LEVEL_KEYS, f"{path}: top level")
-    # a section left empty (``noise:``) reads as null
-    sections = {
-        name: check_keys(name, {} if raw.get(name) is None else raw[name], keys)
-        for name, keys in _SECTIONS.items()
-    }
-    base = path.parent
 
-    def _resolve(key: str, value: object) -> Path:
+    def resolve(key: str, value: object, *, is_input: bool = True) -> Path:
         if not isinstance(value, str):
-            raise ConfigError(f"{path}: {key} must be a JSON string, got {value!r}")
-        candidate = Path(value)
-        return candidate if candidate.is_absolute() else base / candidate
+            raise ConfigError(f"{key} must be a JSON string, got {value!r}")
+        resolved = path.parent / value  # an absolute value replaces the config's directory
+        if is_input and not resolved.is_file():
+            raise ConfigError(f"{key} is not a file: {resolved}")
+        return resolved
 
-    # checked before any child is spawned, and also when the environment overrides it
-    output_dir = _resolve("output_dir", raw.get("output_dir", "out"))
-    output_dir = Path(os.environ.get(ENV_OUTPUT_DIR) or output_dir)
-
-    entries = raw.get("sources") or []
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: sources must be a JSON list, got {entries!r}")
-    sources: list[SourceSpec] = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise ConfigError(f"sources[{i}]: each source needs a path")
-        check_keys(f"sources[{i}]", entry, _SOURCE_KEYS)
-        src_path = _resolve(f"sources[{i}].path", entry["path"])
-        if not src_path.exists():
-            raise ConfigError(f"sources[{i}]: file not found: {src_path}")
-        try:
-            tag = SourceTag(entry.get("source", "other"))
-        except ValueError as exc:
-            raise ConfigError(f"sources[{i}]: {exc}") from exc
-        sources.append(SourceSpec(src_path, tag))
-    if not sources:
-        raise ConfigError("config lists no ingestion sources")
-
-    rules = None
-    curation_raw = sections["curation"]
-    if curation_raw.get("rules_file") not in (None, ""):
-        rules_path = _resolve("curation.rules_file", curation_raw["rules_file"])
-        if not rules_path.exists():
-            raise ConfigError(f"curation rules file not found: {rules_path}")
-        try:
-            rules = load_rules(rules_path)
-        except ValueError as exc:
-            raise ConfigError(f"bad rules file {rules_path}: {exc}") from exc
-
-    lang_id_settings = dict(sections["lang_id"])
-    classifier_cmd = lang_id_settings.pop("classifier_cmd", None)
-    if classifier_cmd is not None:
-        from .backends import command_argv
-
-        try:
-            classifier_cmd = command_argv(classifier_cmd)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: lang_id.classifier_cmd: {exc}") from None
+    where = ""  # the key path that the message of an error below goes on from
     try:
+        # checked before any child is spawned, and also when the environment overrides it
+        output_dir = resolve("output_dir", raw.get("output_dir", "out"), is_input=False)
+        output_dir = Path(os.environ.get(ENV_OUTPUT_DIR) or output_dir)
+        # a section left empty (``noise:``) reads as null; each is copied, so
+        # that taking out a key leaves the mapping that the digest reads
+        sections = {
+            name: dict(check_keys(name, {} if raw.get(name) is None else raw[name], keys))
+            for name, keys in _SECTIONS.items()
+        }
+        entries = raw.get("sources", [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"sources must be a JSON list, got {entries!r}")
+        sources: list[SourceSpec] = []
+        for i, entry in enumerate(entries):
+            check_keys(f"sources[{i}]", entry, _SOURCE_KEYS)
+            where = f"sources[{i}]."
+            sources.append(SourceSpec(resolve("path", entry.get("path")), entry.get("source", "other")))
+            where = ""
+
+        rules = None
+        rules_file = sections["curation"].get("rules_file")
+        if rules_file is not None:
+            rules_path = resolve("curation.rules_file", rules_file)
+            where = "curation.rules_file: "
+            rules = load_rules(rules_path)
+        classifier_cmd = sections["lang_id"].pop("classifier_cmd", None)
+        where = "lang_id."
+        lang_id = LangIdConfig(**sections["lang_id"])
+        where = "noise."
         noise = NoiseConfig(**sections["noise"])
+        where = "dedup."
+        dedup = dedup_mod.DedupConfig(**sections["dedup"], terminators=noise.terminators)
+        where = ""
+        # where outputs land and the workers setting do not change what gets produced
+        significant = {k: v for k, v in raw.items() if k not in ("output_dir", "workers")}
+        # a value JSON cannot hold is refused below, naming its key
+        canonical = json.dumps(significant, sort_keys=True, ensure_ascii=False, default=repr)
         config = PipelineConfig(
             sources=sources,
             output_dir=output_dir,
+            digest=hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16],
             seed=raw.get("seed", 0),
             rules=rules,
-            lang_id=LangIdConfig(**lang_id_settings),
+            lang_id=lang_id,
             noise=noise,
-            dedup=dedup_mod.DedupConfig(**sections["dedup"], terminators=noise.terminators),
+            dedup=dedup,
             workers=raw.get("workers", 1),
             dump_sentence_freq=raw.get("dump_sentence_freq", False),
-            raw=raw,
         )
-        # spawned last, so a config that fails validation leaves no child behind
-        if classifier_cmd is not None and start_classifier:
-            from .backends import SubprocessClassifier
+        if classifier_cmd is not None:
+            from .backends import SubprocessClassifier, command_argv
 
-            config.lang_id.classifier = SubprocessClassifier(classifier_cmd)
+            where = "lang_id.classifier_cmd: "
+            command_argv(classifier_cmd)
+            # spawned last, so a config that fails validation leaves no child behind
+            if start_classifier:
+                config.lang_id.classifier = SubprocessClassifier(classifier_cmd)
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {where}{exc}") from exc
     return config
 
 

@@ -65,7 +65,7 @@ class TestRun:
         curate = ["curate", "--config", str(config), "--in", str(corpus), "--out", str(tmp_path / "c")]
         for argv in (["run", "--config", str(config)], curate):
             assert main(argv) == 1
-            assert f"error: bad rules file {rules}: {rules}: invalid YAML: " in capsys.readouterr().err
+            assert f"error: {config}: curation.rules_file: {rules}: invalid YAML: " in capsys.readouterr().err
 
 
     def test_scalar_rule_list_stops_run_and_curate(self, tmp_path, capsys):
@@ -94,7 +94,7 @@ class TestRun:
         curate = ["curate", "--config", str(config), "--in", str(corpus), "--out", str(tmp_path / "c")]
         for argv in (["run", "--config", str(config)], curate):
             assert main(argv) == 1
-            assert capsys.readouterr().err == f"error: bad rules file {rules}: {rules}: {message}\n"
+            assert capsys.readouterr().err == f"error: {config}: curation.rules_file: {rules}: {message}\n"
 
     def test_id_reused_across_source_files_exit_two(self, tmp_path, capsys):
         config = synth.write_pipeline_config(tmp_path, [{"id": "x", "text": "一つ目。"}])
@@ -152,6 +152,32 @@ class TestClassifierChild:
             os.waitpid(pid, os.WNOHANG)
 
 
+    @pytest.mark.parametrize(
+        ("section", "key_path"),
+        [
+            ({"sources": [{"path": "."}]}, "sources[0].path"),
+            ({"curation": {"rules_file": "."}}, "curation.rules_file"),
+            ({"curation": {"rules_file": ""}}, "curation.rules_file"),
+        ],
+        ids=["source_directory", "rules_directory", "rules_empty"],
+    )
+    def test_input_that_is_no_file_exit_one_before_any_child(self, tmp_path, capsys, section, key_path):
+        # a directory as a source once started the child, wrote an incomplete
+        # manifest and exited 2 at ingest; an empty rules_file ran uncurated
+        script = tmp_path / "classifier.py"
+        script.write_text(PID_RECORDING_CLASSIFIER, encoding="utf-8")
+        pid_file = tmp_path / "classifier.pid"
+        classifier_cmd = shlex.join([sys.executable, str(script), str(pid_file)])
+        records, _ = synth.make_records(n_core=2)
+        config = synth.write_pipeline_config(
+            tmp_path, records, extra={**section, "lang_id": {"classifier_cmd": classifier_cmd}}
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: {key_path} is not a file: {tmp_path}\n"
+        assert not pid_file.exists()
+        assert not (tmp_path / "out").exists()
+
+
 class TestStandaloneStages:
     def test_curate_langid_denoise_dedup_chain(self, tmp_path):
         records, truth = synth.make_records(
@@ -207,8 +233,11 @@ class TestStandaloneStages:
             # once Python's "fromisoformat: argument must be str"
             ({"id": "x", "source": "mc4", "text": "本文。", "date": 20240101},
              "field 'date' must be a string, got 20240101"),
+            # once read as an undated record
+            ({"id": "x", "source": "mc4", "text": "本文。", "published_date": "2024-01-01"},
+             "record: unknown key(s) 'published_date'"),
         ],
-        ids=["int_text", "bad_source", "bad_date", "int_date"],
+        ids=["int_text", "bad_source", "bad_date", "int_date", "unknown_key"],
     )
     def test_bad_record_exit_two_names_file_and_line(self, tmp_path, capsys, record, message):
         bad = tmp_path / "bad.jsonl"
@@ -225,9 +254,9 @@ class TestStageFlags:
     @pytest.mark.parametrize(
         ("command", "section", "message"),
         [
-            ("dedup", {"dedup": {"sentence_frequency_threshold": 0}}, "sentence_frequency_threshold must be >= 1"),
-            ("denoise", {"noise": {"min_sentential_ratio": 2}}, "min_sentential_ratio must be in [0, 1]"),
-            ("langid", {"lang_id": {"uncertainty_threshold": 1.5}}, "uncertainty_threshold must be in [0, 1], got 1.5"),
+            ("dedup", {"dedup": {"sentence_frequency_threshold": 0}}, "dedup.sentence_frequency_threshold must be >= 1"),
+            ("denoise", {"noise": {"min_sentential_ratio": 2}}, "noise.min_sentential_ratio must be in [0, 1]"),
+            ("langid", {"lang_id": {"uncertainty_threshold": 1.5}}, "lang_id.uncertainty_threshold must be in [0, 1], got 1.5"),
         ],
         ids=["dedup_threshold", "denoise_ratio", "langid_threshold"],
     )
@@ -306,6 +335,11 @@ class TestExitCodes:
               "--out", "run"], 1),
             # -v once set a DEBUG level that no message used
             (["-v", "stats", "--in", "in.jsonl", "--out", "manifest.json"], 1),
+            # a path of the wrong kind once exited 2, where a missing one exits 1
+            (["stats", "--in", ".", "--out", "manifest.json"], 1),
+            (["langid", "--config", "pipeline.yaml", "--in", ".", "--out", "out"], 1),
+            (["bench-run", "--questions", "questions.jsonl", "--setting", "manual_rag", "--echo-model",
+              "--out", "afile"], 1),
             (["--help"], 0),
             (["--version"], 0),
         ],
@@ -319,7 +353,8 @@ class TestExitCodes:
              "mix_epoch_update_flag", "mix_update_epoch_flag", "bench_run_two_models",
              "bench_run_echo_model_id", "dedup_threshold_not_int", "curate_without_out",
              "dedup_abbreviated_flags", "mix_epoch_abbreviated_flag", "auto_rag_without_search",
-             "verbose_flag", "help", "version"],
+             "verbose_flag", "directory_input", "stage_directory_input", "bench_run_out_is_a_file",
+             "help", "version"],
     )
     def test_exit_code(self, tmp_path, monkeypatch, argv, code):
         monkeypatch.chdir(tmp_path)
@@ -328,6 +363,7 @@ class TestExitCodes:
         synth.write_jsonl(tmp_path / "bad_questions.jsonl", [*QUESTIONS[:1], {**QUESTIONS[1], "id": 7}])
         (tmp_path / "bad.jsonl").write_text('{"id": "x", "source": "mc4", "text": 5}\n', encoding="utf-8")
         (tmp_path / "rules.yaml").write_text("url_patterns: 5\n", encoding="utf-8")
+        (tmp_path / "afile").write_text("", encoding="utf-8")
         configs = {
             "pipeline": {},
             "bad_rules": {"curation": {"rules_file": "rules.yaml"}},

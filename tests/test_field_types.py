@@ -17,7 +17,7 @@ from bizcorpus.dedup import DedupConfig
 from bizcorpus.langid import LangIdConfig, LangVerdict
 from bizcorpus.mixture import MixtureSpec, UpdateMixSpec
 from bizcorpus.noise import NoiseConfig
-from bizcorpus.pipeline import PipelineConfig
+from bizcorpus.pipeline import PipelineConfig, SourceSpec
 
 
 @pytest.mark.parametrize(
@@ -85,8 +85,9 @@ CHECKED = {
     TaskSetting: ({"kind": "manual_rag"}, {"kind": {"string"}, "truncation_chars": {"integer"}}),
     MixtureSpec: ({}, {"weights": {"object"}, "seed": {"integer"}}),
     UpdateMixSpec: ({"r": 0.5, "total": 4}, {"r": {"number"}, "total": {"integer"}, "seed": {"integer"}}),
+    SourceSpec: ({"path": Path("in.jsonl"), "source": "other"}, {"source": {"string"}}),
     PipelineConfig: (
-        {"sources": [], "output_dir": Path("out")},
+        {"sources": [SourceSpec(Path("in.jsonl"), SourceTag.OTHER)], "output_dir": Path("out"), "digest": "0"},
         {"seed": {"integer"}, "workers": {"integer"}, "dump_sentence_freq": {"boolean"}},
     ),
     SearchResult: ({}, {"url": {"string"}, "title": {"string"}, "body": {"string"}}),

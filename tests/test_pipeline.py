@@ -141,7 +141,7 @@ class TestRunPipeline:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
         raw["curation"]["rules_file"] = str(tmp_path / "nope.yaml")
         config_path.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(ConfigError, match="rules file not found"):
+        with pytest.raises(ConfigError, match=re.escape(f"{config_path}: curation.rules_file is not a file: ")):
             load_config(config_path)
 
     def test_missing_source_file_fails_validation(self, tmp_path):
@@ -150,7 +150,7 @@ class TestRunPipeline:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
         raw["sources"][0]["path"] = str(tmp_path / "ghost.jsonl")
         config_path.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(ConfigError, match="file not found"):
+        with pytest.raises(ConfigError, match=re.escape(f"{config_path}: sources[0].path is not a file: ")):
             load_config(config_path)
 
     def test_stage_composition_matches_manual_application(self, tmp_path):
@@ -453,6 +453,45 @@ class TestRunPipeline:
         config_path = synth.write_pipeline_config(tmp_path, records, extra=extra)
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(config_path)
+
+    @pytest.mark.parametrize(
+        ("extra", "message"),
+        [
+            ({"output_dir": 7}, "output_dir must be a JSON string, got 7"),
+            ({"sources": {"path": "input.jsonl"}}, "sources must be a JSON list, got {'path': 'input.jsonl'}"),
+            ({"sources": []}, "sources must list at least one file"),
+            ({"sources": ["input.jsonl"]}, "sources[0] must be a JSON object, got 'input.jsonl'"),
+            ({"sources": [{"path": "ghost.jsonl"}]}, "sources[0].path is not a file: <dir>/ghost.jsonl"),
+            # a directory once passed, started the classifier child and failed at ingest
+            ({"sources": [{"path": "."}]}, "sources[0].path is not a file: <dir>"),
+            ({"sources": [{"path": "input.jsonl", "source": "blog"}]},
+             "sources[0].source must be a JSON SourceTag, got 'blog'"),
+            ({"curation": {"rules_file": "."}}, "curation.rules_file is not a file: <dir>"),
+            # once a second spelling of "no curation"
+            ({"curation": {"rules_file": ""}}, "curation.rules_file is not a file: <dir>"),
+            ({"curation": {"rules_file": "bad_rules.yaml"}},
+             "curation.rules_file: <dir>/bad_rules.yaml: url_patterns must be a JSON list of strings, got 5"),
+            ({"curation": []}, "curation must be a JSON object, got []"),
+            ({"lang_id": {"bogus": 1}}, "lang_id: unknown key(s) 'bogus'"),
+            ({"lang_id": {"uncertainty_threshold": 1.5}}, "lang_id.uncertainty_threshold must be in [0, 1], got 1.5"),
+            ({"lang_id": {"classifier_cmd": 0}},
+             "lang_id.classifier_cmd: backend command must be a program and its arguments, all strings, got 0"),
+            ({"noise": {"min_sentential_ratio": 2}}, "noise.min_sentential_ratio must be in [0, 1]"),
+            ({"dedup": {"sentence_frequency_threshold": 0}}, "dedup.sentence_frequency_threshold must be >= 1"),
+            ({"seed": "7"}, "seed must be a JSON integer, got '7'"),
+        ],
+        ids=["output_dir", "sources", "sources_empty", "source_entry", "source_path_missing",
+             "source_path_directory", "source_tag", "rules_file_directory", "rules_file_empty",
+             "rules_file_content", "curation", "lang_id", "lang_id_threshold", "classifier_cmd",
+             "noise_ratio", "dedup_threshold", "top_level_scalar"],
+    )
+    def test_error_names_config_and_key_path(self, tmp_path, extra, message):
+        (tmp_path / "bad_rules.yaml").write_text("url_patterns: 5\n", encoding="utf-8")
+        records, _ = synth.make_records(n_core=2)
+        config_path = synth.write_pipeline_config(tmp_path, records, extra=extra)
+        with pytest.raises(ConfigError) as error:
+            load_config(config_path, start_classifier=False)
+        assert str(error.value) == f"{config_path}: {message.replace('<dir>', str(tmp_path))}"
 
     def test_every_stage_key_reaches_config(self, tmp_path):
         sections = {
