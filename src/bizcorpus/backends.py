@@ -1,10 +1,13 @@
 """Wire-level backend adapters.
 
 Classifier, model and search backends plug in over a child process speaking
-one JSON object per line: the adapter writes a single request object to the
-child's stdin and reads a single response object from its stdout, per call.
-A backend called from several threads at once runs one copy of its command
-per concurrent caller, so the command must tolerate that many instances.
+one JSON object per line: the adapter writes one request object per line to
+the child's stdin and reads one response object per line from its stdout, in
+request order. A call may send a few requests ahead of the replies it has
+read: the language filter up to 32, a model run two, so that the child has
+its next request waiting while it answers. A backend called from several
+threads at once runs one copy of its command per concurrent caller, so the
+command must tolerate that many instances.
 
 Request/response schemas:
 
@@ -22,7 +25,7 @@ import shlex
 import subprocess
 import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator, Iterable, Iterator
 
 from .core import ConfigError, check_field_types
 
@@ -30,6 +33,9 @@ from .core import ConfigError, check_field_types
 class WireProtocolError(RuntimeError):
     """The child process broke the one-JSON-object-per-line contract."""
 
+
+# ``json.dumps``'s bytes, from one encoder instead of one built per request
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 _CLOSED = "backend process closed its stdout"
 _ABANDONED = "backend process out of step: an earlier exchange was abandoned with replies unread"
@@ -76,12 +82,14 @@ def command_argv(cmd: object) -> list[str]:
 class JsonLineProcess:
     """Client for identical child processes exchanging one JSON object per line.
 
-    One child is spawned at construction. A call takes an idle child for its
-    whole exchange and spawns another only when every child is busy, so there
-    are as many children as the peak number of concurrent callers. The lock
-    covers only taking and returning a child. Once a child has closed its
-    stdout or broken its stdin pipe, or an exchange was abandoned with replies
-    unread, ``_broken`` says why, and no later call gets a reply or a child.
+    One child is spawned at construction. An exchange takes an idle child once
+    it has a first request, for the whole exchange, and spawns another only
+    when every child is busy, so there are as many children as the peak number
+    of concurrent exchanges. The lock covers only taking and returning a child
+    and setting ``_broken``. Once a child has closed its stdout or broken its
+    stdin pipe, or an exchange was abandoned with replies unread, ``_broken``
+    says why: from then on no exchange sends another request or takes a
+    child, including the ones already open.
     """
 
     WINDOW = 32  # unread replies wait in the pipe: 32 verdicts of ~40 bytes fit any buffer
@@ -101,54 +109,84 @@ class JsonLineProcess:
             text=True,
         )
 
+    def _break(self, cause: str) -> None:
+        with self._lock:
+            self._broken = self._broken or cause  # the first cause stands
+
+    def _reply(self, stdout) -> str | WireProtocolError:
+        """The next reply line, or, once the child has closed its stdout, the
+        error, with the backend broken at once so that no exchange sends more."""
+        reply = stdout.readline()
+        if not reply:
+            self._break(_CLOSED)
+        return reply or WireProtocolError(_CLOSED)
+
     def call(self, request: dict) -> str | WireProtocolError:
         (reply,) = self.exchange([request])
         return reply
 
-    def exchange(self, requests: list[dict]) -> Iterator[str | WireProtocolError]:
-        """Send the requests in order, up to ``WINDOW`` ahead of the replies
+    def exchange(self, requests: Iterable[dict], window: int = WINDOW) -> Iterator[str | WireProtocolError]:
+        """Send the requests in order, up to ``window`` ahead of the replies
         read, and yield each reply line as it is read, or, where none came,
-        the WireProtocolError saying why. Requests are flushed in batches of
-        half a window, and always before a read, so a child must answer each
-        line as it arrives, not wait for EOF. The child is taken at the first
-        ``next`` and handed back once the last reply is read and the exchange
-        is exhausted or closed; closed earlier, the child is out of step, and
-        no later call gets a reply."""
+        the WireProtocolError saying why. A request is taken from ``requests``
+        only when it is about to be sent, and a child only once there is a
+        first request. Requests are flushed in batches of half a window, and
+        always before a read, so a child must answer each line as it arrives,
+        not wait for EOF. Once the backend is broken nothing more is sent, and
+        each request left gets the error in its place. The child is handed
+        back once every request sent has been answered and the exchange is
+        exhausted or closed; closed earlier, the child is out of step, and no
+        later call gets a reply."""
+        pending = iter(requests)
+        request = next(pending, None)
+        if request is None:
+            return
         with self._lock:
             if not (self._broken or self._idle):
                 self._procs.append(self._spawn())
                 self._idle.append(self._procs[-1])
             proc = None if self._broken else self._idle.pop()
-        if proc is None:  # the cause, once set, never changes
-            yield from (WireProtocolError(self._broken) for _ in requests)
-            return
+        if proc is not None:
+            request = yield from self._converse(proc, request, pending, window)
+        if request is not None:  # the backend broke before it was sent
+            yield WireProtocolError(self._broken)
+            yield from (WireProtocolError(self._broken) for _ in pending)
+
+    def _converse(
+        self, proc: subprocess.Popen, request: dict | None, pending: Iterator[dict], window: int
+    ) -> Generator[str | WireProtocolError, None, dict | None]:
+        """``exchange`` with ``proc``, from ``request`` on; returns the first
+        request left unsent, or None once ``pending`` has run out."""
         stdin, stdout = proc.stdin, proc.stdout
         assert stdin is not None and stdout is not None
         sent = read = 0
-        reply = ""
-        batch = self.WINDOW // 2
+        batch = window // 2
         try:
-            with contextlib.suppress(BrokenPipeError):  # the child is gone: the rest go unanswered
-                for request in requests:
-                    stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
+            try:
+                while request is not None and not self._broken:
+                    stdin.write(_encode(request) + "\n")
                     sent += 1
+                    request = None
                     if sent % batch == 0:
                         stdin.flush()
                         while sent - read > batch:
                             read += 1
-                            yield (reply := stdout.readline()) or WireProtocolError(_CLOSED)
+                            yield self._reply(stdout)
+                    request = next(pending, None)
                 stdin.flush()
+            except BrokenPipeError:  # the child is gone: what it was sent goes unanswered
+                self._break(_CLOSED)
             while read < sent:
                 read += 1
-                yield (reply := stdout.readline()) or WireProtocolError(_CLOSED)
+                yield self._reply(stdout)
         finally:
-            # a child that did not answer every request is dead or out of step
+            # a child that did not answer every request sent is out of step
             with self._lock:
-                if read == len(requests) and (reply or not requests):
+                if read < sent:
+                    self._broken = self._broken or _ABANDONED
+                elif not self._broken:
                     self._idle.append(proc)
-                elif not self._broken:  # the first cause stands
-                    self._broken = _ABANDONED if reply and read < sent else _CLOSED
-        yield from (WireProtocolError(_CLOSED) for _ in range(len(requests) - sent))
+        return request
 
     def close(self) -> None:
         for proc in self._procs:
@@ -201,6 +239,24 @@ class CommandModel:
     def generate(self, prompt: str) -> str:
         (response,) = _typed_fields("model", self._proc.call({"prompt": prompt}), response="string")
         return response
+
+    def generate_many(self, prompts: Iterable[str]) -> Iterator[str | WireProtocolError]:
+        """The response to each prompt, in order, as its reply is read, or the
+        WireProtocolError in its place where no usable answer came. A prompt
+        is taken from ``prompts`` only when it is sent, and it is sent while
+        the child still answers the one before, so the child does not wait
+        for the caller between answers. Closing the generator ends the
+        exchange at once."""
+        requests = ({"prompt": prompt} for prompt in prompts)
+        # a window of 2: one prompt waits in the child's pipe, and its reply
+        # is read once the next prompt is sent
+        with contextlib.closing(self._proc.exchange(requests, window=2)) as replies:
+            for reply in replies:
+                try:
+                    (response,) = _typed_fields("model", reply, response="string")
+                except WireProtocolError as exc:
+                    response = exc
+                yield response
 
     def close(self) -> None:
         self._proc.close()

@@ -17,14 +17,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
+import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Protocol, Sequence, TypeVar
+from typing import Iterable, Iterator, Protocol, Sequence, TypeVar
 
 from .backends import SearchResult
 from .core import (
@@ -139,6 +140,11 @@ class SearchBackend(Protocol):
 
 
 class ModelBackend(Protocol):
+    """Model plug point: ``generate(prompt) -> response``. An optional
+    ``generate_many(prompts)`` generator takes each prompt from ``prompts``
+    only when it sends it, and gives, per prompt and in order, the response
+    or the exception that stands in its place."""
+
     model_id: str
 
     def generate(self, prompt: str) -> str: ...
@@ -313,34 +319,121 @@ def _retrieve(search: SearchBackend, q: BenchmarkQuestion) -> tuple[str, float]:
     return body, time.monotonic() - start
 
 
-def _run_one(
-    run: dict,
-    setting: TaskSetting,
-    q: BenchmarkQuestion,
-    model: ModelBackend,
-    page: Future[tuple[str, float]] | None,
-) -> RunRecord:
-    """Answer ``q``, waiting first for its retrieved ``page`` if one was
-    searched for; return its record, with the ``run`` fields and the outcome."""
-    outcome = functools.partial(RunRecord, question_id=q.id, **run)
-    searched_s = 0.0
-    if page is not None:
+def _generate_each(model: ModelBackend, prompts: Iterable[str]) -> Iterator[str | Exception]:
+    for prompt in prompts:
         try:
-            body, searched_s = page.result()
-        except RetrievalError as exc:
-            return outcome(status="skipped", error=str(exc))
-        q = replace(q, auto_context=body)
-    start = time.monotonic()
-    try:
-        prompt = build_prompt(setting, q)
-    except MissingContextError as exc:
-        return outcome(status="error", error=str(exc))
-    try:
-        response = model.generate(prompt)
-    except Exception as exc:
-        return outcome(status="error", prompt=prompt, error=f"model backend failed: {exc}")
-    elapsed_ms = int((searched_s + time.monotonic() - start) * 1000)
-    return outcome(status="ok", prompt=prompt, response=response, elapsed_ms=elapsed_ms)
+            answer = model.generate(prompt)
+        except Exception as exc:  # recorded as the question's error; the run goes on
+            answer = exc
+        yield answer
+
+
+class _Lanes:
+    """The model slots of one run. Each lane takes the next question from one
+    shared iterator, waits for its page, if it has one, and sends its prompt
+    while the model still answers the lane's previous prompt; it writes each
+    question's record as soon as the answer arrives.
+
+    The first failure anywhere, recorded by :meth:`stop`, stops the run: no
+    lane takes another question or sends another prompt, and the queued
+    searches are cancelled. Each lane still reads the replies to the prompts
+    it has sent, so a wire model stays in step, but writes no more records.
+    """
+
+    def __init__(
+        self,
+        run: dict,
+        setting: TaskSetting,
+        questions: Sequence[BenchmarkQuestion],
+        model: ModelBackend,
+        todo: list[int],
+        pages: dict[int, Future[tuple[str, float]]],
+        paths: list[Path],
+        records: list[RunRecord | None],
+    ):
+        self._run, self._setting, self._questions, self._model = run, setting, questions, model
+        self._todo, self._pages, self._paths, self._records = iter(todo), pages, paths, records
+        self._lock = threading.Lock()
+        self._stopped = threading.Event()
+        self.failure: BaseException | None = None
+
+    def stop(self, exc: BaseException) -> None:
+        with self._lock:
+            self.failure = self.failure or exc  # the first failure is the one raised
+        self._stopped.set()
+        for page in self._pages.values():
+            page.cancel()
+
+    def lane(self) -> None:
+        """Ask the questions this lane takes, one after another, until none
+        is left or the run stops."""
+        generate_many = getattr(self._model, "generate_many", None)
+        sent: deque[tuple[int, str, float, float]] = deque()
+        prompts = self._prompts(sent)
+        answers = generate_many(prompts) if generate_many else _generate_each(self._model, prompts)
+        answered = 0.0
+        for answer in answers:
+            i, prompt, before_s, sent_at = sent.popleft()
+            now = time.monotonic()
+            # the model starts on a prompt once it has answered the lane's previous one
+            elapsed_ms = int((before_s + now - max(sent_at, answered)) * 1000)
+            answered = now
+            if isinstance(answer, Exception):
+                self._record(i, status="error", prompt=prompt, error=f"model backend failed: {answer}")
+            else:
+                self._record(i, status="ok", prompt=prompt, response=answer, elapsed_ms=elapsed_ms)
+
+    def _prompts(self, sent: deque[tuple[int, str, float, float]]) -> Iterator[str]:
+        """The prompt of each question this lane takes, each noted in ``sent``
+        as it goes to the model. A question without a prompt is recorded here."""
+        while not self._stopped.is_set():
+            with self._lock:
+                i = next(self._todo, None)
+            if i is None:
+                return
+            try:
+                prepared = self._prepare(i)
+            except BaseException as exc:  # raised by the caller once every lane has stopped
+                self.stop(exc)
+                return
+            if prepared is not None and not self._stopped.is_set():
+                sent.append((i, *prepared))
+                yield prepared[0]
+
+    def _prepare(self, i: int) -> tuple[str, float, float] | None:
+        """Question ``i``'s prompt, its search and prompt seconds, and the
+        time it was built; None once a record says why it has none."""
+        q = self._questions[i]
+        searched_s = 0.0
+        page = self._pages.get(i)
+        if page is not None:
+            try:
+                body, searched_s = page.result()
+            except RetrievalError as exc:
+                self._record(i, status="skipped", error=str(exc))
+                return None
+            q = replace(q, auto_context=body)
+        start = time.monotonic()
+        try:
+            prompt = build_prompt(self._setting, q)
+        except MissingContextError as exc:
+            self._record(i, status="error", error=str(exc))
+            return None
+        built = time.monotonic()
+        return prompt, searched_s + built - start, built
+
+    def _record(self, i: int, **outcome: object) -> None:
+        """Write question ``i``'s record, unless the run has stopped; a
+        failure stops it."""
+        if self._stopped.is_set():
+            return
+        try:
+            record = RunRecord(question_id=self._questions[i].id, **self._run, **outcome)
+            write_json(self._paths[i], asdict(record))
+        except BaseException as exc:  # a failed write; raised by the caller once every lane has stopped
+            self.stop(exc)
+        else:
+            self._records[i] = record
 
 
 def check_run(
@@ -387,14 +480,20 @@ def run_benchmark(
     first search or model call, the manifest is written with ``status``
     ``incomplete``; it says ``complete`` once every record is written.
 
-    At most ``max_in_flight`` (at least 1) questions wait on the model at
-    once, and at most as many on ``search``. The ``auto_rag`` searches are
-    queued up front, in question order, so retrieval runs ahead of the model.
-    Records are written in question order by the calling thread while the
-    model keeps answering. A record's ``elapsed_ms`` is the question's own
-    search time plus its prompt and model time, without time spent queued.
-    On any exception the queued questions and searches are cancelled, and
-    the call returns once the running ones have finished.
+    The model answers at most ``max_in_flight`` (at least 1) questions at
+    once, and at most as many wait on ``search``. The ``auto_rag`` searches
+    are queued up front, in question order, so retrieval runs ahead of the
+    model. Each of the ``max_in_flight`` model slots takes the next question
+    in question order and sends its prompt while the model still answers the
+    slot's previous one, through the model's ``generate_many`` if it has one,
+    else one ``generate`` call per prompt; the slot writes each record as its
+    answer arrives. A record's ``elapsed_ms`` is the question's own search
+    time plus its prompt and model time; the model time runs from the later
+    of the prompt's send and the slot's previous answer, so time spent queued
+    is not counted. On any exception no slot takes another question or sends
+    another prompt, and the queued searches are cancelled; each slot reads
+    the answers to the prompts it has sent, writing no more records, and the
+    first exception is raised once every slot has stopped.
     """
     check_run(setting, questions, searching=search is not None, max_in_flight=max_in_flight)
     run = {
@@ -429,21 +528,18 @@ def run_benchmark(
         ThreadPoolExecutor(max_in_flight, thread_name_prefix="bench-search") as searches,
         ThreadPoolExecutor(max_in_flight, thread_name_prefix="bench-model") as slots,
     ):
+        pages: dict[int, Future[tuple[str, float]]] = {}
+        lanes = _Lanes(run, setting, questions, model, todo, pages, paths, records)
         try:
-            # check_run saw to it that these have a search backend
-            pages = {
-                i: searches.submit(_retrieve, search, questions[i])
-                for i in todo
-                if setting.kind is SettingKind.AUTO_RAG and not questions[i].auto_context
-            }
-            answers = slots.map(lambda i: _run_one(run, setting, questions[i], model, pages.get(i)), todo)
-            for i, record in zip(todo, answers):
-                write_json(paths[i], asdict(record))
-                records[i] = record
-        except BaseException:  # Ctrl-C, a failed write: stop what has not started
-            for pool in (slots, searches):
-                pool.shutdown(wait=False, cancel_futures=True)
-            raise
+            for i in todo:  # check_run saw to it that these have a search backend
+                if setting.kind is SettingKind.AUTO_RAG and not questions[i].auto_context:
+                    pages[i] = searches.submit(_retrieve, search, questions[i])
+            for lane in [slots.submit(lanes.lane) for _ in range(max_in_flight)]:
+                lane.result()
+        except BaseException as exc:  # Ctrl-C here, or a fault in a lane: re-raised below
+            lanes.stop(exc)
+        if lanes.failure is not None:
+            raise lanes.failure
 
     write_json(
         manifest_path,

@@ -102,13 +102,25 @@ def _conform(kind: object, value: object) -> object:
     raise TypeError(value)
 
 
-def _json_type(kind: object) -> str:
+def _labels(kind: type[Enum]) -> str:
+    """The labels of ``kind``, each quoted, in definition order."""
+    return ", ".join(repr(member.value) for member in kind)
+
+
+def _json_type(kind: object, nested: bool = False) -> str:
+    """How a field of type ``kind`` is written in JSON. An ``Enum`` field is a
+    string with its labels listed; inside a list or an object it is named by
+    its class."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is None:
+        if issubclass(kind, Enum) and not nested:
+            return f"string, one of {_labels(kind)}"
         return _JSON_TYPE_NAMES.get(kind, kind.__name__)
     if origin is Mapping:
-        return f"object of {_json_type(args[0])} to {_json_type(args[1])}"
-    return _json_type(args[0]) if origin in (Union, UnionType) else f"list of {_json_type(args[0])}s"
+        return f"object of {_json_type(args[0], True)} to {_json_type(args[1], True)}"
+    if origin in (Union, UnionType):
+        return _json_type(args[0], nested)
+    return f"list of {_json_type(args[0], True)}s"
 
 
 def check_field_types(record: object) -> None:
@@ -550,9 +562,13 @@ def _record_to_document(obj: dict) -> Document:
         raise ValueError(f"field 'date' must be a string, got {day!r}")
     if day and not _ISO_DAY.fullmatch(day):
         raise ValueError(f"field 'date' must be YYYY-MM-DD, got {day!r}")
+    try:
+        tag = SourceTag(source)
+    except ValueError:
+        raise ValueError(f"field 'source' must be one of {_labels(SourceTag)}, got {source!r}") from None
     return Document(
         id=doc_id,
-        source=SourceTag(source),
+        source=tag,
         text=text,
         url=url or "",
         published_date=None if day in (None, "") else date.fromisoformat(day),

@@ -829,6 +829,36 @@ SLOW_MODEL_CHILD = textwrap.dedent(
 )
 
 
+# Model child that logs "arrived<n>" as line n reaches it, read by a thread
+# of its own, and "replied<n>" just before it writes reply n, 50 ms after it
+# took line n; a line sent once reply n is read is always logged after it.
+LOGGING_MODEL_CHILD = textwrap.dedent(
+    """
+    import json, queue, sys, threading, time
+    log, lock, lines = open(sys.argv[1], "a"), threading.Lock(), queue.Queue()
+
+    def note(event):
+        with lock:
+            log.write(event + "\\n")
+            log.flush()
+
+    def read():
+        for n, line in enumerate(sys.stdin):
+            note(f"arrived{n}")
+            lines.put(line)
+        lines.put(None)
+
+    threading.Thread(target=read, daemon=True).start()
+    n = 0
+    while lines.get() is not None:
+        time.sleep(0.05)
+        note(f"replied{n}")
+        print(json.dumps({"response": "ok"}), flush=True)
+        n += 1
+    """
+)
+
+
 def _spawned(pid_file) -> list[int]:
     return [int(pid) for pid in pid_file.read_text(encoding="utf-8").split()]
 
@@ -877,14 +907,97 @@ class TestModelPool:
             model.close()
         assert _normalized_run_dir(tmp_path / "1") == _normalized_run_dir(tmp_path / "4")
 
-    @pytest.mark.parametrize("max_in_flight", [1, 3])
-    def test_dead_child_fails_later_questions_without_respawn(self, slow_model, tmp_path, max_in_flight):
+    def test_next_prompt_waits_in_the_pipe_while_the_child_answers(self, tmp_path):
+        script = tmp_path / "logging_model.py"
+        script.write_text(LOGGING_MODEL_CHILD, encoding="utf-8")
+        log = tmp_path / "events.log"
+        model = CommandModel([sys.executable, str(script), str(log)], model_id="logged")
+        try:
+            run_benchmark(NO_CONTEXT, _questions(5), model, out_dir=tmp_path / "run", max_in_flight=1)
+        finally:
+            model.close()
+        events = log.read_text(encoding="utf-8").split()
+        for k in range(4):
+            # prompt k + 1 waits in the pipe while the child answers prompt k,
+            # and is sent only once the reply before it has been read
+            assert events.index(f"arrived{k + 1}") < events.index(f"replied{k}")
+            if k:
+                assert events.index(f"arrived{k + 1}") > events.index(f"replied{k - 1}")
+
+    def test_elapsed_ms_counts_no_wait_behind_the_previous_prompt(self, slow_model, tmp_path):
+        model, _ = slow_model
+        try:
+            model.generate("質問")  # the child has started: no record counts its start-up
+            run_benchmark(NO_CONTEXT, _questions(6), model, out_dir=tmp_path / "run", max_in_flight=1)
+        finally:
+            model.close()
+        elapsed = [
+            json.loads(path.read_text(encoding="utf-8"))["elapsed_ms"]
+            for path in (tmp_path / "run" / "responses").glob("*.json")
+        ]
+        # each answer takes 50 ms; one waiting behind another would count ~100
+        assert len(elapsed) == 6 and max(elapsed) < 90
+
+    def test_a_slot_without_a_question_starts_no_child(self, slow_model, tmp_path):
         model, pid_file = slow_model
-        questions = [q(f"q{i}", question="die" if i == 1 else f"質問{i}です。") for i in range(9)]
+        try:
+            answers = run_benchmark(NO_CONTEXT, _questions(2), model, out_dir=tmp_path / "run", max_in_flight=4)
+        finally:
+            model.close()
+        assert len(answers) == 2
+        assert 1 <= len(_spawned(pid_file)) <= 2
+
+    def test_failed_write_leaves_the_model_in_step(self, tmp_path, monkeypatch):
+        script = tmp_path / "model.py"
+        script.write_text(MODEL_CHILD, encoding="utf-8")
+        model = CommandModel([sys.executable, str(script)], model_id="wire")
+        written: list[Path] = []
+
+        def write_json(path, obj):
+            if path.name == "manifest.json":
+                return
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(path)
+
+        monkeypatch.setattr(bench, "write_json", write_json)
+        try:
+            with pytest.raises(OSError, match="disk full"):
+                run_benchmark(NO_CONTEXT, _questions(20), model, out_dir=tmp_path / "run", max_in_flight=2)
+            # each child read its unread replies: the next call gets its own answer
+            assert model.generate("質問に簡潔に答えてください。") == "echo: 質問に簡潔に答えてく"
+        finally:
+            model.close()
+        assert len(written) == 2
+
+    @pytest.mark.parametrize("max_in_flight", [1, 3])
+    def test_dead_child_fails_later_questions_without_respawn(self, tmp_path, max_in_flight):
+        script = tmp_path / "slow_model.py"
+        script.write_text(SLOW_MODEL_CHILD, encoding="utf-8")
+        pid_file = tmp_path / "model.pids"
+        events: list[tuple[str, str | bool]] = []
+
+        class LoggedModel(CommandModel):
+            """Logs each prompt as it is sent, and whether each answer is an error."""
+
+            def generate_many(self, prompts):
+                def sending():
+                    for prompt in prompts:
+                        events.append(("sent", prompt))
+                        yield prompt
+
+                for answer in super().generate_many(sending()):
+                    events.append(("answer", isinstance(answer, WireProtocolError)))
+                    yield answer
+
+        model = LoggedModel([sys.executable, str(script), str(pid_file)], model_id="slow")
+        # enough questions that live lanes still take some after the death
+        questions = [q(f"q{i:02d}", question="die" if i == 1 else f"質問{i}です。") for i in range(15)]
         try:
             # start every child first: q1's then dies at once, long before the
             # others' 50 ms answers, instead of after an interpreter start-up
             run_benchmark(NO_CONTEXT, questions[2:5], model, out_dir=tmp_path / "warm", max_in_flight=max_in_flight)
+            events.clear()
             run_benchmark(
                 NO_CONTEXT, questions, model, out_dir=tmp_path / "run", max_in_flight=max_in_flight
             )
@@ -899,9 +1012,14 @@ class TestModelPool:
         records = sorted((json.loads(p.read_text(encoding="utf-8")) for p in paths), key=lambda r: r["question_id"])
         status = [r["status"] for r in records]
         if max_in_flight == 1:
-            assert status == ["ok"] + ["error"] * 8
-        # q0 and q2 may be answered by live children while q1 kills its own
-        assert status[1] == "error" and status[6:] == ["error"] * 3
+            assert status == ["ok"] + ["error"] * 14
+        assert status[1] == "error"
+        # a prompt already waiting on a live child may still be answered, but
+        # every prompt sent once a lane has read the death gets the error
+        status_by_prompt = {r["prompt"]: r["status"] for r in records}
+        death = events.index(("answer", True))
+        sent_after = [prompt for kind, prompt in events[death:] if kind == "sent"]
+        assert sent_after and {status_by_prompt[prompt] for prompt in sent_after} == {"error"}
         _assert_reaped(spawned)
 
 

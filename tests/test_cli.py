@@ -228,7 +228,9 @@ class TestStandaloneStages:
         ("record", "message"),
         [
             ({"id": "x", "source": "mc4", "text": 5}, "field 'text' must be a string, got 5"),
-            ({"id": "x", "source": "blog", "text": "本文。"}, "'blog' is not a valid SourceTag"),
+            ({"id": "x", "source": "blog", "text": "本文。"},
+             "field 'source' must be one of 'curated_business', 'patent', 'wikipedia', "
+             "'cc100', 'mc4', 'common_crawl', 'latest_update', 'other', got 'blog'"),
             ({"id": "x", "source": "mc4", "text": "本文。", "date": "2023-02-30"}, "day is out of range"),
             # once Python's "fromisoformat: argument must be str"
             ({"id": "x", "source": "mc4", "text": "本文。", "date": 20240101},

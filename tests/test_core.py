@@ -181,7 +181,9 @@ BAD_RECORDS = [
     ('{"id": 1, "source": "mc4", "text": "x"}', "field 'id' must be a string, got 1"),
     ('{"id": true, "source": "mc4", "text": "x"}', "field 'id' must be a string, got True"),
     ('{"id": "d1", "source": "mc4", "text": "x", "url": 5}', "field 'url' must be a string"),
-    ('{"id": "d1", "source": "blog", "text": "x"}', "'blog' is not a valid SourceTag"),
+    ('{"id": "d1", "source": "blog", "text": "x"}',
+     "field 'source' must be one of 'curated_business', 'patent', 'wikipedia', "
+     "'cc100', 'mc4', 'common_crawl', 'latest_update', 'other', got 'blog'"),
     ('{"id": "d1", "source": "mc4", "text": "x", "date": "2023-13-01"}', "month must be in 1..12"),
     # once Python's "fromisoformat: argument must be str", naming no field
     ('{"id": "d1", "source": "mc4", "text": "x", "date": 20230101}', "field 'date' must be a string, got 20230101"),

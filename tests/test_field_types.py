@@ -38,6 +38,10 @@ from bizcorpus.pipeline import PipelineConfig, SourceSpec
         (lambda: MixtureSpec(weights={"patent": True}),
          "weights must be a JSON object of SourceTag to number, got {'patent': True}"),
         (lambda: SearchResult(url=5), "url must be a JSON string, got 5"),
+        # an enum field lists its labels in definition order
+        (lambda: TaskSetting("bogus"), "kind must be a JSON string, one of 'no_context', 'auto_rag', 'manual_rag', got 'bogus'"),
+        (lambda: LangVerdict("ja", 0.9, "middle"),
+         "stage must be a JSON string, one of 'primary_classifier', 'characteristics_fallback', got 'middle'"),
         (lambda: CurationRuleSet(cue_words="決算"), "cue_words must be a JSON list of strings, got '決算'"),
         (lambda: CurationRuleSet(cue_words=("決算",), rule_set_version=1.1),
          "rule_set_version must be a JSON string, got 1.1"),
@@ -46,6 +50,7 @@ from bizcorpus.pipeline import PipelineConfig, SourceSpec
         "dedup_threshold_bool", "dedup_threshold_float", "noise_ratio_bool", "noise_terminators_string",
         "langid_threshold_bool", "update_r_bool", "update_total_bool", "update_total_float",
         "update_seed_string", "epoch_seed_string", "epoch_weight_bool", "search_url_number",
+        "setting_kind_label", "verdict_stage_label",
         "cue_words_string", "rule_set_version_float",
     ],
 )

@@ -465,7 +465,8 @@ class TestRunPipeline:
             # a directory once passed, started the classifier child and failed at ingest
             ({"sources": [{"path": "."}]}, "sources[0].path is not a file: <dir>"),
             ({"sources": [{"path": "input.jsonl", "source": "blog"}]},
-             "sources[0].source must be a JSON SourceTag, got 'blog'"),
+             "sources[0].source must be a JSON string, one of 'curated_business', 'patent', 'wikipedia', "
+             "'cc100', 'mc4', 'common_crawl', 'latest_update', 'other', got 'blog'"),
             ({"curation": {"rules_file": "."}}, "curation.rules_file is not a file: <dir>"),
             # once a second spelling of "no curation"
             ({"curation": {"rules_file": ""}}, "curation.rules_file is not a file: <dir>"),
